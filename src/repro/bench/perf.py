@@ -124,6 +124,7 @@ def _case_fig3(quick: bool) -> list[tuple[str, float, float, dict]]:
             stats = {
                 "work.units": float(m.total_units),
                 "work.evaluated": float(m.evaluated),
+                "work.coalesced": float(m.coalesced),
                 "work.cache_hits": float(m.cache_hits),
                 "work.records": float(len(result.records)),
                 "work.lowering_requests": _reg_value(

@@ -8,11 +8,15 @@ structure), so the parallel schedule is trivial:
 
 1. look every unit up in the content-addressed cache (parent process —
    hits never pay IPC),
-2. evaluate the misses — inline for ``jobs=1`` (the degenerate serial
-   path, bit-identical by construction), else on a ``multiprocessing``
-   pool consumed through ``imap_unordered`` so one slow or dead worker
-   never blocks the others' results,
-3. write fresh results back to the cache and reassemble by index.
+2. coalesce the misses by content key — units that share a key (the
+   Fig. 3 corpus repeats identical blocks across compiler personas:
+   416 units, 153 keys) are evaluated once, by the first of them, and
+   the others receive a copy of its result,
+3. evaluate the distinct misses — inline for ``jobs=1`` (the degenerate
+   serial path, bit-identical by construction), else on a
+   ``multiprocessing`` pool consumed through ``imap_unordered`` so one
+   slow or dead worker never blocks the others' results,
+4. write fresh results back to the cache and reassemble by index.
 
 Failure is a first-class outcome, not an afterthought (see
 ``docs/robustness.md``): every attempt that raises is classified
@@ -33,6 +37,7 @@ failure/retry/degradation counters) are collected on every run; a
 from __future__ import annotations
 
 import contextlib
+import copy
 import json
 import logging
 import multiprocessing
@@ -40,7 +45,7 @@ import os
 import signal
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterator, Optional, Sequence
 
 from .cache import ResultCache
@@ -82,6 +87,10 @@ class EngineMetrics:
     evaluated: int = 0
     #: units that exhausted their retry budget (or were quarantine-skipped)
     failed: int = 0
+    #: units answered by an earlier unit of the batch with the same
+    #: content key instead of being evaluated themselves; each is also
+    #: counted under ``evaluated`` or ``failed``, as its leader was
+    coalesced: int = 0
     #: re-dispatches after transient failures
     retries: int = 0
     #: units that returned a partial result (a corpus backend failed)
@@ -113,6 +122,7 @@ class EngineMetrics:
         totals.cache_hits += self.cache_hits
         totals.evaluated += self.evaluated
         totals.failed += self.failed
+        totals.coalesced += self.coalesced
         totals.retries += self.retries
         totals.degraded += self.degraded
         totals.worker_respawns += self.worker_respawns
@@ -136,7 +146,9 @@ class EngineMetrics:
             f"engine: {self.total_units} units in {self.wall_seconds:.2f} s "
             f"(jobs={self.jobs}, cache hits {self.cache_hits}/"
             f"{self.total_units} = {self.cache_hit_rate * 100:.0f}%, "
-            f"evaluated {self.evaluated}, {util})"
+            f"evaluated {self.evaluated}"
+            + (f" ({self.coalesced} coalesced)" if self.coalesced else "")
+            + f", {util})"
         )
         trouble = []
         if self.failed:
@@ -438,6 +450,45 @@ def _dispatch_serial(
         yield _evaluate_task(task)
 
 
+def _coalesce_key(
+    unit: WorkUnit, model_digests: dict[str, str]
+) -> Optional[str]:
+    """The content key of a unit for coalescing alone (no cache or
+    quarantine needs it).  A unit whose key cannot be built — one that
+    names an unknown machine model — gets ``None``: it is evaluated on
+    its own and fails in the worker, as it would uncoalesced."""
+    try:
+        return cache_key(unit, model_digests)
+    except ValueError:
+        return None
+
+
+def _coalesce(
+    pending: list[tuple[int, WorkUnit, Optional[str]]],
+) -> tuple[
+    list[tuple[int, WorkUnit, Optional[str]]],
+    dict[int, list[tuple[int, WorkUnit]]],
+]:
+    """Split the misses into leaders and followers by content key.
+
+    The first miss with a given key leads and is evaluated; every later
+    miss with the same key follows it.  Returns the leaders (submission
+    order) and ``{leader index: [(follower index, unit), ...]}``.  A
+    unit without a key always leads.
+    """
+    leaders: list[tuple[int, WorkUnit, Optional[str]]] = []
+    first: dict[str, int] = {}
+    followers: dict[int, list[tuple[int, WorkUnit]]] = {}
+    for i, unit, key in pending:
+        if key is not None and key in first:
+            followers.setdefault(first[key], []).append((i, unit))
+            continue
+        if key is not None:
+            first[key] = i
+        leaders.append((i, unit, key))
+    return leaders, followers
+
+
 class CorpusEngine:
     """Sharded, memoizing, failure-isolating executor for corpus work.
 
@@ -451,8 +502,8 @@ class CorpusEngine:
         disables memoization.
     progress:
         Optional hook called once per completed unit with a dict:
-        ``{"unit", "index", "cached", "failed", "seconds", "completed",
-        "total"}``.
+        ``{"unit", "index", "cached", "coalesced", "failed", "seconds",
+        "completed", "total"}``.
     tracer:
         Optional :class:`repro.obs.Tracer`; when absent, the ambient
         tracer (``repro.obs.use_tracer``) is consulted per batch.  Each
@@ -485,6 +536,13 @@ class CorpusEngine:
         that must contain arbitrary unit failures — the serving
         daemon — pass ``False`` to force every evaluation through
         worker processes regardless of batch size.
+
+    Within a batch, misses that share a content key (the cache key,
+    computed even when no cache is configured) are evaluated once: the
+    first such unit leads, the others receive a copy of its result or
+    its failure (:attr:`EngineMetrics.coalesced`).  Under an active
+    fault plan (:mod:`repro.faults`) every unit is evaluated on its
+    own, because the plan draws its faults per unit label.
     """
 
     def __init__(
@@ -553,7 +611,8 @@ class CorpusEngine:
         failed under the ``collect``/``quarantine`` policies (under the
         default ``fail_fast`` a failure raises instead, so every entry
         is a dict).  Accounting always holds:
-        ``cache_hits + evaluated + failed == total``.
+        ``cache_hits + evaluated + failed == total``; a coalesced unit
+        counts as evaluated or failed, as the unit it shared did.
         """
         units = list(units)
         t0 = time.perf_counter()
@@ -588,6 +647,9 @@ class CorpusEngine:
         model_digests: dict[str, str] = {}
         caching = self.cache is not None
         quarantining = self.error_policy == "quarantine"
+        from .. import faults
+
+        coalescing = faults.active_plan() is None
         corrupt0 = self.cache.stats.corrupt if caching else 0
         lookup_cm = (
             prof.phase("engine/cache_lookup")
@@ -596,11 +658,12 @@ class CorpusEngine:
         )
         with lookup_cm:
             for i, unit in enumerate(units):
-                key = (
-                    cache_key(unit, model_digests)
-                    if caching or quarantining
-                    else None
-                )
+                if caching or quarantining:
+                    key = cache_key(unit, model_digests)
+                elif coalescing:
+                    key = _coalesce_key(unit, model_digests)
+                else:
+                    key = None
                 if quarantining and key in self._quarantined:
                     info = self._quarantined[key]
                     failure = UnitFailure(
@@ -635,6 +698,13 @@ class CorpusEngine:
 
         attempts: list[AttemptRecord] = []
         if pending:
+            if coalescing:
+                leaders, followers = _coalesce(pending)
+            else:
+                leaders, followers = pending, {}
+            leader_of = {
+                j: i for i, group in followers.items() for j, _ in group
+            }
             eval_cm = (
                 prof.phase("engine/evaluate")
                 if profiling
@@ -642,13 +712,44 @@ class CorpusEngine:
             )
             with eval_cm:
                 res_map, fail_map = self._evaluate_pending(
-                    pending, metrics, attempts, len(units)
+                    leaders, followers, metrics, attempts, len(units)
                 )
             # ``pending`` is in submission order; absorbing worker
             # profile snapshots in that fixed order keeps the merged
             # float sums identical run to run, whatever the pool's
             # completion order was.
             for i, unit, key in pending:
+                lead = leader_of.get(i)
+                if lead is not None:
+                    # shares its leader's outcome: no busy time, profile
+                    # or cache write of its own
+                    metrics.coalesced += 1
+                    if tracing:
+                        tracer.instant(
+                            f"coalesced:{unit.label or unit.kind}",
+                            tracer.now_us(), PID_ENGINE, TID_ENGINE_CONTROL,
+                            cat="coalesced",
+                            args={"index": i, "leader": lead},
+                        )
+                    if lead in res_map:
+                        result, seconds, _ = res_map[lead]
+                        # a private copy, as a cache hit would return
+                        result = copy.deepcopy(result)
+                        results[i] = result
+                        outcomes[i] = UnitOutcome(
+                            i, unit, False, seconds, result
+                        )
+                        metrics.evaluated += 1
+                        if isinstance(result, dict) and result.get("degraded"):
+                            metrics.degraded += 1
+                    else:
+                        failure = replace(fail_map[lead], index=i, unit=unit)
+                        outcomes[i] = UnitOutcome(
+                            i, unit, False, failure.seconds, None, failure
+                        )
+                        batch_failures.append(failure)
+                        metrics.failed += 1
+                    continue
                 if i in res_map:
                     result, seconds, unit_prof = res_map[i]
                     results[i] = result
@@ -740,6 +841,7 @@ class CorpusEngine:
                 args={"units": metrics.total_units,
                       "cache_hits": metrics.cache_hits,
                       "evaluated": metrics.evaluated,
+                      "coalesced": metrics.coalesced,
                       "failed": metrics.failed,
                       "retries": metrics.retries},
             )
@@ -760,15 +862,18 @@ class CorpusEngine:
     def _evaluate_pending(
         self,
         pending: list[tuple[int, WorkUnit, Optional[str]]],
+        followers: dict[int, list[tuple[int, WorkUnit]]],
         metrics: EngineMetrics,
         attempts: list[AttemptRecord],
         total: int,
     ) -> tuple[dict[int, tuple[dict, float, Optional[dict]]], dict[int, UnitFailure]]:
-        """Evaluate cache misses — inline or pooled — with retries."""
+        """Evaluate the distinct cache misses — inline or pooled — with
+        retries; ``followers`` only receive progress events."""
         if self.jobs == 1 or (self.serial_fallback and len(pending) == 1):
             with self._serial_state():
                 return self._attempt_rounds(
-                    pending, _dispatch_serial, None, metrics, attempts, total
+                    pending, followers, _dispatch_serial, None, metrics,
+                    attempts, total,
                 )
         from .. import faults
         from ..obs.prof import active_profiler
@@ -785,8 +890,8 @@ class CorpusEngine:
         )
         try:
             return self._attempt_rounds(
-                pending, wp.dispatch, self._stall_timeout(), metrics,
-                attempts, total,
+                pending, followers, wp.dispatch, self._stall_timeout(),
+                metrics, attempts, total,
             )
         finally:
             metrics.worker_respawns += wp.worker_deaths
@@ -795,6 +900,7 @@ class CorpusEngine:
     def _attempt_rounds(
         self,
         pending: list[tuple[int, WorkUnit, Optional[str]]],
+        followers: dict[int, list[tuple[int, WorkUnit]]],
         dispatch: Callable[..., Iterator[tuple[int, str, Any, float]]],
         stall_timeout: Optional[float],
         metrics: EngineMetrics,
@@ -834,7 +940,9 @@ class CorpusEngine:
                     attempts.append(
                         AttemptRecord(idx, unit, attempt, "ok", seconds)
                     )
-                    self._emit(unit, idx, False, st["seconds"], total)
+                    self._emit_group(
+                        unit, idx, followers, st["seconds"], total
+                    )
                     continue
                 if status == "crash":
                     payload = {
@@ -885,8 +993,9 @@ class CorpusEngine:
                         failure=failure,
                     )
                 failures[idx] = failure
-                self._emit(unit, idx, False, st["seconds"], total,
-                           failed=True)
+                self._emit_group(
+                    unit, idx, followers, st["seconds"], total, failed=True
+                )
             if retries and max_backoff > 0:
                 time.sleep(max_backoff)
             tasks = retries
@@ -1022,7 +1131,7 @@ class CorpusEngine:
 
     def _emit(
         self, unit: WorkUnit, index: int, cached: bool, seconds: float,
-        total: int, failed: bool = False,
+        total: int, failed: bool = False, coalesced: bool = False,
     ) -> None:
         self._completed += 1
         if self.progress is None:
@@ -1032,12 +1141,24 @@ class CorpusEngine:
                 "unit": unit,
                 "index": index,
                 "cached": cached,
+                "coalesced": coalesced,
                 "failed": failed,
                 "seconds": seconds,
                 "completed": self._completed,
                 "total": total,
             }
         )
+
+    def _emit_group(
+        self, unit: WorkUnit, index: int,
+        followers: dict[int, list[tuple[int, WorkUnit]]],
+        seconds: float, total: int, failed: bool = False,
+    ) -> None:
+        """Progress for an evaluated unit and every unit that shares it."""
+        self._emit(unit, index, False, seconds, total, failed=failed)
+        for j, other in followers.get(index, ()):
+            self._emit(other, j, False, seconds, total, failed=failed,
+                       coalesced=True)
 
 
 # ---------------------------------------------------------------------------

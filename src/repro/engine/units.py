@@ -67,7 +67,9 @@ class UnitOutcome:
     Exactly one of ``result``/``failure`` is set: ``failure`` carries
     the structured :class:`~repro.engine.errors.UnitFailure` when the
     unit failed under the ``collect``/``quarantine`` error policies
-    (``result`` is then ``None``).
+    (``result`` is then ``None``).  A unit that shared the evaluation of
+    an earlier unit with the same content key in its batch reports that
+    evaluation's ``seconds``.
     """
 
     index: int

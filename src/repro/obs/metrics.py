@@ -320,6 +320,11 @@ def record_engine_metrics(
         reg.counter(
             "engine.units_failed", "units that exhausted their retry budget"
         ).inc(m.failed)
+    if m.coalesced:
+        reg.counter(
+            "engine.units_coalesced",
+            "units that shared a same-key unit's evaluation",
+        ).inc(m.coalesced)
     if m.retries:
         reg.counter(
             "engine.unit_retries", "re-dispatches after transient failures"

@@ -130,6 +130,7 @@ def build_manifest(
             "total_units": t.total_units,
             "cache_hits": t.cache_hits,
             "evaluated": t.evaluated,
+            "coalesced": t.coalesced,
             "failed": t.failed,
             "retries": t.retries,
             "degraded": t.degraded,

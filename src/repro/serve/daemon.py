@@ -543,6 +543,7 @@ class ReproServer:
                 "total_units": t.total_units,
                 "cache_hits": t.cache_hits,
                 "evaluated": t.evaluated,
+                "coalesced": t.coalesced,
                 "failed": t.failed,
                 "retries": t.retries,
                 "worker_respawns": t.worker_respawns,

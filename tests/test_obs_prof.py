@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.bench.fig3 import corpus_units
-from repro.engine import CorpusEngine, use_engine
+from repro.engine import CorpusEngine, cache_key, use_engine
 from repro.kernels import enumerate_corpus
 from repro.lowering import lower
 from repro.obs.prof import (
@@ -248,7 +248,10 @@ class TestEngineAttribution:
     def test_engine_publishes_unit_records(self):
         _, prof = self._run(jobs=1)
         assert "engine/evaluate" in prof.phases
-        assert len(prof.units) == 6
+        # one record per evaluation: units sharing a cache key are
+        # evaluated once, so they leave a single record between them
+        units = corpus_units(enumerate_corpus()[:6], iterations=30)
+        assert len(prof.units) == len({cache_key(u) for u in units}) < 6
         assert all(st[2] > 0 for st in prof.units.values())
         # worker-side phases come back re-rooted under "unit"
         assert any(k.startswith("unit/predict") for k in prof.phases)

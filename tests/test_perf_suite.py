@@ -68,6 +68,7 @@ class TestRunSuite:
             "fig3_warm",
             "lowering_throughput",
             "sim_hot_loop",
+            "fastpath_speedup",
             "fuzz_sweep",
         } == names
         assert all(
