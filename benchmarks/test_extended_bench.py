@@ -15,7 +15,8 @@ from repro.kernels import generate_assembly
 from repro.kernels.extended import EXTENDED_KERNELS, all_kernels
 from repro.kernels.suite import KERNELS
 from repro.machine import get_chip_spec, get_machine_model
-from repro.simulator.core import CoreSimulator
+from repro.simulator.engine import CycleEngine
+from repro.simulator.plan import build_uop_plan
 from repro.simulator.coupled import simulate_with_memory
 
 
@@ -114,6 +115,8 @@ def test_simulation_pipeline_throughput(benchmark):
     model = get_machine_model("zen4")
     asm = generate_assembly(KERNELS["j3d27pt"], "gcc", "O2", "zen4")
     instrs = parse_kernel(asm, "x86")
-    sim = CoreSimulator(model)
-
-    benchmark(lambda: sim.run(instrs, iterations=50, warmup=15))
+    benchmark(
+        lambda: CycleEngine().run(
+            build_uop_plan(instrs, model), iterations=50, warmup=15
+        )
+    )

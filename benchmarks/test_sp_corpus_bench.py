@@ -14,7 +14,8 @@ from repro.bench import fig3
 from repro.isa import parse_kernel
 from repro.kernels import generate_assembly
 from repro.machine import get_machine_model
-from repro.simulator.core import CoreSimulator
+from repro.simulator.engine import CycleEngine
+from repro.simulator.plan import build_uop_plan
 
 KERNELS_SP = ("striad", "add", "j2d5pt", "sum", "pi")
 
@@ -47,8 +48,8 @@ def test_sp_doubles_elements_not_cycles():
             asm = generate_assembly(kernel, "gcc", "O2", "golden_cove",
                                     precision=prec)
             instrs = parse_kernel(asm, "x86")
-            cy[prec] = CoreSimulator(model).run(
-                instrs, iterations=60, warmup=20
+            cy[prec] = CycleEngine().run(
+                build_uop_plan(instrs, model), iterations=60, warmup=20
             ).cycles_per_iteration
         assert cy["sp"] == pytest.approx(cy["dp"], rel=0.05), kernel
 

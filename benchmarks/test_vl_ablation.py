@@ -14,16 +14,21 @@ from repro.kernels import generate_assembly
 from repro.kernels.suite import KERNELS
 from repro.machine import get_machine_model
 from repro.machine.whatif import elements_per_vector, widen_neoverse_v2
-from repro.simulator.core import CoreSimulator
+from repro.simulator.engine import CycleEngine
+from repro.simulator.plan import PlanConfig, build_uop_plan
+
+#: no harness-noise factors (divider overrides kept at their defaults)
+CLEAN = PlanConfig.make(
+    issue_efficiency=1.0, dispatch_efficiency=1.0, measurement_overhead=0.0
+)
 
 
 def per_element_cycles(model, kernel, opt="O2"):
     asm = generate_assembly(KERNELS[kernel], "gcc-arm", opt, "neoverse_v2")
     instrs = parse_kernel(asm, "aarch64")
-    meas = CoreSimulator(
-        model, issue_efficiency=1.0, dispatch_efficiency=1.0,
-        measurement_overhead=0.0,
-    ).run(instrs, iterations=80, warmup=25)
+    meas = CycleEngine().run(
+        build_uop_plan(instrs, model, config=CLEAN), iterations=80, warmup=25
+    )
     return meas.cycles_per_iteration / elements_per_vector(model)
 
 
@@ -66,10 +71,9 @@ def test_vl256_closes_the_gap_to_genoa():
         f"    fadd z{d}.d, z30.d, z31.d" for d in range(16)
     ) + "\n    subs x15, x15, #1\n    b.ne .L\n"
     instrs = parse_kernel(asm, "aarch64")
-    meas = CoreSimulator(
-        wide, issue_efficiency=1.0, dispatch_efficiency=1.0,
-        measurement_overhead=0.0,
-    ).run(instrs, iterations=80, warmup=25)
+    meas = CycleEngine().run(
+        build_uop_plan(instrs, wide, config=CLEAN), iterations=80, warmup=25
+    )
     elems_per_cycle = 16 * elements_per_vector(wide) / meas.cycles_per_iteration
     assert elems_per_cycle == pytest.approx(16.0, rel=0.05)
 

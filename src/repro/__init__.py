@@ -48,7 +48,6 @@ from .machine import (
 )
 from .mca import mca_predict
 from .simulator import (
-    CoreSimulator,
     FrequencyGovernor,
     SimulationResult,
     run_store_benchmark,
@@ -65,7 +64,6 @@ __all__ = [
     "AnalysisResult",
     "simulate",
     "SimulationResult",
-    "CoreSimulator",
     "mca_predict",
     "parse_kernel",
     "generate_assembly",

@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 from ..bench.ibench import UnbenchableEntry, synthesize_block
 from ..isa import parse_kernel
 from ..machine.model import InstrEntry, MachineModel
-from ..simulator.core import CoreSimulator
+from ..simulator.engine import CycleEngine, SimulationResult
+from ..simulator.plan import IDEALIZED_CONFIG, build_uop_plan
 
 
 @dataclass
@@ -45,14 +46,13 @@ class PortInferenceResult:
         return set(self.inferred_ports) == determinable
 
 
-def _clean_sim(model: MachineModel) -> CoreSimulator:
-    return CoreSimulator(
-        model,
-        issue_efficiency=1.0,
-        dispatch_efficiency=1.0,
-        measurement_overhead=0.0,
-        divider_overrides={},
+def _clean_run(
+    model: MachineModel, asm: str, iterations: int, warmup: int
+) -> SimulationResult:
+    plan = build_uop_plan(
+        parse_kernel(asm, model.isa), model, config=IDEALIZED_CONFIG
     )
+    return CycleEngine().run(plan, iterations=iterations, warmup=warmup)
 
 
 def find_probes(model: MachineModel) -> dict[str, InstrEntry]:
@@ -84,9 +84,7 @@ def find_probes(model: MachineModel) -> dict[str, InstrEntry]:
 
 
 def _block_cycles(model: MachineModel, asm: str, iterations: int = 80) -> float:
-    sim = _clean_sim(model)
-    return sim.run(parse_kernel(asm, model.isa), iterations=iterations,
-                   warmup=25).cycles_per_iteration
+    return _clean_run(model, asm, iterations, 25).cycles_per_iteration
 
 
 def _interleave(probe_asm: str, target_asm: str) -> str:
@@ -117,9 +115,8 @@ def infer_ports_counters(
     to.)
     """
     asm = synthesize_block(model, entry, "throughput", n_target)
-    sim = _clean_sim(model)
     iters, warm = 80, 25
-    result = sim.run(parse_kernel(asm, model.isa), iterations=iters, warmup=warm)
+    result = _clean_run(model, asm, iters, warm)
     # Loop control contributes at most ~2 µops/iteration spread over the
     # cheapest ports; with a saturating target stream, any candidate
     # port carries far more than that.

@@ -29,7 +29,8 @@ from typing import Sequence
 
 from ..isa.instruction import Instruction
 from ..machine import MachineModel, coerce_model
-from ..simulator.core import CoreSimulator
+from ..simulator.engine import CycleEngine
+from ..simulator.plan import PlanConfig, build_uop_plan
 
 
 @dataclass
@@ -56,21 +57,32 @@ class TopdownReport:
         return "\n".join(lines)
 
 
-def _clean(model: MachineModel, **kw) -> CoreSimulator:
-    base = dict(
-        issue_efficiency=1.0, dispatch_efficiency=1.0, measurement_overhead=0.0
+def _run(
+    model: MachineModel,
+    instrs,
+    iterations=100,
+    warmup=40,
+    *,
+    no_latency: bool = False,
+    divider_overrides=None,
+) -> float:
+    """Cycles/iteration of a clean run (no efficiency loss or harness
+    overhead); ``no_latency`` zeroes every result latency."""
+    plan = build_uop_plan(
+        instrs,
+        model,
+        config=PlanConfig.make(
+            issue_efficiency=1.0,
+            dispatch_efficiency=1.0,
+            measurement_overhead=0.0,
+            divider_overrides=divider_overrides,
+        ),
     )
-    base.update(kw)
-    return CoreSimulator(model, **base)
-
-
-def _run(sim: CoreSimulator, instrs, iterations=100, warmup=40) -> float:
-    return sim.run(instrs, iterations=iterations, warmup=warmup).cycles_per_iteration
-
-
-class _NoLatencySim(CoreSimulator):
-    def _effective_latency(self, ins, latency):
-        return 0.0
+    if no_latency:
+        plan = dataclasses.replace(plan, eff_latency=(0.0,) * plan.n_body)
+    return CycleEngine().run(
+        plan, iterations=iterations, warmup=warmup
+    ).cycles_per_iteration
 
 
 class _NoLoadLatencyModelWrapper:
@@ -101,47 +113,36 @@ def analyze_topdown(
     else:
         instrs = list(source_or_instrs)
 
-    measured = _run(_clean(model), instrs, iterations)
+    measured = _run(model, instrs, iterations)
 
     # frontend idealized: absurdly wide dispatch
     wide = dataclasses.replace(
         model, dispatch_width=512, retire_width=512, entries=list(model.entries)
     )
-    no_frontend = _run(_clean(wide), instrs, iterations)
+    no_frontend = _run(wide, instrs, iterations)
 
     # dependencies idealized: all results in zero cycles
-    no_deps = _run(
-        _NoLatencySim(
-            model,
-            issue_efficiency=1.0,
-            dispatch_efficiency=1.0,
-            measurement_overhead=0.0,
-        ),
-        instrs,
-        iterations,
-    )
+    no_deps = _run(model, instrs, iterations, no_latency=True)
 
     # memory idealized: zero load-to-use latency (ports still busy)
-    no_mem = _run(
-        _clean(_NoLoadLatencyModelWrapper(model)), instrs, iterations
-    )
+    no_mem = _run(_NoLoadLatencyModelWrapper(model), instrs, iterations)
 
     # divider idealized: fully pipelined divide
-    no_div_sim = _clean(model, divider_overrides=None)
-    no_div_sim.divider_overrides = {
-        (model.name, i.mnemonic): 1.0 for i in instrs
-    }
-    no_div = _run(no_div_sim, instrs, iterations)
+    no_div = _run(
+        model,
+        instrs,
+        iterations,
+        divider_overrides={(model.name, i.mnemonic): 1.0 for i in instrs},
+    )
 
     # floor: everything idealized at once
-    floor_sim = _NoLatencySim(
+    floor = _run(
         wide,
-        issue_efficiency=1.0,
-        dispatch_efficiency=1.0,
-        measurement_overhead=0.0,
+        instrs,
+        iterations,
+        no_latency=True,
         divider_overrides={(wide.name, i.mnemonic): 1.0 for i in instrs},
     )
-    floor = _run(floor_sim, instrs, iterations)
 
     deltas = {
         "frontend": max(0.0, measured - no_frontend),

@@ -10,14 +10,15 @@ name          wraps                                           headline
 ============  ==============================================  ==============
 ``model``     :func:`repro.analysis.analyze_instructions`     lower bound
 ``mca``       :class:`repro.mca.MCASimulator`                 MCA baseline
-``sim``       :class:`repro.simulator.CoreSimulator`          measurement
+``sim``       :class:`repro.simulator.CycleEngine`            measurement
 ``fastpath``  :func:`repro.simulator.predict_steady_state`    fast measurement
 ============  ==============================================  ==============
 
 ``fastpath`` answers from the analytical steady-state engine when its
-confidence predicate holds and falls back to the cycle-accurate engine
-otherwise, so it is a drop-in (within-tolerance) replacement for
-``sim`` wherever only ``cycles_per_iteration`` is consumed.
+confidence predicate holds and otherwise lets the probe's cycle-engine
+run continue to the measurement horizon, so it is a drop-in
+(within-tolerance) replacement for ``sim`` wherever only
+``cycles_per_iteration`` is consumed.
 """
 
 from __future__ import annotations
@@ -119,16 +120,24 @@ class SimBackend:
         collect_stalls: bool = False,
         **sim_kwargs: Any,
     ) -> BackendResult:
-        from ..simulator.core import CoreSimulator
+        from ..simulator.engine import CycleEngine
+        from ..simulator.plan import PlanConfig, build_uop_plan
 
-        sim = CoreSimulator(block.model, **sim_kwargs)
-        r = sim.run(
+        # a fresh plan on every call, not the plan memo: perfbench's
+        # traced runs time ``build_uop_plan`` as the measurement's plan
+        # layer
+        plan = build_uop_plan(
             block.instructions,
+            block.model,
+            resolved=block.resolved,
+            config=PlanConfig.make(**sim_kwargs),
+        )
+        r = CycleEngine().run(
+            plan,
             iterations=iterations,
             warmup=warmup,
             tracer=tracer,
             collect_stalls=collect_stalls,
-            resolved=block.resolved,
         )
         return BackendResult(
             backend=self.name,
@@ -150,10 +159,11 @@ class FastpathBackend:
     The dispatch policy of the staged simulator pipeline (see
     ``docs/architecture.md``):
     :func:`~repro.simulator.steadystate.predict_steady_state` probes
-    the plan's limit cycle and answers when its confidence predicate
-    holds; anything it cannot vouch for is re-run on the full
-    :class:`~repro.simulator.engine.CycleEngine`.  Either way the
-    answer tracks the ``sim`` backend within the documented tier
+    the plan's limit cycle on the
+    :class:`~repro.simulator.engine.CycleEngine` and answers when its
+    confidence predicate holds; for anything it cannot vouch for, the
+    same engine run continues to the measurement horizon.  Either way
+    the answer tracks the ``sim`` backend within the documented tier
     tolerances (exactly, for certified/simulated/fallback units).
 
     Results are memoized per ``(block identity, plan config,
@@ -173,6 +183,10 @@ class FastpathBackend:
 
     def __init__(self) -> None:
         self._memo: OrderedDict[tuple, BackendResult] = OrderedDict()
+
+    def clear_memo(self) -> None:
+        """Drop every memoized result (perf-case cold starts)."""
+        self._memo.clear()
 
     def predict(
         self,
@@ -218,35 +232,26 @@ class FastpathBackend:
             return replace(cached, stats=dict(cached.stats))
 
         ss = predict_steady_state(plan, iterations=iterations, warmup=warmup)
+        stats: dict[str, Any] = {
+            "fastpath_hit": ss.confident,
+            "reason": ss.reason,
+            "probe_iterations": ss.probe_iterations,
+        }
         if ss.confident:
-            result = BackendResult(
-                backend=self.name,
-                version=self.version,
-                cycles_per_iteration=ss.cycles_per_iteration,
-                bottleneck=ss.bound.bottleneck,
-                detail=ss,
-                stats={
-                    "fastpath_hit": True,
-                    "reason": ss.reason,
-                    "probe_iterations": ss.probe_iterations,
-                    "period": ss.period,
-                    "bound": ss.bound.bound,
-                },
-            )
+            stats["period"] = ss.period
+            stats["bound"] = ss.bound.bound
         else:
-            r = CycleEngine().run(plan, iterations=iterations, warmup=warmup)
-            result = BackendResult(
-                backend=self.name,
-                version=self.version,
-                cycles_per_iteration=r.cycles_per_iteration,
-                detail=r,
-                stats={
-                    "fastpath_hit": False,
-                    "reason": ss.reason,
-                    "probe_iterations": ss.probe_iterations,
-                    "total_cycles": r.total_cycles,
-                },
-            )
+            # the probe's own run went on to the horizon: its number is
+            # the cycle engine's measurement
+            stats["total_cycles"] = ss.total_cycles
+        result = BackendResult(
+            backend=self.name,
+            version=self.version,
+            cycles_per_iteration=ss.cycles_per_iteration,
+            bottleneck=ss.bound.bottleneck if ss.confident else None,
+            detail=ss,
+            stats=stats,
+        )
         self._memo[key] = result
         while len(self._memo) > self._MEMO_CAP:
             self._memo.popitem(last=False)

@@ -25,7 +25,8 @@ from typing import Optional
 from ..isa import parse_kernel
 from ..isa.instruction import Instruction, OperandAccess
 from ..machine.model import InstrEntry, MachineModel
-from ..simulator.core import CoreSimulator
+from ..simulator.engine import CycleEngine
+from ..simulator.plan import IDEALIZED_CONFIG, build_uop_plan
 
 #: registers used for rotating destinations / fixed sources per code
 _X86_POOLS = {
@@ -214,22 +215,18 @@ def measure_entry(
     iterations: int = 100,
 ) -> IbenchResult:
     """Synthesize, simulate, and compare against the model bound."""
-    sim = CoreSimulator(
-        model,
-        issue_efficiency=1.0,
-        dispatch_efficiency=1.0,
-        measurement_overhead=0.0,
-        divider_overrides={},
-    )
-    tput_asm = synthesize_block(model, entry, "throughput", instances)
-    instrs = parse_kernel(tput_asm, model.isa)
-    t = sim.run(instrs, iterations=iterations, warmup=30)
+    def run(asm: str):
+        plan = build_uop_plan(
+            parse_kernel(asm, model.isa), model, config=IDEALIZED_CONFIG
+        )
+        return CycleEngine().run(plan, iterations=iterations, warmup=30)
+
+    t = run(synthesize_block(model, entry, "throughput", instances))
     recip = t.cycles_per_iteration / instances
 
     lat = None
     try:
-        lat_asm = synthesize_block(model, entry, "latency")
-        l = sim.run(parse_kernel(lat_asm, model.isa), iterations=iterations, warmup=30)
+        l = run(synthesize_block(model, entry, "latency"))
         lat = l.cycles_per_iteration / 2
     except UnbenchableEntry:
         pass

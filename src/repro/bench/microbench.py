@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ..machine import get_machine_model
-from ..simulator.core import CoreSimulator
+from ..simulator.engine import CycleEngine
+from ..simulator.plan import IDEALIZED_CONFIG, build_uop_plan
 from ..isa import parse_kernel
 
 
@@ -152,32 +153,22 @@ class MicrobenchResult:
     latency_cycles: float
 
 
-def _clean_simulator(model) -> CoreSimulator:
-    """Simulator without harness noise — microbenchmarks are careful."""
-    # No divider overrides here: the Zen 4 scalar divider only beats its
-    # documented occupancy under mixed-loop conditions (the π-kernel
-    # discrepancy), not in a pure back-to-back divide microbenchmark.
-    return CoreSimulator(
-        model,
-        issue_efficiency=1.0,
-        dispatch_efficiency=1.0,
-        measurement_overhead=0.0,
-        divider_overrides={},
-    )
-
-
 def run_microbenchmarks(chip: str) -> list[MicrobenchResult]:
     """Measure Table III's instruction set on one chip."""
     uarch = {"spr": "golden_cove", "genoa": "zen4", "gcs": "neoverse_v2"}[chip]
     model = get_machine_model(uarch)
-    sim = _clean_simulator(model)
+    # microbenchmarks are careful: no harness noise (IDEALIZED_CONFIG)
+    def run(asm: str):
+        plan = build_uop_plan(
+            parse_kernel(asm, model.isa), model, config=IDEALIZED_CONFIG
+        )
+        return CycleEngine().run(plan, iterations=120, warmup=40)
+
     out = []
     for b in _chip_benches(chip):
         mk = _loop_x86 if b.loop == "x86" else _loop_a64
-        tput_asm = mk(b.tput_body)
-        lat_asm = mk(b.lat_body)
-        t = sim.run(parse_kernel(tput_asm, model.isa), iterations=120, warmup=40)
-        l = sim.run(parse_kernel(lat_asm, model.isa), iterations=120, warmup=40)
+        t = run(mk(b.tput_body))
+        l = run(mk(b.lat_body))
         cyc_per_instr = t.cycles_per_iteration / b.n_tput
         out.append(
             MicrobenchResult(

@@ -95,8 +95,10 @@ def _case_fig3(quick: bool) -> list[tuple[str, float, float, dict]]:
     """
     import tempfile
 
+    from ..backends import get_backend
     from ..engine import CorpusEngine, use_engine
     from ..lowering import clear_memo
+    from ..simulator.plan import clear_plan_memo
     from . import fig3
 
     machines = ("spr",) if quick else ("spr", "genoa", "gcs")
@@ -116,7 +118,11 @@ def _case_fig3(quick: bool) -> list[tuple[str, float, float, dict]]:
 
         for name in ("fig3_cold", "fig3_warm"):
             if name == "fig3_cold":
-                clear_memo()  # warm run keeps memo + result cache
+                # every cold repeat starts from nothing; the warm run
+                # keeps the memos and the result cache
+                clear_memo()
+                clear_plan_memo()
+                get_backend("fastpath").clear_memo()
             wall, cpu, prof, reg, result = _profiled(sweep)
             snap = reg.snapshot()
             m = engine.metrics
@@ -179,7 +185,8 @@ def _case_sim(quick: bool) -> list[tuple[str, float, float, dict]]:
     """
     from ..kernels import enumerate_corpus
     from ..lowering import lower
-    from ..simulator.core import CoreSimulator
+    from ..simulator.engine import CycleEngine
+    from ..simulator.plan import build_uop_plan
 
     corpus = enumerate_corpus()[: (16 if quick else 40)]
     blocks = [lower(e.assembly, e.uarch) for e in corpus]
@@ -187,10 +194,8 @@ def _case_sim(quick: bool) -> list[tuple[str, float, float, dict]]:
     def work():
         total = 0.0
         for b in blocks:
-            sim = CoreSimulator(b.model)
-            r = sim.run(
-                b.instructions, iterations=100, warmup=30, resolved=b.resolved
-            )
+            plan = build_uop_plan(b.instructions, b.model, resolved=b.resolved)
+            r = CycleEngine().run(plan, iterations=100, warmup=30)
             total += r.total_cycles
         return total
 

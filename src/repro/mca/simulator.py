@@ -1,6 +1,6 @@
 """MCA's dispatch/issue/retire timeline.
 
-Structurally like :class:`~repro.simulator.core.CoreSimulator`, but with
+Structurally like :class:`~repro.simulator.engine.CycleEngine`, but with
 the behaviours of the LLVM tool:
 
 * dispatch counts **unfused µops** (no macro-fusion, memory operands
@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from ..isa.instruction import Instruction
-from ..isa.operands import MemoryOperand
 from ..machine import MachineModel
 from .scheddata import MCASchedData
 
@@ -74,7 +73,8 @@ class MCASimulator:
         iterations: int = 100,
         warmup: int = 20,
     ) -> MCAResult:
-        from ..simulator.core import _PortIssueUnit
+        from ..simulator.engine import _PortIssueUnit
+        from ..simulator.plan import mem_reads, mem_writes
 
         resolved = [self.sched.resolve(i) for i in instructions]
         n_body = len(instructions)
@@ -98,8 +98,9 @@ class MCASimulator:
         reg_reads = [ins.register_reads() for ins in instructions]
         reg_writes = [ins.register_writes() for ins in instructions]
         if not self.assume_noalias:
-            mem_reads = [self._mem_reads(ins) for ins in instructions]
-            mem_writes = [self._mem_writes(ins) for ins in instructions]
+            # memory aliasing keys are shared with the core pipeline
+            mem_reads_of = [mem_reads(ins) for ins in instructions]
+            mem_writes_of = [mem_writes(ins) for ins in instructions]
 
         for it in range(warmup + iterations):
             for j in range(n_body):
@@ -116,7 +117,7 @@ class MCASimulator:
                 # llvm-mca's default is -noalias=true: no memory
                 # dependencies are modeled at all
                 if not self.assume_noalias:
-                    for key in mem_reads[j]:
+                    for key in mem_reads_of[j]:
                         ready = max(ready, mem_ready.get(key, 0.0))
 
                 finish = ready
@@ -138,7 +139,7 @@ class MCASimulator:
                 for root in reg_writes[j]:
                     reg_ready[root] = complete
                 if not self.assume_noalias:
-                    for key in mem_writes[j]:
+                    for key in mem_writes_of[j]:
                         mem_ready[key] = complete
             if it == warmup - 1:
                 mark = max(frontend_time, last_retire)
@@ -153,26 +154,6 @@ class MCASimulator:
             uops_per_iteration=uops_per_iter,
             resource_pressure=pressure,
         )
-
-    # memory aliasing keys are shared with the core pipeline (they used
-    # to be duplicated verbatim here; test_simulator_plan.py asserts
-    # the tables agree)
-
-    @staticmethod
-    def _mem_key(op: MemoryOperand) -> tuple:
-        from ..simulator.plan import mem_key
-
-        return mem_key(op)
-
-    def _mem_reads(self, ins: Instruction) -> list[tuple]:
-        from ..simulator.plan import mem_reads
-
-        return mem_reads(ins)
-
-    def _mem_writes(self, ins: Instruction) -> list[tuple]:
-        from ..simulator.plan import mem_writes
-
-        return mem_writes(ins)
 
 
 def mca_predict(

@@ -9,11 +9,12 @@ by simulators parameterized with the same microarchitectural data:
   :class:`UopPlan` once per lowered block,
   :mod:`~repro.simulator.engine` replays it cycle-accurately
   (dispatch, renaming, greedy port binding, finite ROB, divider
-  serialization) to produce the "measured" cycles/iteration, and
+  serialization) to produce the "measured" cycles/iteration —
+  :func:`simulate_kernel` is the one-call entry — and
   :mod:`~repro.simulator.steadystate` predicts the same number
   analytically when its confidence predicate holds (the ``fastpath``
-  backend's dispatch policy).  :mod:`~repro.simulator.core` keeps the
-  historical :class:`CoreSimulator` surface as a thin wrapper.
+  backend's dispatch policy), probing the limit cycle as an observer
+  of the same engine run.
 * :mod:`~repro.simulator.memory` — line-granular cache hierarchy with
   write-allocate policy hooks (always / cache-line claim / SpecI2M) and
   non-temporal store handling (Fig. 4).
@@ -24,8 +25,7 @@ by simulators parameterized with the same microarchitectural data:
 * :mod:`~repro.simulator.counters` — a LIKWID-like counter facade.
 """
 
-from .core import CoreSimulator, SimulationResult, TraceEvent, simulate_kernel
-from .engine import CycleEngine
+from .engine import CycleEngine, SimulationResult, TraceEvent, simulate_kernel
 from .plan import PlanConfig, UopPlan, build_uop_plan, plan_for, plan_for_block
 from .steadystate import (
     AnalyticalBound,
@@ -40,10 +40,9 @@ from .frequency import FrequencyGovernor, sustained_frequency
 from .memory import CacheHierarchy, CacheLevel, WritePolicyStats
 from .multicore import BandwidthModel, StoreBenchmarkResult, run_store_benchmark
 from .counters import PerfCounters
-from .coupled import CoupledResult, MemoryCoupledSimulator, simulate_with_memory
+from .coupled import CoupledResult, simulate_with_memory
 
 __all__ = [
-    "CoreSimulator",
     "SimulationResult",
     "TraceEvent",
     "simulate_kernel",
@@ -71,6 +70,5 @@ __all__ = [
     "run_store_benchmark",
     "PerfCounters",
     "CoupledResult",
-    "MemoryCoupledSimulator",
     "simulate_with_memory",
 ]

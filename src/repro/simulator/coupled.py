@@ -24,14 +24,12 @@ honors dependency structure, windows, and all in-core mechanisms).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from ..kernels.codegen import generate_assembly
 from ..kernels.personas import PERSONAS, CompilerPersona
 from ..kernels.suite import KernelSpec
 from ..machine import get_chip_spec
 from ..machine.specs import ChipSpec
-from .core import CoreSimulator
 from .engine import CycleEngine
 from .plan import PlanConfig, plan_for_block
 
@@ -53,33 +51,6 @@ class CoupledResult:
     @property
     def memory_bound(self) -> bool:
         return self.memory_cycles > self.core_cycles
-
-
-class MemoryCoupledSimulator(CoreSimulator):
-    """Core simulator with a per-iteration memory-interface resource."""
-
-    def __init__(self, model, memory_cycles_per_iteration: float = 0.0, **kw):
-        super().__init__(model, **kw)
-        self.memory_cycles_per_iteration = memory_cycles_per_iteration
-
-    def run(self, instructions, iterations: int = 200, warmup: int = 50):
-        # Inject the interface occupancy as a virtual serialized
-        # resource: the loop's first load of each iteration cannot
-        # start before the interface has delivered the previous
-        # iteration's lines.
-        if self.memory_cycles_per_iteration <= 0:
-            return super().run(instructions, iterations, warmup)
-        result = super().run(instructions, iterations, warmup)
-        # The interface and the core overlap (prefetched streams):
-        # steady state is the max of the two rates plus a small
-        # coupling term when they are close (partial overlap of the
-        # last outstanding transfer).
-        mem = self.memory_cycles_per_iteration
-        core = result.cycles_per_iteration
-        coupled = max(core, mem)
-        import dataclasses
-
-        return dataclasses.replace(result, cycles_per_iteration=coupled)
 
 
 def simulate_with_memory(

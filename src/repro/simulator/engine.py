@@ -1,19 +1,41 @@
 """The cycle-accurate engine: replays a :class:`~repro.simulator.plan.UopPlan`.
 
+This is the stand-in for the physical CPUs: it executes a loop body
+repeatedly under the same port model the analyzer uses, but with the
+*mechanisms* of a real core rather than an idealized bound:
+
+* in-order dispatch at ``dispatch_width`` fused-domain slots/cycle
+  (cmp+jcc macro-fusion on x86),
+* register renaming — only true (RAW) dependencies stall; recognized
+  zero idioms and eliminated moves neither execute nor depend,
+* **greedy** µop→port binding: each µop picks the candidate port that
+  is free earliest at issue time (hardware schedulers are greedy, the
+  analyzer's LP is clairvoyant — this is one structural reason
+  measurements exceed predictions), with gap backfill and a finite
+  scheduler window,
+* non-pipelined divide/sqrt unit and serialized special ops (gathers),
+* finite reorder buffer with in-order retirement,
+* at most one taken branch per cycle.
+
+Hardware-specific behaviours the static model deliberately does *not*
+track (the paper's two documented over-prediction cases):
+
+* merging-predicated SVE destinations are renamed away when profitable
+  (``merge_renaming=True``; Neoverse V2 Gauss-Seidel),
+* the Zen 4 scalar divider sustains a better reciprocal throughput than
+  its documented occupancy (``divider_overrides``; π kernel).
+
 Stage two of the staged simulator pipeline.  The engine owns only the
 *dynamic* state — port timelines, divider/special availability,
 register and memory readiness, the reorder buffer — and walks the
-plan's precomputed tables iteration by iteration.  The loop body is the
-exact float arithmetic of the historical monolithic
-``CoreSimulator.run`` (same operations, same order), so results are
+plan's precomputed tables iteration by iteration.  It is the only copy
+of the out-of-order step: the steady-state probe of
+:mod:`~repro.simulator.steadystate` rides on :meth:`CycleEngine.run`
+as an iteration-boundary observer, so the probe's schedule is the
+engine's, float for float.  The arithmetic is that of the historical
+monolithic simulator (same operations, same order), so results are
 bit-identical to every committed golden: cycles, stall attribution,
 and the profiler's deterministic cycle attribution.
-
-Mechanisms modeled (see :mod:`repro.simulator.core` for the catalogue):
-in-order fused-domain dispatch, greedy µop→port binding with gap
-backfill and a finite scheduler window, non-pipelined divider,
-serialized special ops, ≤1 taken branch per interval, finite ROB with
-in-order retirement.
 """
 
 from __future__ import annotations
@@ -23,6 +45,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
+from ..machine import MachineModel
 from .plan import UopPlan
 
 
@@ -71,6 +94,9 @@ class _PortIssueUnit:
     tail) no earlier than its ready time.  Gaps older than the
     scheduler window are pruned — hardware cannot hold arbitrarily many
     waiting µops, so very old idle cycles are genuinely lost.
+
+    :meth:`CycleEngine.run` inlines :meth:`issue` (same arithmetic)
+    beside the probe's witness checks; the MCA baseline calls it.
     """
 
     #: gaps shorter than the smallest µop occupancy can never be filled
@@ -133,6 +159,23 @@ class _PortIssueUnit:
                 self.gaps[p] = [g for g in gaps if g[1] >= horizon]
 
 
+#: a port/gap choice whose deciding comparison has less margin than
+#: this is "fragile".  The engine's arithmetic is max-plus, so a
+#: perturbation of size d can never grow past d — *except* through its
+#: discrete choices: the candidate-port comparison and the gap-fit
+#: test.  When one of those sits within this margin of its boundary,
+#: the ~1e-13 accumulation noise between a probed iteration and its
+#: Δ-shifted replay can flip it, sending the µop to a different port
+#: (or skipping a gap), after which the trajectories genuinely diverge;
+#: a limit-cycle certificate is only sound over a window free of such
+#: knife edges.  Exact ties *at the ready time* are the one robust
+#: kind: when a port's start is a bit-exact copy of ``ready`` (append
+#: with real slack, or a gap straddling it), every compared value is
+#: the same float object and the first-candidate tie-break cannot be
+#: perturbed — so those are not flagged.
+FRAGILE_EPS = 1e-6
+
+
 class CycleEngine:
     """Cycle-accurate execution of a prepared :class:`UopPlan`."""
 
@@ -146,6 +189,7 @@ class CycleEngine:
         tracer=None,
         collect_stalls: bool = False,
         profiler=None,
+        observer=None,
     ) -> SimulationResult:
         """Execute ``warmup + iterations`` iterations; measure the tail.
 
@@ -167,14 +211,30 @@ class CycleEngine:
         cycles, per-port occupancy, and ROB/scheduler-window
         accounting.  All three default off and then cost nothing: the
         hot loop only tests hoisted booleans.
+
+        ``observer`` is the steady-state probe's hook (see
+        :class:`repro.simulator.steadystate._Probe`): ``attach`` gets
+        the live state before iteration 0, ``boundary`` gets the clocks
+        after each iteration and stops the run by returning true.
+        While ``observer.witnessing`` holds, the iteration also yields
+        the certificate's witnesses: retire times, the widest
+        retire-minus-ready span, gap consultation, and port/gap choices
+        within :data:`FRAGILE_EPS` of flipping.  An observed run starts
+        measuring at iteration 0 (``warmup=0``), is never profiled, and
+        reports the iterations it actually ran.
         """
         if iterations < 1:
             raise ValueError("need at least one measured iteration")
+        observing = observer is not None
+        if observing and warmup:
+            raise ValueError("an observed run measures from iteration 0")
 
         n_body = plan.n_body
         total_iters = warmup + iterations
 
         issue_unit = _PortIssueUnit(plan.ports, window=plan.scheduler_window)
+        port_tail = issue_unit.tail
+        port_gaps = issue_unit.gaps
         port_busy: dict[str, float] = {p: 0.0 for p in plan.ports}
         divider_free = 0.0
         special_free: dict[str, float] = {}
@@ -207,11 +267,11 @@ class CycleEngine:
         # loop below pays only local boolean tests per instruction.
         tracing = tracer is not None and getattr(tracer, "enabled", False)
         prof = profiler
-        if prof is None:
+        if prof is None and not observing:
             from ..obs.prof import active_profiler
 
             prof = active_profiler()
-        profiling = prof is not None and prof.enabled
+        profiling = not observing and prof is not None and prof.enabled
         collect = collect_stalls or tracing or profiling
         stalls: Optional[dict[str, float]] = None
         if collect:
@@ -233,15 +293,29 @@ class CycleEngine:
 
             port_tid = tracer.sim_lanes(plan.ports)
 
+        # the probe's witnesses, collected only while it asks for them
+        witnessing = False
+        if observing:
+            observer.attach(
+                reg_ready, mem_ready, special_free, port_tail, port_gaps,
+                frontend_time, divider_free, last_branch,
+            )
+            witnessing = observer.witnessing
+            witness_retire = observer.retire_times.append
+
         # hoisted bound methods / scalars of the cycle loop
-        issue = issue_unit.issue
         advance = issue_unit.advance
         rob_append = rob_retire.append
         tb_interval = plan.config.taken_branch_interval
+        gap_min = _PortIssueUnit.GAP_MIN
+        eps = FRAGILE_EPS
 
         mark_cycle = 0.0
         trace: list[TraceEvent] = []
         for it in range(total_iters):
+            span = 0.0
+            consulted = fragile = False
+            record = it < trace_iterations
             for j in range(n_body):
                 # -- frontend: fused-domain dispatch slots
                 slot_consumed = slot_of[j]
@@ -252,25 +326,29 @@ class CycleEngine:
                 # -- ROB backpressure: the slot of the instruction
                 # rob_size back must have retired
                 if len(rob_retire) == rob_size:
-                    if collect and rob_retire[0] > dispatch:
-                        stalls["rob"] += rob_retire[0] - dispatch
-                        if tracing:
-                            tracer.instant(
-                                "stall:rob", dispatch, PID_SIM, TID_STALL,
-                                cat="stall",
-                                args={"cycles": rob_retire[0] - dispatch,
-                                      "i": j},
-                            )
-                    dispatch = max(dispatch, rob_retire[0])
-                    frontend_time = max(frontend_time, dispatch)
+                    head = rob_retire[0]
+                    if head > dispatch:
+                        if collect:
+                            stalls["rob"] += head - dispatch
+                            if tracing:
+                                tracer.instant(
+                                    "stall:rob", dispatch, PID_SIM,
+                                    TID_STALL, cat="stall",
+                                    args={"cycles": head - dispatch,
+                                          "i": j},
+                                )
+                        dispatch = frontend_time = head
 
                 # -- operand readiness
                 ready = dispatch
                 for root in reads[j]:
-                    ready = max(ready, reg_ready.get(root, 0.0))
+                    r = reg_ready.get(root, 0.0)
+                    if r > ready:
+                        ready = r
                 for key, variant in mem_reads_of[j]:
-                    k = (key, it) if variant else key
-                    ready = max(ready, mem_ready.get(k, 0.0))
+                    m = mem_ready.get((key, it) if variant else key, 0.0)
+                    if m > ready:
+                        ready = m
                 if collect and ready > dispatch:
                     # attribute the wait: register bound first, any rest
                     # is memory (store-forwarding) dependences
@@ -292,16 +370,75 @@ class CycleEngine:
                                   "memory": ready - reg_t, "i": j},
                         )
 
-                # -- issue µops greedily (plus split-load replays)
+                # -- issue µops greedily (plus split-load replays).
+                # Port availability with gap backfill (see
+                # _PortIssueUnit): a µop issues into the earliest gap
+                # (or at the tail) no earlier than its ready time, on
+                # the candidate port where that start is earliest.
                 finish_exec = ready
                 for ports, cycles, dur in uop_plans[j]:
-                    start, chosen = issue(ports, ready, dur)
-                    port_busy[chosen] += cycles
-                    finish_exec = max(finish_exec, start)
-                    if tracing and dur > 0:
+                    if dur <= 0:
+                        port_busy[ports[0]] += cycles
+                        continue
+                    # only a choice *between* ports can flip on a
+                    # near-tie of candidate starts
+                    multi = len(ports) > 1
+                    start = None
+                    for cand in ports:
+                        tail = port_tail[cand]
+                        d = ready - tail
+                        if witnessing and multi and -eps < d < eps:
+                            # append-vs-scan flip can hand the µop
+                            # to another port
+                            fragile = True
+                        gi = None
+                        if d >= 0.0:
+                            s = ready
+                        else:
+                            consulted = True
+                            s = tail
+                            for gidx, (g0, g1) in enumerate(port_gaps[cand]):
+                                st = g0 if g0 > ready else ready
+                                edge = st + dur - g1
+                                if witnessing and -eps < edge < eps:
+                                    fragile = True
+                                if edge <= 0.0:
+                                    if witnessing and multi and \
+                                            0.0 < st - ready < eps:
+                                        fragile = True
+                                    s = st
+                                    gi = gidx
+                                    break
+                        if start is None or s < start:
+                            if witnessing and start is not None and \
+                                    start - s < eps:
+                                fragile = True
+                            start, gap_idx, pt = s, gi, cand
+                            if s <= ready:
+                                break
+                        elif witnessing and s - start < eps:
+                            fragile = True
+                    if gap_idx is None:
+                        tail = port_tail[pt]
+                        if start - tail >= gap_min:
+                            port_gaps[pt].append([tail, start])
+                        port_tail[pt] = start + dur
+                    else:
+                        glist = port_gaps[pt]
+                        g0, g1 = glist[gap_idx]
+                        repl = []
+                        if start - g0 >= gap_min:
+                            repl.append([g0, start])
+                        if g1 - (start + dur) >= gap_min:
+                            repl.append([start + dur, g1])
+                        glist[gap_idx:gap_idx + 1] = repl
+                    port_busy[pt] += cycles
+                    if start > finish_exec:
+                        finish_exec = start
+                    if tracing:
                         tracer.complete(
                             mnemonic_of[j], start, dur, PID_SIM,
-                            port_tid[chosen], cat="uop",
+                            port_tid[pt], cat="uop",
                             args={"iter": it, "i": j},
                         )
                 advance(dispatch)
@@ -316,7 +453,7 @@ class CycleEngine:
 
                 divider = divider_occ[j]
                 if divider:
-                    start = max(divider_free, ready)
+                    start = divider_free if divider_free > ready else ready
                     if collect and start > ready:
                         stalls["divider"] += start - ready
                         if tracing:
@@ -326,21 +463,28 @@ class CycleEngine:
                                 args={"cycles": start - ready, "i": j},
                             )
                     divider_free = start + divider
-                    finish_exec = max(finish_exec, start)
+                    if start > finish_exec:
+                        finish_exec = start
 
                 throughput = special_of[j]
                 if throughput is not None:
                     key2 = mnemonic_of[j]
-                    start = max(special_free.get(key2, 0.0), ready)
-                    if collect and start > ready:
+                    start = special_free.get(key2, 0.0)
+                    if start < ready:
+                        start = ready
+                    elif collect and start > ready:
                         stalls["special"] += start - ready
                     special_free[key2] = start + throughput
-                    finish_exec = max(finish_exec, start)
+                    if start > finish_exec:
+                        finish_exec = start
 
                 if is_branch_of[j]:
-                    start = max(finish_exec, last_branch + tb_interval)
-                    if collect and start > finish_exec:
-                        stalls["branch"] += start - finish_exec
+                    start = last_branch + tb_interval
+                    if start > finish_exec:
+                        if collect:
+                            stalls["branch"] += start - finish_exec
+                    else:
+                        start = finish_exec
                     last_branch = start
                     finish_exec = start
 
@@ -349,11 +493,18 @@ class CycleEngine:
                     complete += load_lat[j]
 
                 # -- retire in order
-                retire = max(complete, retire_time_prev + retire_step)
-                if collect and retire > complete:
-                    stalls["retire"] += retire - complete
+                retire = retire_time_prev + retire_step
+                if retire > complete:
+                    if collect:
+                        stalls["retire"] += retire - complete
+                else:
+                    retire = complete
                 retire_time_prev = retire
                 rob_append(retire)
+                if witnessing:
+                    witness_retire(retire)
+                    if retire - ready > span:
+                        span = retire - ready
 
                 if tracing:
                     if slot_consumed:
@@ -370,7 +521,7 @@ class CycleEngine:
                               "retire": retire},
                     )
 
-                if it < trace_iterations:
+                if record:
                     trace.append(
                         TraceEvent(
                             iteration=it,
@@ -391,6 +542,14 @@ class CycleEngine:
 
             if it == warmup - 1:
                 mark_cycle = retire_time_prev
+            if observing:
+                if observer.boundary(
+                    it, retire_time_prev, frontend_time, divider_free,
+                    last_branch, span, consulted, fragile,
+                ):
+                    iterations = total_iters = it + 1  # warmup is 0
+                    break
+                witnessing = observer.witnessing
 
         total = retire_time_prev
         measured = total - mark_cycle if warmup > 0 else total
@@ -479,3 +638,37 @@ def _publish_profile(
         for g0, g1 in gaps
     )
     prof.add_counter("sim.sched_window_gap_cycles", gap_cycles)
+
+
+def simulate_kernel(
+    source: str,
+    arch: str | MachineModel,
+    *,
+    iterations: int = 200,
+    warmup: int = 50,
+    tracer=None,
+    collect_stalls: bool = False,
+    **kwargs,
+) -> SimulationResult:
+    """Parse and simulate an assembly loop body (the one-call entry).
+
+    Lowers ``source`` for ``arch``, plans it under
+    ``PlanConfig.make(**kwargs)``, and replays the plan on a
+    :class:`CycleEngine`.  The returned
+    :attr:`SimulationResult.cycles_per_iteration` plays the role of the
+    paper's hardware measurement.  ``tracer`` / ``collect_stalls``
+    forward to :meth:`CycleEngine.run` for pipeline tracing and stall
+    attribution (see :mod:`repro.obs`).
+    """
+    from ..lowering import lower
+    from .plan import PlanConfig, plan_for_block
+
+    block = lower(source, arch)
+    plan = plan_for_block(block, PlanConfig.make(**kwargs))
+    return CycleEngine().run(
+        plan,
+        iterations=iterations,
+        warmup=warmup,
+        tracer=tracer,
+        collect_stalls=collect_stalls,
+    )

@@ -12,7 +12,8 @@ slots — promoted to a first-class IR built **once** per
 * :mod:`~repro.simulator.steadystate` — the analytical engine derives
   per-iteration throughput bounds directly from the plan's tables,
 * :mod:`~repro.simulator.timeline` / :mod:`~repro.simulator.coupled` —
-  build the plan once and run the engine against it,
+  build the plan once and run the engine against it (so do the
+  backends, microbenchmarks, and counterfactual studies),
 * :class:`~repro.mca.simulator.MCASimulator` — shares the memory-key
   helpers so aliasing semantics can never drift between simulators.
 
@@ -54,9 +55,18 @@ PLAN_MEMO_CAP = 4096
 class PlanConfig:
     """Simulation knobs that shape a plan (hashable memo component).
 
-    The fields mirror :class:`~repro.simulator.core.CoreSimulator`'s
-    constructor; ``divider_overrides`` is stored as a sorted tuple so
-    configs hash and compare structurally.
+    ``divider_overrides`` is stored as a sorted tuple so configs hash
+    and compare structurally (:meth:`make` accepts a dict).
+
+    ``issue_efficiency`` is the fraction of the ideal per-port issue
+    bandwidth real schedulers sustain (picker conflicts,
+    writeback-port sharing, replays): µop occupancies are scaled by
+    its inverse, and 1.0 reproduces the analytical bound exactly.
+    ``dispatch_efficiency`` is the same for the frontend: sustained
+    rename/dispatch bandwidth as a fraction of the nominal width.
+    ``measurement_overhead`` is the relative overhead of a real
+    measurement harness (warm-up remainder iterations, counter reads)
+    folded into the measured cycles.
     """
 
     merge_renaming: bool = True
@@ -99,6 +109,19 @@ class PlanConfig:
     @property
     def overrides_dict(self) -> dict[tuple[str, str], float]:
         return dict(self.divider_overrides)
+
+
+#: the careful-microbenchmark configuration: full issue and dispatch
+#: efficiency, no harness overhead, and no divider overrides — the Zen 4
+#: scalar divider only beats its documented occupancy under mixed-loop
+#: conditions (the π-kernel discrepancy), not in a pure back-to-back
+#: divide microbenchmark (used by Table III, ibench, and port inference)
+IDEALIZED_CONFIG = PlanConfig(
+    divider_overrides=(),
+    issue_efficiency=1.0,
+    dispatch_efficiency=1.0,
+    measurement_overhead=0.0,
+)
 
 
 @dataclass(frozen=True)
@@ -157,9 +180,8 @@ class UopPlan:
 # ---------------------------------------------------------------------------
 # shared per-instruction table derivations
 #
-# These were private CoreSimulator methods; MCASimulator duplicated the
-# memory-key trio verbatim.  They live here now so every simulator and
-# the analytical engine derive identical tables from one code path.
+# Shared with MCASimulator (the memory-key trio), so every simulator
+# and the analytical engine derive identical tables from one code path.
 # ---------------------------------------------------------------------------
 
 

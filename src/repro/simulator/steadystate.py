@@ -13,9 +13,10 @@ short probe of the cycle-accurate engine:
    the plan's pre-scaled occupancies), divider, special-op,
    taken-branch, and loop-carried-dependency terms.  Every term is a
    true lower bound on the cycle engine's steady-state slope.
-2. :func:`probe` — a short cycle-accurate run (same arithmetic as
-   :class:`~repro.simulator.engine.CycleEngine`, observability
-   stripped) with a **limit-cycle certificate**: a period ``p`` is
+2. :func:`probe` — a short run of the cycle-accurate
+   :class:`~repro.simulator.engine.CycleEngine` itself, watched at
+   every iteration boundary by the convergence detectors, with a
+   **limit-cycle certificate**: a period ``p`` is
    accepted only when the engine's entire live state — register /
    memory / divider / branch ready clocks, port busy tails, the gap
    lists the scheduler actually consults, the frontend clock, and the
@@ -30,17 +31,19 @@ short probe of the cycle-accurate engine:
    finite pattern-repeat heuristic would certify them wrongly.
 3. The **confidence predicate**: the probe certified a limit cycle
    *and* its slope is explained by the analytical bound (within
-   ``agreement_margin`` above it; never materially below — the bound
-   is provably a lower bound, so "below" means a modeling bug and
-   forces the fallback).
+   :data:`DEFAULT_AGREEMENT_MARGIN` above it; never materially below —
+   the bound is provably a lower bound, so "below" means a modeling
+   bug and forces the fallback).
 
 When the predicate holds, the fast path answers by *extrapolating* the
 probed history along its limit cycle to the exact ``(warmup,
 iterations)`` window a full run would measure — the answer is the
 engine's own number, obtained after ~15 iterations instead of ~150.
-Otherwise callers fall back to the full cycle-accurate engine.
-Divergence safety is enforced empirically by the corpus-wide and fuzz
-differential suites (``tests/test_fastpath_differential.py``).
+Otherwise the same run simply continues to the end of that window and
+the answer is read off it: there is no second, from-scratch
+simulation.  Divergence safety is enforced empirically by the
+corpus-wide and fuzz differential suites
+(``tests/test_fastpath_differential.py``).
 """
 
 from __future__ import annotations
@@ -49,11 +52,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .engine import _PortIssueUnit
+from .engine import CycleEngine
 from .plan import UopPlan
-
-#: engine constant, aliased for the inlined issue logic in probe()
-_GAP_MIN = _PortIssueUnit.GAP_MIN
 
 #: how many iterations the probe may spend before giving up on
 #: periodicity; past this, the kernel is transient-dominated and the
@@ -96,11 +96,6 @@ DEFAULT_STABLE_VERIFY_RTOL = 1e-2
 #: real limit cycles certify within ~20 or not at all, and the
 #: bookkeeping is pure overhead on the long simulated tail
 DEFAULT_CERTIFY_UNTIL = 28
-#: a port/gap choice whose deciding comparison has less margin than
-#: this is "fragile": float-accumulation noise (~1e-13) on the shifted
-#: replay can flip it, so no certificate may cover a window containing
-#: one (see :func:`_fragile_issue`)
-_FRAGILE_EPS = 1e-6
 #: above this many distinct candidate-port sets the subset enumeration
 #: falls back to the LP (never reached by real machine models)
 _MAX_DISTINCT_SETS = 12
@@ -198,10 +193,14 @@ class SteadyStateResult:
     certified: bool
     #: the confidence predicate: safe to answer without the full engine
     confident: bool
-    #: "certified" | "stable" | "no-convergence" |
-    #: "analytical-mismatch" | "empty"
+    #: "certified" | "stable" | "simulated" | "analytical-mismatch" |
+    #: "empty"
     reason: str
     bound: AnalyticalBound
+    #: retire time at the end of the measurement window — the quantity
+    #: :meth:`CycleEngine.run` reports as ``total_cycles`` (extrapolated
+    #: along the limit cycle for the analytical tiers)
+    total_cycles: float = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -440,55 +439,6 @@ def _shifted(a: float, b: float, delta: float, rel_tol: float) -> bool:
     return abs(a - b - delta) <= rel_tol * max(1.0, abs(a), abs(b))
 
 
-def _fragile_issue(tails, gaps, ports, ready: float, dur: float,
-                   eps: float) -> bool:
-    """Does this µop's port/gap choice rest on a sub-``eps`` margin?
-
-    The engine's arithmetic is max-plus, so a perturbation of size d
-    can never grow past d — *except* through its discrete choices: the
-    candidate-port comparison and the gap-fit test.  When one of those
-    sits within ``eps`` of its boundary, the ~1e-13 accumulation noise
-    between a probed iteration and its Δ-shifted replay can flip it,
-    sending the µop to a different port (or skipping a gap), after
-    which the trajectories genuinely diverge.  A certificate is only
-    sound over a window free of such knife edges.
-
-    Exact ties *at the ready time* are the one robust kind: when a
-    port's start is a bit-exact copy of ``ready`` (append with real
-    slack, or a gap straddling it), every compared value is the same
-    float object and the engine's first-candidate tie-break cannot be
-    perturbed — so those are not flagged.
-    """
-    multi = len(ports) > 1
-    starts = []
-    for pt in ports:
-        tail = tails[pt]
-        if multi and abs(ready - tail) < eps:
-            # append-vs-scan path flip can hand the µop to another port
-            return True
-        if ready >= tail:
-            s = ready
-        else:
-            s = None
-            for g0, g1 in gaps[pt]:
-                st = g0 if g0 > ready else ready
-                if abs(st + dur - g1) < eps:
-                    # gap-fit knife edge: a flip jumps the start time
-                    return True
-                if st + dur <= g1:
-                    s = st
-                    break
-            if s is None:
-                s = tail if tail > ready else ready
-        starts.append(s)
-    if multi:
-        smin = min(starts)
-        near = [s for s in starts if s - smin < eps]
-        if len(near) > 1 and any(s != ready for s in near):
-            return True
-    return False
-
-
 def _certify_period(
     p: int,
     *,
@@ -527,7 +477,8 @@ def _certify_period(
       change the schedule — the induction is only sound when every
       clock the scheduler compares advances at the same rate,
     The caller must additionally ensure the certified window is free
-    of *fragile* issue decisions (:func:`_fragile_issue`): the shift
+    of *fragile* issue decisions (the engine's ``fragile`` witness,
+    :data:`~repro.simulator.engine.FRAGILE_EPS`): the shift
     comparison below tolerates float-accumulation noise, and on a
     knife-edge comparison that same noise decides the trajectory.
 
@@ -642,50 +593,236 @@ def _window_slope(
     return None
 
 
-def probe(
-    plan: UopPlan,
-    max_iterations: int = DEFAULT_MAX_PROBE_ITERATIONS,
-    max_period: int = DEFAULT_MAX_PERIOD,
-    rel_tol: float = DEFAULT_DELTA_RTOL,
-    min_iterations: int = DEFAULT_MIN_PROBE_ITERATIONS,
-    certify_until: int = DEFAULT_CERTIFY_UNTIL,
-    stable_from: int = DEFAULT_STABLE_FROM,
-    stable_windows: tuple[int, ...] = DEFAULT_STABLE_WINDOWS,
-    stable_rtol: float = DEFAULT_STABLE_RTOL,
-    stable_verify: int = DEFAULT_STABLE_VERIFY,
-    stable_verify_rtol: float = DEFAULT_STABLE_VERIFY_RTOL,
-    measure_horizon: int = 0,
-) -> ProbeOutcome:
+class _Probe:
+    """The convergence detectors as :meth:`CycleEngine.run`'s observer.
+
+    Records the retire history, asks for the certificate's witnesses
+    and snapshots the live state through the first
+    :data:`DEFAULT_CERTIFY_UNTIL` iterations, and stops the run once a
+    detector converges (see :func:`probe`).  ``explained(slope,
+    certified)`` vets each converged slope: one it rejects still ends
+    detection, but the run goes on to ``measure_horizon`` so the
+    history covers the measurement window there too.
+    """
+
+    def __init__(self, plan: UopPlan, measure_horizon: int, explained):
+        self.plan = plan
+        self.measure_horizon = measure_horizon
+        self.explained = explained
+        # static key universes for the state snapshots (reg_ready /
+        # mem_ready / special_free only ever hold these keys, variant
+        # memory entries aside — and those are dead past their iteration)
+        self.static_roots = sorted({r for ws in plan.writes for r in ws})
+        self.static_mem = sorted(
+            {k for mws in plan.mem_writes_of for k, variant in mws
+             if not variant},
+            key=repr,
+        )
+        self.static_special = sorted(
+            {plan.mnemonic_of[j] for j in range(plan.n_body)
+             if plan.special_of[j] is not None}
+        )
+        self.ports_sorted = sorted(plan.ports)
+        self.history = [0.0]
+        #: witnesses the engine fills while ``witnessing`` holds
+        self.witnessing = True
+        self.retire_times: list[float] = []
+        self.spans: list[float] = []
+        self.consulted: list[bool] = []
+        self.fragile: list[bool] = []
+        self.snapshots: deque = deque(maxlen=DEFAULT_MAX_PERIOD + 1)
+        #: a stable candidate awaiting its verify extension:
+        #: (fire count, slope, averaged span)
+        self.pending: Optional[tuple[int, float, int]] = None
+        #: the accepted detection: (count, slope, certified, period)
+        self.found: Optional[tuple[int, float, bool, int]] = None
+
+    def run(self) -> ProbeOutcome:
+        """Run the engine under this observer; return what it detected."""
+        horizon = max(DEFAULT_MAX_PROBE_ITERATIONS, self.measure_horizon)
+        CycleEngine().run(
+            self.plan, iterations=horizon, warmup=0, observer=self
+        )
+        history = self.history
+        count = len(history) - 1
+        if (
+            self.found is None
+            and self.pending is not None
+            and horizon <= DEFAULT_MAX_PROBE_ITERATIONS
+        ):
+            # the verify deadline fell past the probe budget and there is
+            # no measured continuation to prefer: confirm with whatever
+            # extension accrued, if long enough to mean anything
+            c0, s0, span0 = self.pending
+            if (
+                count - c0 >= max(4, DEFAULT_STABLE_VERIFY // 2, c0 // 4)
+                and _verified(history, count, c0, s0)
+            ):
+                slope = (history[count] - history[c0 - span0]) / (
+                    count - c0 + span0
+                )
+                self.found = (count, slope, False, 0)
+        if self.found is None:
+            win = max(1, min(count, 2 * max(DEFAULT_MAX_PERIOD, 4)))
+            slope = (history[count] - history[count - win]) / win
+            return ProbeOutcome(
+                slope=slope, iterations=count, converged=False,
+                certified=False, period=0, history=tuple(history),
+            )
+        count, slope, certified, period = self.found
+        return ProbeOutcome(
+            slope=slope, iterations=count, converged=True,
+            certified=certified, period=period, history=tuple(history),
+        )
+
+    def attach(self, reg_ready, mem_ready, special_free, port_tail,
+               port_gaps, frontend, divider_free, last_branch) -> None:
+        self.state = (reg_ready, mem_ready, special_free, port_tail, port_gaps)
+        self._snapshot(frontend, divider_free, last_branch)
+
+    def _snapshot(self, frontend, divider_free, last_branch) -> None:
+        # snapshots carry only gaps still reachable at snapshot time:
+        # every future ready is >= the frontend clock, so gaps ending
+        # at/below it can never be filled (and transient junk would
+        # otherwise dominate the copy cost)
+        reg_ready, mem_ready, special_free, port_tail, port_gaps = self.state
+        self.snapshots.append((
+            frontend,
+            (divider_free, last_branch)
+            + tuple(reg_ready.get(r, 0.0) for r in self.static_roots)
+            + tuple(mem_ready.get(k, 0.0) for k in self.static_mem)
+            + tuple(special_free.get(m, 0.0) for m in self.static_special),
+            tuple(port_tail[pt] for pt in self.ports_sorted),
+            tuple(
+                tuple((g[0], g[1]) for g in port_gaps[pt] if g[1] > frontend)
+                for pt in self.ports_sorted
+            ),
+        ))
+
+    def _accept(self, count: int, slope: float, certified: bool,
+                period: int) -> bool:
+        self.found = (count, slope, certified, period)
+        self.witnessing = False
+        return self.explained(slope, certified) or count >= self.measure_horizon
+
+    def boundary(self, it, retire, frontend, divider_free, last_branch,
+                 span, consulted, fragile) -> bool:
+        history = self.history
+        history.append(retire)
+        count = it + 1
+        if self.found is not None:
+            # unexplained detection: measuring on to the horizon
+            return count >= self.measure_horizon
+        if count > DEFAULT_MAX_PROBE_ITERATIONS:
+            return False  # detectors gave up; the engine runs on
+        if it < DEFAULT_CERTIFY_UNTIL:
+            self.spans.append(span)
+            self.consulted.append(consulted)
+            self.fragile.append(fragile)
+            self._snapshot(frontend, divider_free, last_branch)
+            if count >= max(3, DEFAULT_MIN_PROBE_ITERATIONS):
+                snapshots = self.snapshots
+                for p in range(
+                    1, min(DEFAULT_MAX_PERIOD, len(snapshots) - 1) + 1
+                ):
+                    if any(self.fragile[count - p:count]):
+                        continue
+                    if not _deltas_periodic(history, p, DEFAULT_DELTA_RTOL):
+                        continue
+                    if _certify_period(
+                        p,
+                        snapshots=snapshots,
+                        history=history,
+                        retire_times=self.retire_times,
+                        spans=self.spans,
+                        consulted=self.consulted,
+                        rob_size=self.plan.rob_size,
+                        n_body=self.plan.n_body,
+                        rel_tol=1e-9,
+                    ):
+                        slope = (history[count] - history[count - p]) / p
+                        return self._accept(count, slope, True, p)
+            self.witnessing = count < min(
+                DEFAULT_CERTIFY_UNTIL, DEFAULT_MAX_PROBE_ITERATIONS
+            )
+        if count >= DEFAULT_STABLE_FROM:
+            pending = self.pending
+            if pending is not None:
+                c0, s0, span0 = pending
+                # the later a candidate fires, the longer its regime has
+                # already persisted — and a slow state drift (a buffer
+                # filling toward saturation) can hold an exactly periodic
+                # schedule for that long before flipping it.  Scale the
+                # verify extension with the fire time so late candidates
+                # must survive proportionally far past their own regime.
+                if count - c0 >= max(DEFAULT_STABLE_VERIFY, c0 // 2):
+                    if _verified(history, count, c0, s0):
+                        # accept; average over the fire window plus the
+                        # whole extension to dilute window-phase error
+                        slope = (
+                            history[count] - history[c0 - span0]
+                        ) / (count - c0 + span0)
+                        return self._accept(count, slope, False, 0)
+                    self.pending = None  # plateau broke; resume detection
+            if self.pending is None:
+                fired = _window_slope(
+                    history, count, DEFAULT_STABLE_WINDOWS,
+                    DEFAULT_STABLE_RTOL,
+                )
+                if fired is not None:
+                    slope, span = fired
+                    self.pending = (count, slope, span)
+        return False
+
+
+def _verified(history: list[float], count: int, c0: int, s0: float) -> bool:
+    """Does the verify extension ``c0..count`` confirm slope ``s0``?
+
+    Its measured slope *and* a fresh window re-fire must both agree
+    with the candidate to :data:`DEFAULT_STABLE_VERIFY_RTOL`.
+    """
+    tol = DEFAULT_STABLE_VERIFY_RTOL * max(abs(s0), 1e-12)
+    sv = (history[count] - history[c0]) / (count - c0)
+    again = _window_slope(
+        history, count, DEFAULT_STABLE_WINDOWS, DEFAULT_STABLE_RTOL
+    )
+    return (
+        abs(sv - s0) <= tol
+        and again is not None
+        and abs(again[0] - s0) <= tol
+    )
+
+
+def probe(plan: UopPlan, measure_horizon: int = 0) -> ProbeOutcome:
     """Run the cycle-accurate schedule until its limit cycle converges.
 
-    With ``measure_horizon > max_iterations``, a schedule that defeats
-    both detectors keeps running (detectors off) to that horizon, so
-    the returned history covers a full measurement window and the
-    caller can read off the engine's exact answer instead of paying
-    for a second, from-scratch simulation — the probe *is* the engine,
-    float for float.
+    The run *is* a :meth:`CycleEngine.run` — the probe is its
+    iteration-boundary observer (:class:`_Probe`), so the probed
+    schedule is the engine's, float for float.  With ``measure_horizon
+    > DEFAULT_MAX_PROBE_ITERATIONS``, a schedule that defeats both
+    detectors keeps running (detectors off) to that horizon, so the
+    returned history covers a full measurement window and the caller
+    can read off the engine's exact answer.
 
-    This is the :class:`~repro.simulator.engine.CycleEngine` loop with
-    observability stripped (the observability branches never change the
-    arithmetic, so the schedule is the engine's, float for float) plus
-    two convergence detectors, tried in order of strength:
+    The two convergence detectors, tried in order of strength:
 
     1. The limit-cycle **certificate** of :func:`_certify_period`: a
-       period ``p <= max_period`` is accepted once the retire deltas
-       repeat for ``2p`` iterations (cheap prefilter) *and* the
+       period ``p <= DEFAULT_MAX_PERIOD`` is accepted once the retire
+       deltas repeat for ``2p`` iterations (cheap prefilter) *and* the
        engine's full live state recurs shifted by one period's cycles
        (the proof).  Exact — the future trajectory provably repeats.
        The certificate bookkeeping (state snapshots, fragility and
        consultation witnesses, dependency-span tracking) only runs
-       through ``certify_until`` iterations: short limit cycles
+       through ``DEFAULT_CERTIFY_UNTIL`` iterations: short limit cycles
        certify early or never, and the bookkeeping would otherwise be
        pure overhead on long stable/measured tails.
-    2. The **stable** heuristic, from ``stable_from`` iterations on:
-       consecutive window-averaged slopes agree to ``stable_rtol`` for
-       one of the ``stable_windows`` widths, *and* the candidate
-       survives a verify extension of ``max(stable_verify, fire/2)``
+    2. The **stable** heuristic, from ``DEFAULT_STABLE_FROM``
+       iterations on: consecutive window-averaged slopes agree to
+       ``DEFAULT_STABLE_RTOL`` for one of the
+       ``DEFAULT_STABLE_WINDOWS`` widths, *and* the candidate survives
+       a verify extension of ``max(DEFAULT_STABLE_VERIFY, fire/2)``
        probe iterations — its measured slope *and* a fresh window
-       re-fire must both confirm to ``stable_verify_rtol``.  A
+       re-fire must both confirm to ``DEFAULT_STABLE_VERIFY_RTOL``.  A
        transient plateau can make two adjacent windows agree, but it
        ends — the extension (scaled to how long the candidate's
        regime already lasted, since a buffer slowly filling toward
@@ -702,334 +839,12 @@ def probe(
     iterations while hidden state still drifts, and only the state
     recurrence can tell those apart.
     """
-    n_body = plan.n_body
-    if n_body == 0:
+    if plan.n_body == 0:
         return ProbeOutcome(
             slope=0.0, iterations=0, converged=False, certified=False,
             period=0, history=(0.0,),
         )
-
-    issue_unit = _PortIssueUnit(plan.ports, window=plan.scheduler_window)
-    divider_free = 0.0
-    special_free: dict[str, float] = {}
-    reg_ready: dict[str, float] = {}
-    mem_ready: dict[tuple, float] = {}
-    last_branch = -1e9
-    frontend_time = 0.0
-    rob_size = plan.rob_size
-    rob_retire: deque[float] = deque(maxlen=rob_size)
-    retire_time_prev = 0.0
-    dispatch_step = plan.dispatch_step
-    retire_step = plan.retire_step
-
-    slot_of = plan.slot_of
-    uop_plans = plan.uop_plans
-    divider_occ = plan.divider_occ
-    eff_latency = plan.eff_latency
-    load_lat = plan.load_lat
-    is_branch_of = plan.is_branch_of
-    special_of = plan.special_of
-    mnemonic_of = plan.mnemonic_of
-    reads = plan.reads
-    writes = plan.writes
-    mem_reads_of = plan.mem_reads_of
-    mem_writes_of = plan.mem_writes_of
-    advance = issue_unit.advance
-    rob_append = rob_retire.append
-    tb_interval = plan.config.taken_branch_interval
-    port_tail = issue_unit.tail
-    port_gaps = issue_unit.gaps
-
-    # static key universes for the state snapshots (reg_ready /
-    # mem_ready / special_free only ever hold these keys, variant
-    # memory entries aside — and those are dead past their iteration)
-    static_roots = sorted({r for ws in writes for r in ws})
-    static_mem = sorted(
-        {k for mws in mem_writes_of for k, variant in mws if not variant},
-        key=repr,
-    )
-    static_special = sorted(
-        {mnemonic_of[j] for j in range(n_body) if special_of[j] is not None}
-    )
-    ports_sorted = sorted(port_tail)
-
-    check_from = max(3, min_iterations)
-    pending: Optional[tuple[int, float, int]] = None
-    history = [0.0]
-    retire_times: list[float] = []
-    spans: list[float] = []
-    consulted: list[bool] = []
-    fragile: list[bool] = []
-    snapshots: deque = deque(maxlen=max_period + 1)
-    snapshots.append((
-        0.0,
-        (divider_free, last_branch)
-        + (0.0,) * (len(static_roots) + len(static_mem)
-                    + len(static_special)),
-        tuple(port_tail[pt] for pt in ports_sorted),
-        tuple(tuple((g[0], g[1]) for g in port_gaps[pt])
-              for pt in ports_sorted),
-    ))
-    horizon = max(max_iterations, measure_horizon)
-    for it in range(horizon):
-        detecting = it < max_iterations
-        certifying = detecting and it < certify_until
-        it_span = 0.0
-        it_consulted = False
-        it_fragile = False
-        for j in range(n_body):
-            if slot_of[j]:
-                frontend_time += dispatch_step
-            dispatch = frontend_time
-            if len(rob_retire) == rob_size:
-                dispatch = max(dispatch, rob_retire[0])
-                frontend_time = max(frontend_time, dispatch)
-            ready = dispatch
-            for root in reads[j]:
-                r = reg_ready.get(root, 0.0)
-                if r > ready:
-                    ready = r
-            for key, variant in mem_reads_of[j]:
-                k = (key, it) if variant else key
-                m = mem_ready.get(k, 0.0)
-                if m > ready:
-                    ready = m
-            finish_exec = ready
-            # inlined _PortIssueUnit.issue (same arithmetic, single
-            # pass) with the consultation and fragility witnesses
-            # computed alongside — see _fragile_issue for the rationale
-            for ports, _cycles, dur in uop_plans[j]:
-                if dur <= 0:
-                    continue
-                if len(ports) == 1:
-                    pt = ports[0]
-                    tail = port_tail[pt]
-                    if ready >= tail:
-                        start = ready
-                        gap_idx = None
-                    else:
-                        it_consulted = True
-                        start = None
-                        gap_idx = None
-                        for gi, (g0, g1) in enumerate(port_gaps[pt]):
-                            st = g0 if g0 > ready else ready
-                            edge = st + dur - g1
-                            if -_FRAGILE_EPS < edge < _FRAGILE_EPS:
-                                it_fragile = True
-                            if edge <= 0.0:
-                                start = st
-                                gap_idx = gi
-                                break
-                        if start is None:
-                            start = tail if tail > ready else ready
-                else:
-                    start = None
-                    gap_idx = None
-                    pt = None
-                    for cand in ports:
-                        tail = port_tail[cand]
-                        d = ready - tail
-                        if -_FRAGILE_EPS < d < _FRAGILE_EPS:
-                            it_fragile = True
-                        if d >= 0.0:
-                            s = ready
-                            gi = None
-                        else:
-                            it_consulted = True
-                            s = None
-                            gi = None
-                            for gidx, (g0, g1) in enumerate(
-                                port_gaps[cand]
-                            ):
-                                st = g0 if g0 > ready else ready
-                                edge = st + dur - g1
-                                if -_FRAGILE_EPS < edge < _FRAGILE_EPS:
-                                    it_fragile = True
-                                if edge <= 0.0:
-                                    if 0.0 < st - ready < _FRAGILE_EPS:
-                                        it_fragile = True
-                                    s = st
-                                    gi = gidx
-                                    break
-                            if s is None:
-                                s = tail if tail > ready else ready
-                        if start is None or s < start:
-                            if start is not None and \
-                                    start - s < _FRAGILE_EPS:
-                                it_fragile = True
-                            start, gap_idx, pt = s, gi, cand
-                            if s <= ready:
-                                break
-                        elif s - start < _FRAGILE_EPS:
-                            it_fragile = True
-                if gap_idx is None:
-                    tail = port_tail[pt]
-                    if start - tail >= _GAP_MIN:
-                        port_gaps[pt].append([tail, start])
-                    port_tail[pt] = start + dur
-                else:
-                    glist = port_gaps[pt]
-                    g0, g1 = glist[gap_idx]
-                    repl = []
-                    if start - g0 >= _GAP_MIN:
-                        repl.append([g0, start])
-                    if g1 - (start + dur) >= _GAP_MIN:
-                        repl.append([start + dur, g1])
-                    glist[gap_idx:gap_idx + 1] = repl
-                if start > finish_exec:
-                    finish_exec = start
-            advance(dispatch)
-            divider = divider_occ[j]
-            if divider:
-                start = max(divider_free, ready)
-                divider_free = start + divider
-                finish_exec = max(finish_exec, start)
-            throughput = special_of[j]
-            if throughput is not None:
-                key2 = mnemonic_of[j]
-                start = max(special_free.get(key2, 0.0), ready)
-                special_free[key2] = start + throughput
-                finish_exec = max(finish_exec, start)
-            if is_branch_of[j]:
-                start = max(finish_exec, last_branch + tb_interval)
-                last_branch = start
-                finish_exec = start
-            complete = finish_exec + eff_latency[j]
-            if load_lat[j] is not None:
-                complete += load_lat[j]
-            retire = max(complete, retire_time_prev + retire_step)
-            retire_time_prev = retire
-            rob_append(retire)
-            if certifying:
-                retire_times.append(retire)
-                if retire - ready > it_span:
-                    it_span = retire - ready
-            for root in writes[j]:
-                reg_ready[root] = complete
-            for key, variant in mem_writes_of[j]:
-                mem_ready[(key, it) if variant else key] = complete
-
-        history.append(retire_time_prev)
-        if not detecting:
-            continue
-        count = it + 1
-        if certifying:
-            spans.append(it_span)
-            consulted.append(it_consulted)
-            fragile.append(it_fragile)
-            # snapshots carry only gaps still reachable at snapshot
-            # time: every future ready is >= the frontend clock, so
-            # gaps ending at/below it can never be filled (and
-            # transient junk would otherwise dominate the copy cost)
-            snapshots.append((
-                frontend_time,
-                (divider_free, last_branch)
-                + tuple(reg_ready.get(r, 0.0) for r in static_roots)
-                + tuple(mem_ready.get(k, 0.0) for k in static_mem)
-                + tuple(special_free.get(m, 0.0) for m in static_special),
-                tuple(port_tail[pt] for pt in ports_sorted),
-                tuple(
-                    tuple((g[0], g[1]) for g in port_gaps[pt]
-                          if g[1] > frontend_time)
-                    for pt in ports_sorted
-                ),
-            ))
-            if count >= check_from:
-                for p in range(
-                    1, min(max_period, len(snapshots) - 1) + 1
-                ):
-                    if any(fragile[count - p:count]):
-                        continue
-                    if not _deltas_periodic(history, p, rel_tol):
-                        continue
-                    if _certify_period(
-                        p,
-                        snapshots=snapshots,
-                        history=history,
-                        retire_times=retire_times,
-                        spans=spans,
-                        consulted=consulted,
-                        rob_size=rob_size,
-                        n_body=n_body,
-                        rel_tol=1e-9,
-                    ):
-                        slope = (
-                            history[count] - history[count - p]
-                        ) / p
-                        return ProbeOutcome(
-                            slope=slope, iterations=count,
-                            converged=True, certified=True, period=p,
-                            history=tuple(history),
-                        )
-        if count >= stable_from:
-            if pending is not None:
-                c0, s0, span0 = pending
-                # the later a candidate fires, the longer its regime has
-                # already persisted — and a slow state drift (a buffer
-                # filling toward saturation) can hold an exactly periodic
-                # schedule for that long before flipping it.  Scale the
-                # verify extension with the fire time so late candidates
-                # must survive proportionally far past their own regime.
-                if count - c0 >= max(stable_verify, c0 // 2):
-                    sv = (history[count] - history[c0]) / (count - c0)
-                    again = _window_slope(
-                        history, count, stable_windows, stable_rtol
-                    )
-                    if (
-                        abs(sv - s0)
-                        <= stable_verify_rtol * max(abs(s0), 1e-12)
-                        and again is not None
-                        and abs(again[0] - s0)
-                        <= stable_verify_rtol * max(abs(s0), 1e-12)
-                    ):
-                        # accept; average over the fire window plus the
-                        # whole extension to dilute window-phase error
-                        slope = (
-                            history[count] - history[c0 - span0]
-                        ) / (count - c0 + span0)
-                        return ProbeOutcome(
-                            slope=slope, iterations=count, converged=True,
-                            certified=False, period=0,
-                            history=tuple(history),
-                        )
-                    pending = None  # plateau broke; resume detection
-            if pending is None:
-                fired = _window_slope(
-                    history, count, stable_windows, stable_rtol
-                )
-                if fired is not None:
-                    slope, span = fired
-                    pending = (count, slope, span)
-    count = len(history) - 1
-    if pending is not None and horizon <= max_iterations:
-        # the verify deadline fell past the probe budget and there is
-        # no measured continuation to prefer: confirm with whatever
-        # extension accrued, if long enough to mean anything
-        c0, s0, span0 = pending
-        if count - c0 >= max(4, stable_verify // 2, c0 // 4):
-            sv = (history[count] - history[c0]) / (count - c0)
-            again = _window_slope(
-                history, count, stable_windows, stable_rtol
-            )
-            if (
-                abs(sv - s0) <= stable_verify_rtol * max(abs(s0), 1e-12)
-                and again is not None
-                and abs(again[0] - s0)
-                <= stable_verify_rtol * max(abs(s0), 1e-12)
-            ):
-                slope = (history[count] - history[c0 - span0]) / (
-                    count - c0 + span0
-                )
-                return ProbeOutcome(
-                    slope=slope, iterations=count, converged=True,
-                    certified=False, period=0, history=tuple(history),
-                )
-    win = max(1, min(count, 2 * max(max_period, 4)))
-    slope = (history[count] - history[count - win]) / win
-    return ProbeOutcome(
-        slope=slope, iterations=count, converged=False, certified=False,
-        period=0, history=tuple(history),
-    )
+    return _Probe(plan, measure_horizon, lambda slope, certified: True).run()
 
 
 # ---------------------------------------------------------------------------
@@ -1037,35 +852,36 @@ def probe(
 # ---------------------------------------------------------------------------
 
 
+def _verdict(slope: float, certified: bool, bound: float) -> str:
+    """The confidence verdict on a converged probe slope."""
+    if slope < bound * (1.0 - 1e-6) - 1e-9:
+        # below a provable lower bound: modeling bug, never answer
+        return "analytical-mismatch"
+    if certified:
+        return "certified"
+    if slope <= bound * (1.0 + DEFAULT_AGREEMENT_MARGIN) + 1e-9:
+        return "stable"
+    return "analytical-mismatch"
+
+
 def predict_steady_state(
     plan: UopPlan,
     *,
     iterations: int = 200,
     warmup: int = 50,
-    max_probe_iterations: int = DEFAULT_MAX_PROBE_ITERATIONS,
-    max_period: int = DEFAULT_MAX_PERIOD,
-    rel_tol: float = DEFAULT_DELTA_RTOL,
-    min_probe_iterations: int = DEFAULT_MIN_PROBE_ITERATIONS,
-    certify_until: int = DEFAULT_CERTIFY_UNTIL,
-    stable_from: int = DEFAULT_STABLE_FROM,
-    stable_windows: tuple[int, ...] = DEFAULT_STABLE_WINDOWS,
-    stable_rtol: float = DEFAULT_STABLE_RTOL,
-    stable_verify: int = DEFAULT_STABLE_VERIFY,
-    stable_verify_rtol: float = DEFAULT_STABLE_VERIFY_RTOL,
-    agreement_margin: float = DEFAULT_AGREEMENT_MARGIN,
-    simulate_fallback: bool = True,
 ) -> SteadyStateResult:
     """Analytical steady-state prediction with its confidence verdict.
 
-    A pure function of the plan and the tuning arguments: same plan in,
+    A pure function of the plan and the window: same plan in,
     bit-identical result out (the differential suite and the engine
     cache rely on this).  ``confident`` requires the probe to converge
     *and* the analytical bound to explain its slope: a certified limit
     cycle must never sit materially below the bound (the bound is a
     provable lower bound, so "below" means a modeling bug), and a
     merely *stable* slope must additionally stay within
-    ``agreement_margin`` above the bound — the stable heuristic has no
-    proof behind it, so an unexplained slope forces the fallback.
+    :data:`DEFAULT_AGREEMENT_MARGIN` above the bound — the stable
+    heuristic has no proof behind it, so an unexplained slope is
+    ``"analytical-mismatch"`` and not confident.
 
     When confident, ``cycles_per_iteration`` is the probed history
     extrapolated to the same ``(warmup, iterations)`` measurement
@@ -1074,14 +890,17 @@ def predict_steady_state(
     (the trajectory provably repeats), to within window-phase error
     for stable ones.
 
-    With ``simulate_fallback`` (the default), a schedule that defeats
-    both detectors is carried straight through to the measurement
-    horizon inside the probe itself — same arithmetic as the engine,
-    none of the probed prefix repaid — and the result comes back
-    ``confident`` with reason ``"simulated"``: a cycle-accurate
-    answer, just not an analytical one.  Pass ``False`` to study the
-    analytical engine in isolation.
+    Whenever there is no trusted analytical answer the probe's run
+    simply continues to the measurement horizon — same engine, none of
+    the probed prefix repaid — and ``cycles_per_iteration`` is the
+    engine's exact measurement: reason ``"simulated"`` (confident, a
+    cycle-accurate answer, just not an analytical one) when both
+    detectors gave up within ``DEFAULT_MAX_PROBE_ITERATIONS``, and
+    ``"analytical-mismatch"`` (not confident) when a detector converged
+    on a slope the bound cannot explain.
     """
+    if iterations < 1:
+        raise ValueError("need at least one measured iteration")
     bound = analytical_bound(plan)
     if plan.n_body == 0:
         return SteadyStateResult(
@@ -1089,76 +908,32 @@ def predict_steady_state(
             period=0, converged=False, certified=False, confident=False,
             reason="empty", bound=bound,
         )
-    out = probe(
-        plan,
-        max_iterations=max_probe_iterations,
-        max_period=max_period,
-        rel_tol=rel_tol,
-        min_iterations=min_probe_iterations,
-        certify_until=certify_until,
-        stable_from=stable_from,
-        stable_windows=stable_windows,
-        stable_rtol=stable_rtol,
-        stable_verify=stable_verify,
-        stable_verify_rtol=stable_verify_rtol,
-        measure_horizon=(
-            warmup + iterations
-            if simulate_fallback and iterations > 0
-            else 0
-        ),
-    )
     b = bound.bound
+    window = warmup + iterations
+    out = _Probe(
+        plan,
+        window,
+        lambda slope, certified: (
+            _verdict(slope, certified, b) != "analytical-mismatch"
+        ),
+    ).run()
+    if out.converged:
+        reason = _verdict(out.slope, out.certified, b)
+    else:
+        # both detectors gave up; the run went on to the horizon
+        reason = "simulated"
+    total = out.extrapolate(window)
+    measured = total - out.extrapolate(warmup)
     overhead = 1.0 + plan.config.measurement_overhead
-    if not out.converged:
-        if (
-            iterations > 0
-            and len(out.history) > warmup + iterations
-        ):
-            # probe carried the schedule to the full measurement
-            # horizon: read off the engine's exact answer
-            h = out.history
-            measured = h[warmup + iterations] - h[warmup]
-            return SteadyStateResult(
-                cycles_per_iteration=measured * overhead / iterations,
-                slope=out.slope,
-                probe_iterations=out.iterations,
-                period=0,
-                converged=False,
-                certified=False,
-                confident=True,
-                reason="simulated",
-                bound=bound,
-            )
-        reason = "no-convergence"
-        confident = False
-    elif out.slope < b * (1.0 - 1e-6) - 1e-9:
-        # below a provable lower bound: modeling bug, never answer
-        reason = "analytical-mismatch"
-        confident = False
-    elif out.certified:
-        reason = "certified"
-        confident = True
-    elif out.slope <= b * (1.0 + agreement_margin) + 1e-9:
-        reason = "stable"
-        confident = True
-    else:
-        reason = "analytical-mismatch"
-        confident = False
-    if out.converged and iterations > 0:
-        measured = out.extrapolate(warmup + iterations) - out.extrapolate(
-            warmup
-        )
-        cpi = measured * overhead / iterations
-    else:
-        cpi = out.slope * overhead
     return SteadyStateResult(
-        cycles_per_iteration=cpi,
+        cycles_per_iteration=measured * overhead / iterations,
         slope=out.slope,
         probe_iterations=out.iterations,
         period=out.period,
         converged=out.converged,
         certified=out.certified,
-        confident=confident,
+        confident=reason != "analytical-mismatch",
         reason=reason,
         bound=bound,
+        total_cycles=total,
     )

@@ -19,7 +19,8 @@ from repro.analysis import analyze_instructions
 from repro.isa import parse_kernel
 from repro.kernels import enumerate_corpus
 from repro.machine import get_machine_model
-from repro.simulator.core import CoreSimulator
+from repro.simulator.engine import CycleEngine
+from repro.simulator.plan import build_uop_plan
 
 
 def _is_documented_exception(entry) -> bool:
@@ -38,7 +39,7 @@ def corpus_results():
         instrs = parse_kernel(e.assembly, model.isa)
         resolved = [model.resolve(i) for i in instrs]
         ana = analyze_instructions(instrs, model)
-        meas = CoreSimulator(model).run(instrs, iterations=40, warmup=15)
+        meas = CycleEngine().run(build_uop_plan(instrs, model), iterations=40, warmup=15)
         rows.append((e, instrs, resolved, ana, meas))
     return rows
 
@@ -83,5 +84,5 @@ def test_no_runaway_predictions(corpus_results):
 def test_measurements_deterministic(corpus_results):
     e, instrs, _, _, first = corpus_results[0]
     model = get_machine_model(e.uarch)
-    again = CoreSimulator(model).run(instrs, iterations=40, warmup=15)
+    again = CycleEngine().run(build_uop_plan(instrs, model), iterations=40, warmup=15)
     assert again.cycles_per_iteration == first.cycles_per_iteration

@@ -152,6 +152,36 @@ class TestFastpathBackend:
         truth = SimBackend().predict(block, iterations=40, warmup=10)
         assert r.cycles_per_iteration == truth.cycles_per_iteration
 
+    def test_mismatch_continues_the_probe_run(self, monkeypatch):
+        # an unexplained slope keeps the probe's own engine run going to
+        # the horizon: one observed run per prediction, no second run
+        # from iteration 0, and still the engine's exact number
+        from repro.simulator.engine import CycleEngine
+
+        observed = []
+        run = CycleEngine.run
+
+        def spy(self, plan, *args, **kwargs):
+            observed.append(kwargs.get("observer") is not None)
+            return run(self, plan, *args, **kwargs)
+
+        entries = {
+            e.test_id: e
+            for e in enumerate_corpus(machines=("gcs",), kernels=("striad",))
+        }
+        e = entries["gcs/striad/gcc-arm/O2"]
+        block = lower(e.assembly, e.uarch)
+        monkeypatch.setattr(CycleEngine, "run", spy)
+        f = FastpathBackend().predict(
+            block, iterations=ITERATIONS, warmup=WARMUP
+        )
+        assert f.stats["reason"] == "analytical-mismatch"
+        assert observed == [True]
+        monkeypatch.undo()
+        s = SimBackend().predict(block, iterations=ITERATIONS, warmup=WARMUP)
+        assert f.cycles_per_iteration == s.cycles_per_iteration
+        assert f.stats["total_cycles"] == s.stats["total_cycles"]
+
     def test_fallback_is_bit_identical_to_sim(self):
         # whatever the predicate decides, a non-hit result must carry
         # the engine's own number

@@ -19,7 +19,8 @@ from repro.isa import parse_kernel
 from repro.kernels import enumerate_corpus
 from repro.machine import get_machine_model
 from repro.mca import MCASimulator
-from repro.simulator.core import CoreSimulator
+from repro.simulator.engine import CycleEngine
+from repro.simulator.plan import build_uop_plan
 
 GOLDEN = {
     "spr/add/gcc/O2": (1, 1.17578, 1.83333),
@@ -67,8 +68,8 @@ def compute(test_id: str) -> tuple[float, float, float]:
     m = get_machine_model(e.uarch)
     instrs = parse_kernel(e.assembly, m.isa)
     pred = analyze_instructions(instrs, m).prediction
-    meas = CoreSimulator(m).run(
-        instrs, iterations=100, warmup=30
+    meas = CycleEngine().run(
+        build_uop_plan(instrs, m), iterations=100, warmup=30
     ).cycles_per_iteration
     mca = MCASimulator(m).run(
         instrs, iterations=60, warmup=15
@@ -87,8 +88,8 @@ def test_pipeline_regression(test_id, corpus_index):
     m = get_machine_model(e.uarch)
     instrs = parse_kernel(e.assembly, m.isa)
     pred = analyze_instructions(instrs, m).prediction
-    meas = CoreSimulator(m).run(
-        instrs, iterations=100, warmup=30
+    meas = CycleEngine().run(
+        build_uop_plan(instrs, m), iterations=100, warmup=30
     ).cycles_per_iteration
     mca = MCASimulator(m).run(
         instrs, iterations=60, warmup=15

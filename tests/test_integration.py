@@ -12,7 +12,8 @@ from repro.isa import parse_kernel
 from repro.kernels import enumerate_corpus, generate_assembly
 from repro.machine import get_machine_model
 from repro.mca import MCASimulator
-from repro.simulator.core import CoreSimulator
+from repro.simulator.engine import CycleEngine
+from repro.simulator.plan import build_uop_plan
 
 SAMPLE = [
     ("spr", "golden_cove", "striad", "gcc", "O2"),
@@ -34,7 +35,7 @@ def test_prediction_is_lower_bound(machine, uarch, kernel, persona, opt):
     asm = generate_assembly(kernel, persona, opt, uarch)
     instrs = parse_kernel(asm, model.isa)
     ana = analyze_instructions(instrs, model)
-    meas = CoreSimulator(model).run(instrs, iterations=100, warmup=30)
+    meas = CycleEngine().run(build_uop_plan(instrs, model), iterations=100, warmup=30)
     assert ana.prediction <= meas.cycles_per_iteration * 1.001, (
         f"{machine}/{kernel}/{persona}/{opt}: prediction "
         f"{ana.prediction:.2f} above measurement "
@@ -48,7 +49,7 @@ def test_gs_on_v2_is_overpredicted():
     asm = generate_assembly("gs2d5pt", "armclang", "O2", "neoverse_v2")
     instrs = parse_kernel(asm, model.isa)
     ana = analyze_instructions(instrs, model)
-    meas = CoreSimulator(model).run(instrs, iterations=100, warmup=30)
+    meas = CycleEngine().run(build_uop_plan(instrs, model), iterations=100, warmup=30)
     assert ana.prediction > meas.cycles_per_iteration
 
 
@@ -58,7 +59,7 @@ def test_pi_on_zen4_is_overpredicted():
     asm = generate_assembly("pi", "gcc", "O2", "zen4")
     instrs = parse_kernel(asm, model.isa)
     ana = analyze_instructions(instrs, model)
-    meas = CoreSimulator(model).run(instrs, iterations=100, warmup=30)
+    meas = CycleEngine().run(build_uop_plan(instrs, model), iterations=100, warmup=30)
     assert ana.prediction > meas.cycles_per_iteration
 
 
@@ -67,7 +68,7 @@ def test_pi_on_spr_is_not_overpredicted():
     asm = generate_assembly("pi", "gcc", "O2", "golden_cove")
     instrs = parse_kernel(asm, model.isa)
     ana = analyze_instructions(instrs, model)
-    meas = CoreSimulator(model).run(instrs, iterations=100, warmup=30)
+    meas = CycleEngine().run(build_uop_plan(instrs, model), iterations=100, warmup=30)
     assert ana.prediction <= meas.cycles_per_iteration * 1.001
 
 
@@ -80,7 +81,7 @@ def test_streaming_measurement_within_50pct_of_bound(
     asm = generate_assembly(kernel, persona, opt, uarch)
     instrs = parse_kernel(asm, model.isa)
     ana = analyze_instructions(instrs, model)
-    meas = CoreSimulator(model).run(instrs, iterations=100, warmup=30)
+    meas = CycleEngine().run(build_uop_plan(instrs, model), iterations=100, warmup=30)
     assert meas.cycles_per_iteration <= ana.prediction * 1.6
 
 
@@ -104,8 +105,8 @@ def test_vector_width_advantage_spr():
     zen = get_machine_model("zen4")
     spr_asm = generate_assembly("striad", "gcc", "O2", "golden_cove")  # zmm
     zen_asm = generate_assembly("striad", "gcc", "O2", "zen4")  # ymm
-    spr_cy = CoreSimulator(spr).run(parse_kernel(spr_asm, "x86"), 100, 30)
-    zen_cy = CoreSimulator(zen).run(parse_kernel(zen_asm, "x86"), 100, 30)
+    spr_cy = CycleEngine().run(build_uop_plan(parse_kernel(spr_asm, "x86"), spr), 100, 30)
+    zen_cy = CycleEngine().run(build_uop_plan(parse_kernel(zen_asm, "x86"), zen), 100, 30)
     # per-element cost: SPR processes 8/iter, Zen 4 processes 4/iter
     spr_per_elem = spr_cy.cycles_per_iteration / 8
     zen_per_elem = zen_cy.cycles_per_iteration / 4

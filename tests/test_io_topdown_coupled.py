@@ -6,7 +6,6 @@ import pytest
 
 from repro.analysis import analyze_kernel
 from repro.analysis.topdown import analyze_topdown
-from repro.isa import parse_kernel
 from repro.kernels.suite import KERNELS
 from repro.machine import available_models, get_chip_spec, get_machine_model
 from repro.machine.io import (
@@ -15,8 +14,7 @@ from repro.machine.io import (
     model_to_dict,
     save_model,
 )
-from repro.simulator.core import CoreSimulator
-from repro.simulator.coupled import MemoryCoupledSimulator, simulate_with_memory
+from repro.simulator.coupled import simulate_with_memory
 
 TRIAD = """
 vmovupd (%rax,%rcx,8), %ymm0
@@ -165,19 +163,6 @@ class TestCoupledSimulation:
     def test_bad_level_raises(self):
         with pytest.raises(ValueError):
             simulate_with_memory(KERNELS["striad"], "genoa", level="L9")
-
-    def test_simulator_zero_memory_passthrough(self):
-        model = get_machine_model("zen4")
-        instrs = parse_kernel(TRIAD, "x86")
-        plain = CoreSimulator(
-            model, issue_efficiency=1.0, dispatch_efficiency=1.0,
-            measurement_overhead=0.0,
-        ).run(instrs, 60, 20)
-        coupled = MemoryCoupledSimulator(
-            model, memory_cycles_per_iteration=0.0, issue_efficiency=1.0,
-            dispatch_efficiency=1.0, measurement_overhead=0.0,
-        ).run(instrs, 60, 20)
-        assert plain.cycles_per_iteration == coupled.cycles_per_iteration
 
     def test_co_running_cores_share_bandwidth(self):
         """Per-core memory time is flat until the domain saturates,

@@ -134,7 +134,6 @@ class TestExtendedSuite:
         """Horner chains within one element are *not* loop-carried, but
         the prefix product is."""
         from repro.analysis import analyze_kernel
-        from repro.simulator.core import CoreSimulator
 
         asm = generate_assembly(
             EXTENDED_KERNELS["prefix_prod"], "gcc", "O2", "zen4"

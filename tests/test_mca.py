@@ -5,7 +5,8 @@ import pytest
 from repro.isa import parse_kernel
 from repro.machine import get_machine_model
 from repro.mca import MCASchedData, MCASimulator, mca_predict
-from repro.simulator.core import CoreSimulator
+from repro.simulator.engine import CycleEngine
+from repro.simulator.plan import build_uop_plan
 
 
 def one(asm, isa):
@@ -92,7 +93,7 @@ class TestMCASimulation:
         model = get_machine_model("spr")
         instrs = parse_kernel(self.TRIAD, "x86")
         mca = MCASimulator(model).run(instrs, iterations=60, warmup=15)
-        meas = CoreSimulator(model).run(instrs, iterations=100, warmup=30)
+        meas = CycleEngine().run(build_uop_plan(instrs, model), iterations=100, warmup=30)
         assert mca.cycles_per_iteration > meas.cycles_per_iteration
 
     def test_predict_wrapper(self):
@@ -121,5 +122,5 @@ class TestMCASimulation:
         model = get_machine_model("grace")
         instrs = parse_kernel(asm, "aarch64")
         mca = MCASimulator(model).run(instrs, iterations=60, warmup=15)
-        meas = CoreSimulator(model).run(instrs, iterations=100, warmup=30)
+        meas = CycleEngine().run(build_uop_plan(instrs, model), iterations=100, warmup=30)
         assert mca.cycles_per_iteration > meas.cycles_per_iteration

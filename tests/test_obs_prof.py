@@ -17,7 +17,8 @@ from repro.obs.prof import (
     set_active_profiler,
     use_profiler,
 )
-from repro.simulator.core import CoreSimulator
+from repro.simulator.engine import CycleEngine
+from repro.simulator.plan import plan_for_block
 
 
 class TestPhaseTimers:
@@ -159,14 +160,11 @@ KERNEL = """
 
 class TestSimulatorProfiling:
     def test_profiling_does_not_perturb_prediction(self):
-        blk = lower(KERNEL, "zen4")
-        sim = CoreSimulator(blk.model)
-        base = sim.run(blk.instructions, iterations=80, resolved=blk.resolved)
+        plan = plan_for_block(lower(KERNEL, "zen4"))
+        base = CycleEngine().run(plan, iterations=80)
         prof = PhaseProfiler()
         with use_profiler(prof):
-            probed = sim.run(
-                blk.instructions, iterations=80, resolved=blk.resolved
-            )
+            probed = CycleEngine().run(plan, iterations=80)
         # bit-identical prediction, and profiling alone must not start
         # publishing stall_cycles (that would change cached payloads)
         assert probed.total_cycles == base.total_cycles
@@ -174,17 +172,11 @@ class TestSimulatorProfiling:
         assert probed.stall_cycles is None and base.stall_cycles is None
 
     def test_deterministic_cycle_attribution(self):
-        blk = lower(KERNEL, "zen4")
-        sim = CoreSimulator(blk.model)
+        plan = plan_for_block(lower(KERNEL, "zen4"))
         snaps = []
         for _ in range(2):
             prof = PhaseProfiler()
-            result = sim.run(
-                blk.instructions,
-                iterations=80,
-                resolved=blk.resolved,
-                profiler=prof,
-            )
+            result = CycleEngine().run(plan, iterations=80, profiler=prof)
             assert prof.counters["sim.cycles.total"] == result.total_cycles
             assert prof.counters["sim.instructions"] > 0
             # called outside any phase, attribution keys are top-level;
@@ -200,16 +192,10 @@ class TestSimulatorProfiling:
         assert snaps[0] == snaps[1]
 
     def test_explicit_profiler_overrides_ambient(self):
-        blk = lower(KERNEL, "zen4")
-        sim = CoreSimulator(blk.model)
+        plan = plan_for_block(lower(KERNEL, "zen4"))
         ambient, explicit = PhaseProfiler(), PhaseProfiler()
         with use_profiler(ambient):
-            sim.run(
-                blk.instructions,
-                iterations=10,
-                resolved=blk.resolved,
-                profiler=explicit,
-            )
+            CycleEngine().run(plan, iterations=10, profiler=explicit)
         assert explicit.counters.get("sim.cycles.total", 0) > 0
         assert ambient.counters == {}
 

@@ -127,7 +127,8 @@ class TestEquivalenceWithATT:
     def test_simulation_equivalence(self):
         from repro.isa import get_parser
         from repro.machine import get_machine_model
-        from repro.simulator.core import CoreSimulator
+        from repro.simulator.engine import CycleEngine
+        from repro.simulator.plan import build_uop_plan
 
         model = get_machine_model("spr")
         intel = get_parser("x86_intel").parse(
@@ -136,6 +137,6 @@ class TestEquivalenceWithATT:
         att = get_parser("x86").parse(
             "vfmadd231sd %xmm1, %xmm2, %xmm8\nsubq $1, %rax\njnz .L\n"
         )
-        sa = CoreSimulator(model).run(intel, 60, 20)
-        sb = CoreSimulator(model).run(att, 60, 20)
+        sa = CycleEngine().run(build_uop_plan(intel, model), 60, 20)
+        sb = CycleEngine().run(build_uop_plan(att, model), 60, 20)
         assert sa.cycles_per_iteration == sb.cycles_per_iteration

@@ -6,7 +6,8 @@ from repro.analysis import analyze_instructions
 from repro.isa import parse_kernel
 from repro.kernels import KERNELS, OPT_LEVELS, generate_assembly, personas_for_isa
 from repro.machine import get_machine_model
-from repro.simulator.core import CoreSimulator
+from repro.simulator.engine import CycleEngine
+from repro.simulator.plan import PlanConfig, build_uop_plan
 
 
 class TestSPCodegen:
@@ -69,10 +70,11 @@ class TestSPPerformance:
         asm = generate_assembly("striad", "gcc", "O2", uarch,
                                 precision=precision)
         instrs = parse_kernel(asm, "x86")
-        meas = CoreSimulator(
-            model, issue_efficiency=1.0, dispatch_efficiency=1.0,
+        plan = build_uop_plan(instrs, model, config=PlanConfig.make(
+            issue_efficiency=1.0, dispatch_efficiency=1.0,
             measurement_overhead=0.0,
-        ).run(instrs, iterations=80, warmup=25)
+        ))
+        meas = CycleEngine().run(plan, iterations=80, warmup=25)
         elems = {"dp": 4, "sp": 8}[precision]
         return meas.cycles_per_iteration / elems
 
@@ -90,5 +92,5 @@ class TestSPPerformance:
                                     precision="sp")
             instrs = parse_kernel(asm, "x86")
             pred = analyze_instructions(instrs, model).prediction
-            meas = CoreSimulator(model).run(instrs, iterations=80, warmup=25)
+            meas = CycleEngine().run(build_uop_plan(instrs, model), iterations=80, warmup=25)
             assert pred <= meas.cycles_per_iteration * 1.001, name

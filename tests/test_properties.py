@@ -31,7 +31,8 @@ from repro.kernels import OPT_LEVELS, generate_assembly, personas_for_isa
 from repro.kernels.suite import KERNELS
 from repro.machine import get_machine_model
 from repro.machine.model import InstrEntry, MachineModel, Uop
-from repro.simulator.core import CoreSimulator, _PortIssueUnit
+from repro.simulator.engine import CycleEngine, _PortIssueUnit
+from repro.simulator.plan import PlanConfig, build_uop_plan
 from repro.simulator.memory import CacheHierarchy, CacheLevel
 
 # ---------------------------------------------------------------------------
@@ -145,12 +146,16 @@ class TestAnalysisProperties:
     def test_simulation_at_least_prediction(self, mi):
         model, instrs = mi
         ana = analyze_instructions(instrs, model)
-        sim = CoreSimulator(
+        plan = build_uop_plan(
+            instrs,
             model,
-            issue_efficiency=1.0,
-            dispatch_efficiency=1.0,
-            measurement_overhead=0.0,
-        ).run(instrs, iterations=120, warmup=60)
+            config=PlanConfig.make(
+                issue_efficiency=1.0,
+                dispatch_efficiency=1.0,
+                measurement_overhead=0.0,
+            ),
+        )
+        sim = CycleEngine().run(plan, iterations=120, warmup=60)
         # Finite measurement windows can retire slightly more than the
         # steady-state port rate when warm-up-phase scheduler gaps are
         # backfilled by measured-window work (the same windowing

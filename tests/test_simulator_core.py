@@ -4,22 +4,33 @@ import pytest
 
 from repro.isa import parse_kernel
 from repro.machine import get_machine_model
-from repro.simulator.core import CoreSimulator, _PortIssueUnit, simulate_kernel
+from repro.simulator.engine import CycleEngine, _PortIssueUnit, simulate_kernel
+from repro.simulator.plan import (
+    PlanConfig,
+    build_uop_plan,
+    macro_fusion,
+    split_load_uops,
+)
 
 
-def clean_sim(arch, **kw):
-    """Simulator without harness-noise factors for exact checks."""
+def clean_config(**kw):
+    """Plan config without harness-noise factors for exact checks."""
     defaults = dict(
         issue_efficiency=1.0, dispatch_efficiency=1.0, measurement_overhead=0.0
     )
     defaults.update(kw)
-    return CoreSimulator(get_machine_model(arch), **defaults)
+    return PlanConfig.make(**defaults)
+
+
+def simulate(model, instrs, iterations, warmup, config=None):
+    plan = build_uop_plan(instrs, model, config=config)
+    return CycleEngine().run(plan, iterations=iterations, warmup=warmup)
 
 
 def run(arch, asm, **kw):
     model = get_machine_model(arch)
     instrs = parse_kernel(asm, model.isa)
-    return clean_sim(arch, **kw).run(instrs, iterations=100, warmup=30)
+    return simulate(model, instrs, 100, 30, clean_config(**kw))
 
 
 class TestLatencyChains:
@@ -112,35 +123,36 @@ class TestWindowEffects:
         import dataclasses
 
         small = dataclasses.replace(model, rob_size=8, entries=list(model.entries))
-        big_r = CoreSimulator(model, issue_efficiency=1.0, dispatch_efficiency=1.0,
-                              measurement_overhead=0.0).run(instrs, 50, 10)
-        small_r = CoreSimulator(small, issue_efficiency=1.0, dispatch_efficiency=1.0,
-                                measurement_overhead=0.0).run(instrs, 50, 10)
+        big_r = simulate(model, instrs, 50, 10, clean_config())
+        small_r = simulate(small, instrs, 50, 10, clean_config())
         assert small_r.cycles_per_iteration >= big_r.cycles_per_iteration
 
     def test_macro_fusion_saves_dispatch_slot(self):
-        sim = clean_sim("spr")
-        fused = sim._macro_fusion(parse_kernel("cmpq %rax, %rbx\njb .L\n", "x86"))
+        fused = macro_fusion(
+            parse_kernel("cmpq %rax, %rbx\njb .L\n", "x86"),
+            get_machine_model("spr"),
+        )
         assert fused == [True, False]
 
     def test_no_fusion_on_aarch64(self):
-        sim = clean_sim("grace")
-        fused = sim._macro_fusion(parse_kernel("subs x0, x0, #1\nb.ne .L\n", "aarch64"))
+        fused = macro_fusion(
+            parse_kernel("subs x0, x0, #1\nb.ne .L\n", "aarch64"),
+            get_machine_model("grace"),
+        )
         assert fused == [False, False]
 
 
 class TestSplitLoads:
     def test_misaligned_vector_load_penalized(self):
-        sim = clean_sim("zen4")
+        model = get_machine_model("zen4")
         aligned = parse_kernel("vmovupd (%rax,%rcx,8), %ymm0", "x86")[0]
         misaligned = parse_kernel("vmovupd 8(%rax,%rcx,8), %ymm0", "x86")[0]
-        assert sim._split_load_uops(aligned) == 0.0
-        assert sim._split_load_uops(misaligned) == pytest.approx(0.5)
+        assert split_load_uops(aligned, model) == 0.0
+        assert split_load_uops(misaligned, model) == pytest.approx(0.5)
 
     def test_scalar_loads_never_split(self):
-        sim = clean_sim("spr")
         i = parse_kernel("movq 4(%rax), %rbx", "x86")[0]
-        assert sim._split_load_uops(i) == 0.0
+        assert split_load_uops(i, get_machine_model("spr")) == 0.0
 
 
 class TestHarnessFactors:
@@ -149,19 +161,18 @@ class TestHarnessFactors:
         asm += "\nsubq $1, %rax\njnz .L\n"
         model = get_machine_model("spr")
         instrs = parse_kernel(asm, "x86")
-        ideal = CoreSimulator(model, issue_efficiency=1.0, dispatch_efficiency=1.0,
-                              measurement_overhead=0.0).run(instrs, 100, 30)
-        real = CoreSimulator(model).run(instrs, 100, 30)
+        ideal = simulate(model, instrs, 100, 30, clean_config())
+        real = simulate(model, instrs, 100, 30)
         assert real.cycles_per_iteration > ideal.cycles_per_iteration
 
     def test_measurement_overhead_scales(self):
         asm = "addq $1, %rcx\nsubq $1, %rax\njnz .L\n"
         model = get_machine_model("spr")
         instrs = parse_kernel(asm, "x86")
-        base = CoreSimulator(model, issue_efficiency=1.0, dispatch_efficiency=1.0,
-                             measurement_overhead=0.0).run(instrs, 100, 30)
-        off = CoreSimulator(model, issue_efficiency=1.0, dispatch_efficiency=1.0,
-                            measurement_overhead=0.10).run(instrs, 100, 30)
+        base = simulate(model, instrs, 100, 30, clean_config())
+        off = simulate(
+            model, instrs, 100, 30, clean_config(measurement_overhead=0.10)
+        )
         assert off.cycles_per_iteration == pytest.approx(
             base.cycles_per_iteration * 1.10
         )

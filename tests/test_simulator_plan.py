@@ -4,18 +4,15 @@ The staged pipeline's contract is that per-instruction tables are
 derived exactly once, in :mod:`repro.simulator.plan`, and every
 consumer — the cycle engine, the analytical engine, the MCA
 simulator's aliasing keys — reads the same values.  These tests pin
-that: the historical ``CoreSimulator`` / ``MCASimulator`` private
-helpers must agree with the plan helpers on every corpus instruction,
-and a built :class:`UopPlan`'s tables must reproduce the shared
-derivations field by field.
+that: the shared aliasing keys keep their shape on every corpus
+instruction, and a built :class:`UopPlan`'s tables must reproduce the
+shared derivations field by field.
 """
 
 import pytest
 
 from repro.kernels import enumerate_corpus
 from repro.lowering import lower
-from repro.mca.simulator import MCASimulator
-from repro.simulator.core import CoreSimulator
 from repro.simulator.plan import (
     PlanConfig,
     build_uop_plan,
@@ -23,7 +20,6 @@ from repro.simulator.plan import (
     effective_latency,
     key_variant,
     macro_fusion,
-    mem_key,
     mem_reads,
     mem_writes,
     plan_for,
@@ -43,36 +39,20 @@ def blocks():
 
 
 class TestMemKeyTrioAgrees:
-    """CoreSimulator, MCASimulator and the plan helpers must derive
-    identical aliasing keys — drift here silently changes memory
-    dependency edges in exactly one simulator."""
+    """The plan helpers derive the aliasing keys every simulator reads
+    (the MCA baseline calls them directly) — drift in their shape
+    silently changes memory dependency edges."""
 
     def test_mem_tables_identical_across_consumers(self, blocks):
         checked = 0
         for _e, block in blocks:
-            core = CoreSimulator(block.model)
-            mca = MCASimulator(block.model)
             for ins in block.instructions:
                 expect_r = mem_reads(ins)
                 expect_w = mem_writes(ins)
-                assert core._mem_reads(ins) == expect_r
-                assert core._mem_writes(ins) == expect_w
-                assert mca._mem_reads(ins) == expect_r
-                assert mca._mem_writes(ins) == expect_w
                 for key in expect_r + expect_w:
                     assert len(key) == 4  # (base, index, scale, disp)
                 checked += len(expect_r) + len(expect_w)
         assert checked > 0, "no memory operands exercised"
-
-    def test_mem_key_static_helpers_delegate(self, blocks):
-        for _e, block in blocks:
-            for ins in block.instructions:
-                for op in ins.operands:
-                    if not hasattr(op, "displacement"):
-                        continue
-                    k = mem_key(op)
-                    assert CoreSimulator._mem_key(op) == k
-                    assert MCASimulator._mem_key(op) == k
 
 
 class TestPlanTablesMatchSharedDerivations:

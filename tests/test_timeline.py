@@ -4,7 +4,8 @@ import pytest
 
 from repro.isa import parse_kernel
 from repro.machine import get_machine_model
-from repro.simulator.core import CoreSimulator
+from repro.simulator.engine import CycleEngine
+from repro.simulator.plan import build_uop_plan
 from repro.simulator.timeline import render_timeline, timeline
 
 TRIAD = """
@@ -21,8 +22,9 @@ class TestTraceEvents:
     def run_traced(self, arch="zen4", n=3):
         model = get_machine_model(arch)
         instrs = parse_kernel(TRIAD, "x86")
-        return CoreSimulator(model).run(
-            instrs, iterations=20, warmup=0, trace_iterations=n
+        return CycleEngine().run(
+            build_uop_plan(instrs, model), iterations=20, warmup=0,
+            trace_iterations=n,
         )
 
     def test_trace_collected(self):
@@ -31,8 +33,9 @@ class TestTraceEvents:
 
     def test_no_trace_by_default(self):
         model = get_machine_model("zen4")
-        r = CoreSimulator(model).run(
-            parse_kernel(TRIAD, "x86"), iterations=20, warmup=5
+        r = CycleEngine().run(
+            build_uop_plan(parse_kernel(TRIAD, "x86"), model),
+            iterations=20, warmup=5,
         )
         assert r.trace == []
 
