@@ -2,7 +2,7 @@
 
 * exact LP port binding vs OSACA's equal-split heuristic (accuracy and
   speed),
-* simulator scheduler-window sensitivity,
+* simulator scheduler window (it never changes a measurement),
 * SpecI2M bandwidth-threshold sweep,
 * MCA scheduling-data ablation: how much of the Fig. 3 gap is *data*
   rather than algorithm.
@@ -19,6 +19,7 @@ from repro.analysis.portbinding import (
 from repro.engine import CorpusEngine, WorkUnit
 from repro.isa import parse_kernel
 from repro.kernels import enumerate_corpus
+from repro.lowering import lower
 from repro.machine import get_chip_spec, get_machine_model
 from repro.machine.io import model_to_dict
 from repro.simulator.multicore import run_store_benchmark
@@ -29,6 +30,16 @@ def zen4_blocks():
     model = get_machine_model("zen4")
     entries = enumerate_corpus(machines=("genoa",), kernels=("striad", "j3d7pt", "sum"))
     return model, [parse_kernel(e.assembly, "x86") for e in entries]
+
+
+@pytest.fixture(scope="module")
+def fig3_blocks():
+    """The distinct lowered blocks of the Fig. 3 corpus (one per key)."""
+    blocks = {}
+    for e in enumerate_corpus():
+        block = lower(e.assembly, e.uarch)
+        blocks.setdefault(block.key, block)
+    return list(blocks.values())
 
 
 class TestPortBindingAblation:
@@ -50,16 +61,15 @@ class TestPortBindingAblation:
 
         benchmark(run_all)
 
-    def test_lp_tightens_the_bound(self, zen4_blocks):
-        """The LP bound is tighter (lower) on at least some corpus blocks
-        and never looser."""
-        model, blocks = zen4_blocks
+    def test_lp_tightens_the_bound(self, fig3_blocks):
+        """Across every distinct Fig. 3 block the LP bound is never
+        looser than equal split, and strictly tighter on some."""
+        assert len(fig3_blocks) == 153
         tighter = 0
-        for b in blocks:
-            r = [model.resolve(i) for i in b]
-            lp = assign_ports_optimal(model, r).max_pressure
-            heur = assign_ports_heuristic(model, r).max_pressure
-            assert lp <= heur + 1e-9
+        for b in fig3_blocks:
+            lp = assign_ports_optimal(b.model, b.resolved).max_pressure
+            heur = assign_ports_heuristic(b.model, b.resolved).max_pressure
+            assert lp <= heur + 1e-9, b.key
             if lp < heur - 1e-6:
                 tighter += 1
         assert tighter >= 1
@@ -67,8 +77,10 @@ class TestPortBindingAblation:
 
 class TestSchedulerWindowAblation:
     def test_window_sensitivity(self, benchmark):
-        """Shrinking the scheduler window raises measured cycles for
-        wide dependency trees (backfill opportunity is lost).
+        """The scheduler window never changes a measurement, even for a
+        wide dependency tree: a pruned gap ends before every later µop
+        is ready, so no backfill is lost — the window only bounds the
+        gap lists the engine keeps.
 
         The what-if models go through the engine's ``simulate`` units:
         each perturbed scheduler size yields a distinct model digest, so
@@ -92,7 +104,7 @@ class TestSchedulerWindowAblation:
 
         big = benchmark.pedantic(measure, args=(160,), rounds=1, iterations=1)
         tiny = measure(4)
-        assert tiny["cycles_per_iteration"] >= big["cycles_per_iteration"]
+        assert tiny["cycles_per_iteration"] == big["cycles_per_iteration"]
 
 
 class TestSpecI2MThresholdAblation:

@@ -125,7 +125,6 @@ class MCASimulator:
                     start, chosen = issue_unit.issue(u.ports, ready, u.cycles)
                     port_busy[chosen] += u.cycles
                     finish = max(finish, start)
-                issue_unit.advance(dispatch)
                 if r.divider:
                     start = max(divider_free, ready)
                     divider_free = start + r.divider
@@ -141,6 +140,7 @@ class MCASimulator:
                 if not self.assume_noalias:
                     for key in mem_writes_of[j]:
                         mem_ready[key] = complete
+            issue_unit.advance(frontend_time)
             if it == warmup - 1:
                 mark = max(frontend_time, last_retire)
 

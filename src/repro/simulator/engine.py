@@ -11,8 +11,8 @@ repeatedly under the same port model the analyzer uses, but with the
 * **greedy** µop→port binding: each µop picks the candidate port that
   is free earliest at issue time (hardware schedulers are greedy, the
   analyzer's LP is clairvoyant — this is one structural reason
-  measurements exceed predictions), with gap backfill and a finite
-  scheduler window,
+  measurements exceed predictions), with gap backfill (the scheduler
+  window only bounds the idle gaps kept; see :class:`_PortIssueUnit`),
 * non-pipelined divide/sqrt unit and serialized special ops (gathers),
 * finite reorder buffer with in-order retirement,
 * at most one taken branch per cycle.
@@ -41,8 +41,10 @@ and the profiler's deterministic cycle attribution.
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional
 
 from ..machine import MachineModel
@@ -84,6 +86,10 @@ class SimulationResult:
         return self.instructions_retired / self.total_cycles
 
 
+#: sort key of a ``[start, end)`` gap: its end
+_gap_end = itemgetter(1)
+
+
 class _PortIssueUnit:
     """Port availability with gap backfill.
 
@@ -91,9 +97,16 @@ class _PortIssueUnit:
     far-future ready time does not reserve the port — younger ready µops
     backfill the idle cycles.  We model each port as a busy timeline
     with explicit gaps; a µop issues into the earliest gap (or at the
-    tail) no earlier than its ready time.  Gaps older than the
-    scheduler window are pruned — hardware cannot hold arbitrarily many
-    waiting µops, so very old idle cycles are genuinely lost.
+    tail) no earlier than its ready time.
+
+    Each port's gaps are disjoint ``(start, end)`` tuples sorted by end
+    (appended at the tail, split in place, pruned from the front), so
+    the first-fit search bisects to the first gap ending no earlier
+    than ``ready + dur`` — no gap before it can hold the µop.
+    :meth:`advance` drops gaps that end more than ``window`` cycles
+    before the dispatch clock.  Every later µop is ready no earlier
+    than that clock, so a dropped gap could never be filled: the
+    window bounds the gap lists, it never changes a placement.
 
     :meth:`CycleEngine.run` inlines :meth:`issue` (same arithmetic)
     beside the probe's witness checks; the MCA baseline calls it.
@@ -104,7 +117,7 @@ class _PortIssueUnit:
 
     def __init__(self, ports, window: float = 128.0):
         self.tail = {p: 0.0 for p in ports}
-        self.gaps: dict[str, list[list[float]]] = {p: [] for p in ports}
+        self.gaps: dict[str, list[tuple[float, float]]] = {p: [] for p in ports}
         self.window = window
 
     def _best_start(self, port: str, ready: float, dur: float):
@@ -112,7 +125,9 @@ class _PortIssueUnit:
         if ready >= tail:
             # no gap ends after the tail: append directly
             return ready, None
-        for k, (g0, g1) in enumerate(self.gaps[port]):
+        gaps = self.gaps[port]
+        for k in range(bisect_left(gaps, ready + dur, key=_gap_end), len(gaps)):
+            g0, g1 = gaps[k]
             start = g0 if g0 > ready else ready
             if start + dur <= g1:
                 return start, k
@@ -137,26 +152,26 @@ class _PortIssueUnit:
         if gap_idx is None:
             tail = self.tail[port]
             if start - tail >= self.GAP_MIN:
-                self.gaps[port].append([tail, start])
+                self.gaps[port].append((tail, start))
             self.tail[port] = start + dur
         else:
             g0, g1 = self.gaps[port][gap_idx]
             repl = []
             if start - g0 >= self.GAP_MIN:
-                repl.append([g0, start])
+                repl.append((g0, start))
             if g1 - (start + dur) >= self.GAP_MIN:
-                repl.append([start + dur, g1])
+                repl.append((start + dur, g1))
             self.gaps[port][gap_idx:gap_idx + 1] = repl
         return start, port
 
     def advance(self, now: float) -> None:
-        """Prune gaps that fell out of the scheduler window."""
+        """Prune gaps ending more than ``window`` before dispatch clock ``now``."""
         horizon = now - self.window
         if horizon <= 0:
             return
-        for p, gaps in self.gaps.items():
+        for gaps in self.gaps.values():
             if gaps and gaps[0][1] < horizon:
-                self.gaps[p] = [g for g in gaps if g[1] >= horizon]
+                del gaps[:bisect_left(gaps, horizon, key=_gap_end)]
 
 
 #: a port/gap choice whose deciding comparison has less margin than
@@ -309,6 +324,7 @@ class CycleEngine:
         tb_interval = plan.config.taken_branch_interval
         gap_min = _PortIssueUnit.GAP_MIN
         eps = FRAGILE_EPS
+        fit_margin = 2 * FRAGILE_EPS
 
         mark_cycle = 0.0
         trace: list[TraceEvent] = []
@@ -397,7 +413,16 @@ class CycleEngine:
                         else:
                             consulted = True
                             s = tail
-                            for gidx, (g0, g1) in enumerate(port_gaps[cand]):
+                            # a gap ending before ready + dur cannot fit;
+                            # the margin keeps every near-tie fit test
+                            # (a fragile witness) in the scan
+                            glist = port_gaps[cand]
+                            for gidx in range(
+                                bisect_left(glist, ready + dur - fit_margin,
+                                            key=_gap_end),
+                                len(glist),
+                            ):
+                                g0, g1 = glist[gidx]
                                 st = g0 if g0 > ready else ready
                                 edge = st + dur - g1
                                 if witnessing and -eps < edge < eps:
@@ -421,16 +446,16 @@ class CycleEngine:
                     if gap_idx is None:
                         tail = port_tail[pt]
                         if start - tail >= gap_min:
-                            port_gaps[pt].append([tail, start])
+                            port_gaps[pt].append((tail, start))
                         port_tail[pt] = start + dur
                     else:
                         glist = port_gaps[pt]
                         g0, g1 = glist[gap_idx]
                         repl = []
                         if start - g0 >= gap_min:
-                            repl.append([g0, start])
+                            repl.append((g0, start))
                         if g1 - (start + dur) >= gap_min:
-                            repl.append([start + dur, g1])
+                            repl.append((start + dur, g1))
                         glist[gap_idx:gap_idx + 1] = repl
                     port_busy[pt] += cycles
                     if start > finish_exec:
@@ -441,7 +466,6 @@ class CycleEngine:
                             port_tid[pt], cat="uop",
                             args={"iter": it, "i": j},
                         )
-                advance(dispatch)
                 if collect and finish_exec > ready:
                     stalls["port"] += finish_exec - ready
                     if tracing:
@@ -540,6 +564,9 @@ class CycleEngine:
                 for key, variant in mem_writes_of[j]:
                     mem_ready[(key, it) if variant else key] = complete
 
+            # every later µop is ready no earlier than the dispatch
+            # clock, so one prune per iteration suffices
+            advance(frontend_time)
             if it == warmup - 1:
                 mark_cycle = retire_time_prev
             if observing:

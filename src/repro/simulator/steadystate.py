@@ -48,11 +48,12 @@ corpus-wide and fuzz differential suites
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .engine import CycleEngine
+from .engine import CycleEngine, _gap_end
 from .plan import UopPlan
 
 #: how many iterations the probe may spend before giving up on
@@ -68,8 +69,8 @@ DEFAULT_DELTA_RTOL = 1e-9
 #: earliest iteration count at which convergence may be declared
 DEFAULT_MIN_PROBE_ITERATIONS = 8
 #: probe slope may exceed the analytical bound by at most this fraction
-#: and still count as "explained" (greedy-vs-LP port binding and
-#: scheduler-window effects live in this gap)
+#: and still count as "explained" (greedy-vs-LP port binding lives in
+#: this gap)
 DEFAULT_AGREEMENT_MARGIN = 0.25
 #: earliest iteration at which the stable (tier-two) detector may fire
 DEFAULT_STABLE_FROM = 16
@@ -683,8 +684,8 @@ class _Probe:
     def _snapshot(self, frontend, divider_free, last_branch) -> None:
         # snapshots carry only gaps still reachable at snapshot time:
         # every future ready is >= the frontend clock, so gaps ending
-        # at/below it can never be filled (and transient junk would
-        # otherwise dominate the copy cost)
+        # at/below it can never be filled.  Gaps are sorted by end, and
+        # each is an immutable tuple the snapshot can share.
         reg_ready, mem_ready, special_free, port_tail, port_gaps = self.state
         self.snapshots.append((
             frontend,
@@ -694,8 +695,8 @@ class _Probe:
             + tuple(special_free.get(m, 0.0) for m in self.static_special),
             tuple(port_tail[pt] for pt in self.ports_sorted),
             tuple(
-                tuple((g[0], g[1]) for g in port_gaps[pt] if g[1] > frontend)
-                for pt in self.ports_sorted
+                tuple(gaps[bisect_right(gaps, frontend, key=_gap_end):])
+                for gaps in map(port_gaps.__getitem__, self.ports_sorted)
             ),
         ))
 

@@ -140,6 +140,19 @@ class TestBuiltinBackends:
         assert list(table) == ["sim"]
         assert table["sim"].detail.iterations == 37
 
+    @pytest.mark.parametrize(
+        "arch, source",
+        [("zen4", "# no instructions\n"), ("neoverse_v2", "// no instructions\n")],
+        ids=["x86", "aarch64"],
+    )
+    def test_empty_body_takes_no_cycles(self, arch, source):
+        """A comment-only block: every backend runs its loop over an
+        empty body and answers zero."""
+        table = predict_all(source, arch)
+        assert set(table) == {"fastpath", "mca", "model", "sim"}
+        for name, result in table.items():
+            assert result.cycles_per_iteration == 0.0, name
+
 
 class TestUnitBackends:
     def test_kind_mapping(self):

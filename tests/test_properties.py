@@ -9,13 +9,16 @@ Invariants checked:
   non-negative and bounded by total chain latency;
 * simulator — measured cycles are at least the analytical lower bound
   for arbitrary generated straight-line kernels; issue unit never
-  double-books a port;
+  double-books a port, its bisected gap search places every µop as a
+  linear scan would, and the scheduler window never changes a
+  placement;
 * cache hierarchy — the store-benchmark traffic ratio always lands in
   [1, 2]; LRU never exceeds capacity;
 * codegen pipeline — any (kernel, persona, opt, uarch) combination
   produces parseable assembly fully covered by the machine model.
 """
 
+import dataclasses
 import math
 
 import pytest
@@ -45,11 +48,9 @@ port_subsets = st.lists(
     st.sampled_from(PORTS), min_size=1, max_size=4, unique=True
 ).map(tuple)
 
-uops = st.builds(
-    Uop,
-    ports=port_subsets,
-    cycles=st.sampled_from([0.5, 1.0, 2.0, 3.0]),
-)
+durations = st.sampled_from([0.5, 1.0, 2.0, 3.0])
+
+uops = st.builds(Uop, ports=port_subsets, cycles=durations)
 
 
 @st.composite
@@ -167,6 +168,28 @@ class TestAnalysisProperties:
 # issue unit
 # ---------------------------------------------------------------------------
 
+class _LinearScanIssueUnit(_PortIssueUnit):
+    """Reference placement: first fit by a linear scan of every gap,
+    and a prune that rebuilds each gap list."""
+
+    def _best_start(self, port, ready, dur):
+        tail = self.tail[port]
+        if ready >= tail:
+            return ready, None
+        for k, (g0, g1) in enumerate(self.gaps[port]):
+            start = g0 if g0 > ready else ready
+            if start + dur <= g1:
+                return start, k
+        return tail if tail > ready else ready, None
+
+    def advance(self, now):
+        horizon = now - self.window
+        if horizon <= 0:
+            return
+        for p, gaps in self.gaps.items():
+            self.gaps[p] = [g for g in gaps if g[1] >= horizon]
+
+
 class TestIssueUnitProperties:
     @given(
         st.lists(
@@ -191,6 +214,81 @@ class TestIssueUnitProperties:
                     "overlapping booking on one port"
                 )
             placed[port].append((start, start + dur))
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_bisected_first_fit_matches_linear_scan(self, data):
+        """The gap search skips only gaps that cannot hold the µop."""
+        unit = _PortIssueUnit(PORTS, window=4.0)
+        ref = _LinearScanIssueUnit(PORTS, window=4.0)
+        now = 0.0
+        for _ in range(data.draw(st.integers(1, 60), label="steps")):
+            ports = data.draw(port_subsets, label="ports")
+            dur = data.draw(durations, label="dur")
+            ends = sorted({g[1] for p in ports for g in ref.gaps[p]})
+            if ends and data.draw(st.booleans(), label="near_tie"):
+                # a gap end within 1e-6 of ready + dur: the fit test's edge
+                end = data.draw(st.sampled_from(ends), label="end")
+                delta = data.draw(st.floats(-1e-6, 1e-6), label="delta")
+                ready = max(0.0, end - dur + delta)
+            else:
+                ready = data.draw(st.floats(0.0, 50.0), label="ready")
+            assert unit.issue(ports, ready, dur) == ref.issue(ports, ready, dur)
+            if data.draw(st.booleans(), label="prune"):
+                now += data.draw(st.floats(0.0, 5.0), label="clock")
+                unit.advance(now)
+                ref.advance(now)
+            assert unit.tail == ref.tail
+            assert unit.gaps == ref.gaps
+
+    @given(
+        st.lists(
+            st.tuples(
+                port_subsets,
+                st.floats(0.0, 3.0),
+                st.floats(0.0, 20.0),
+                durations,
+            ),
+            min_size=1,
+            max_size=60,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_window_never_changes_a_placement(self, steps):
+        """Pruned gaps end before every later ready time, so any window
+        places every µop the same."""
+        tight = _PortIssueUnit(PORTS, window=0.5)
+        wide = _PortIssueUnit(PORTS, window=1e9)
+        dispatch = 0.0
+        for ports, step, wait, dur in steps:
+            dispatch += step
+            ready = dispatch + wait
+            assert tight.issue(ports, ready, dur) == wide.issue(ports, ready, dur)
+            tight.advance(dispatch)
+            wide.advance(dispatch)
+        assert tight.tail == wide.tail
+
+    @given(toy_models_with_instrs())
+    @settings(
+        max_examples=30,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_engine_window_never_changes_the_schedule(self, mi):
+        model, instrs = mi
+        plan = build_uop_plan(instrs, model)
+        tight, wide = (
+            CycleEngine().run(
+                dataclasses.replace(plan, scheduler_window=window),
+                iterations=40,
+                warmup=10,
+                collect_stalls=True,
+            )
+            for window in (0.5, 1e9)
+        )
+        assert tight.total_cycles == wide.total_cycles
+        assert tight.port_busy == wide.port_busy
+        assert tight.stall_cycles == wide.stall_cycles
 
 
 # ---------------------------------------------------------------------------
