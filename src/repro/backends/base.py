@@ -127,28 +127,12 @@ KIND_BACKENDS: dict[str, tuple[str, ...]] = {
 
 
 def unit_backends(kind: str, params: dict) -> tuple[str, ...]:
-    """The backend names a work unit of *kind* will dispatch to.
-
-    A corpus unit running with ``engine: "fastpath"`` dispatches its
-    measurement slot to the ``fastpath`` backend instead of ``sim``;
-    the substitution must be visible here so the cache key digests the
-    fastpath version (and invalidates on its bumps), never the unused
-    sim version.
-    """
+    """The backend names a work unit of *kind* will dispatch to."""
     if kind == "predict":
         b = params.get("backend")
         return (b,) if b else ()
-    if kind == "corpus":
-        names = (
-            tuple(sorted(params["backends"]))
-            if params.get("backends")
-            else KIND_BACKENDS["corpus"]
-        )
-        if params.get("engine") == "fastpath":
-            names = tuple(
-                sorted("fastpath" if n == "sim" else n for n in names)
-            )
-        return names
+    if kind == "corpus" and params.get("backends"):
+        return tuple(sorted(params["backends"]))
     return KIND_BACKENDS.get(kind, ())
 
 

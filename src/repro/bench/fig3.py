@@ -54,11 +54,6 @@ class Fig3Record:
     #: (``repro-bench fig3 --backends ...``)
     prediction_osaca: float | None = None
     prediction_mca: float | None = None
-    #: which engine produced the measurement under ``--engine fastpath``
-    #: ("fastpath" = analytical steady state answered, "cycle" = the
-    #: confidence predicate routed to the cycle-accurate fallback);
-    #: ``None`` on classic cycle-engine runs
-    engine: str | None = None
 
     @property
     def rpe_osaca(self) -> float | None:
@@ -136,24 +131,6 @@ class Fig3Result:
             and getattr(r, f"rpe_{which}") < -1e-9
         ]
 
-    def fastpath_stats(self) -> dict | None:
-        """Fast-path coverage when the run used ``--engine fastpath``.
-
-        ``None`` on classic cycle-engine runs (keeping their manifests
-        byte-stable against pre-existing golden baselines).
-        """
-        engines = [r.engine for r in self.records if r.engine is not None]
-        if not engines:
-            return None
-        hits = sum(1 for e in engines if e == "fastpath")
-        return {
-            "units": len(engines),
-            "hits": hits,
-            "fallbacks": len(engines) - hits,
-            "hit_rate": hits / len(engines),
-            "fallback_rate": (len(engines) - hits) / len(engines),
-        }
-
     def stratified(self, by: str, which: str = "osaca") -> dict[str, dict]:
         """Per-group RPE statistics.
 
@@ -198,12 +175,6 @@ def manifest_stats(result: Fig3Result) -> dict:
     }
     for which in result.which_available():
         stats[which] = result.summary(which)
-    fp = result.fastpath_stats()
-    if fp is not None:
-        # hit_rate higher-is-better / fallback_rate lower-is-better per
-        # the report direction conventions: fast-path coverage cannot
-        # silently regress under repro-report --check
-        stats["fastpath"] = fp
     return stats
 
 
@@ -237,28 +208,15 @@ def corpus_units(
     corpus: list[CorpusEntry],
     iterations: int = 100,
     backends: tuple[str, ...] | None = None,
-    measurement_engine: str = "cycle",
 ) -> list[WorkUnit]:
     """The corpus as engine work units (one per test block).
 
     ``backends`` subsets the per-block fan-out; the parameter is only
     included in the unit (and thus the cache key) when it actually
     deviates from the full default, so full runs keep their cache slots.
-    ``measurement_engine`` selects what fills the measurement slot:
-    ``"cycle"`` (default — the historical sim backend, untouched cache
-    identity) or ``"fastpath"`` (analytical steady state with
-    cycle-accurate fallback; the ``engine`` param joins the unit and
-    its cache key).
     """
-    if measurement_engine not in ("cycle", "fastpath"):
-        raise ValueError(
-            f"unknown measurement engine {measurement_engine!r}; "
-            "known: cycle, fastpath"
-        )
     backends = _normalize_backends(backends)
     extra = {} if backends is None else {"backends": list(backends)}
-    if measurement_engine == "fastpath":
-        extra["engine"] = "fastpath"
     return [
         WorkUnit.make(
             "corpus",
@@ -279,7 +237,6 @@ def run(
     precision: str = "dp",
     *,
     backends: tuple[str, ...] | None = None,
-    measurement_engine: str = "cycle",
     engine: CorpusEngine | None = None,
     jobs: int | None = None,
     cache: str | None = None,
@@ -288,9 +245,7 @@ def run(
         machines=machines, kernels=kernels, precision=precision
     )
     eng = resolve_engine(engine, jobs, cache)
-    outputs = eng.run(
-        corpus_units(corpus, iterations, backends, measurement_engine)
-    )
+    outputs = eng.run(corpus_units(corpus, iterations, backends))
     # Under collect/quarantine error policies the engine returns None at
     # failed indices, and a degraded corpus result may lack the
     # simulator measurement (the RPE denominator) — both are skipped,
@@ -307,7 +262,6 @@ def run(
                 measurement=out["measurement"],
                 prediction_osaca=out.get("prediction_osaca"),
                 prediction_mca=out.get("prediction_mca"),
-                engine=out.get("engine"),
             )
         )
     return Fig3Result(

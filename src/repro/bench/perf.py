@@ -85,17 +85,11 @@ def _reg_value(reg: MetricsRegistry, snap: dict, name: str) -> float:
 def _case_fig3(quick: bool) -> list[tuple[str, float, float, dict]]:
     """Full corpus sweep, cold (empty cache + memo) then warm.
 
-    The sweep measures with ``measurement_engine="fastpath"`` — the
-    analytical steady state with cycle-accurate fallback — which is
-    the recommended production configuration; the dedicated
-    ``fastpath_speedup`` case still gates the paired cycle-vs-fastpath
-    ratio, and the per-run fastpath hit share is recorded here so a
-    confidence-gate change that silently sends everything down the
-    cycle-accurate fallback shows up as a ``*_share`` regression.
+    The sweep measures with the cycle engine, exactly as
+    ``repro-bench fig3`` does.
     """
     import tempfile
 
-    from ..backends import get_backend
     from ..engine import CorpusEngine, use_engine
     from ..lowering import clear_memo
     from ..simulator.plan import clear_plan_memo
@@ -110,10 +104,7 @@ def _case_fig3(quick: bool) -> list[tuple[str, float, float, dict]]:
         def sweep():
             with use_engine(engine):
                 return fig3.run(
-                    machines=machines,
-                    iterations=iterations,
-                    measurement_engine="fastpath",
-                    engine=engine,
+                    machines=machines, iterations=iterations, engine=engine
                 )
 
         for name in ("fig3_cold", "fig3_warm"):
@@ -122,11 +113,9 @@ def _case_fig3(quick: bool) -> list[tuple[str, float, float, dict]]:
                 # keeps the memos and the result cache
                 clear_memo()
                 clear_plan_memo()
-                get_backend("fastpath").clear_memo()
             wall, cpu, prof, reg, result = _profiled(sweep)
             snap = reg.snapshot()
             m = engine.metrics
-            fp = result.fastpath_stats() or {}
             stats = {
                 "work.units": float(m.total_units),
                 "work.evaluated": float(m.evaluated),
@@ -138,10 +127,6 @@ def _case_fig3(quick: bool) -> list[tuple[str, float, float, dict]]:
                 ),
                 "work.sim_cycles_total": prof.counters.get(
                     "sim.cycles.total", 0.0
-                ),
-                "work.fastpath_hits": float(fp.get("hits", 0)),
-                "fastpath_fallback_share": (
-                    fp.get("fallbacks", 0) / max(1, fp.get("units", 1))
                 ),
                 "units_per_second": m.total_units / wall if wall else 0.0,
                 **_attribution_stats(prof),
@@ -209,86 +194,6 @@ def _case_sim(quick: bool) -> list[tuple[str, float, float, dict]]:
     return [("sim_hot_loop", wall, cpu, stats)]
 
 
-#: the speedup the fastpath case must demonstrate (ISSUE 8 acceptance:
-#: ≥5x on the fig3 cold measurement with the fastpath engine enabled)
-FASTPATH_SPEEDUP_TARGET = 5.0
-
-
-def _case_fastpath(quick: bool) -> list[tuple[str, float, float, dict]]:
-    """Fig. 3 cold measurement sweep: cycle engine vs fastpath.
-
-    Both sides run the full corpus measurement slot cold at the fig3
-    window (100 iterations / 33 warmup) from pre-lowered blocks
-    (lowering excluded — it is identical on both sides and has its own
-    case).  The cycle side is the pre-existing ``sim`` backend exactly
-    as fig3 uses it; the fastpath side is a fresh ``fastpath`` backend
-    instance (cold result memo).  The case fails outright when the
-    measured speedup misses :data:`FASTPATH_SPEEDUP_TARGET` (skipped
-    under ``--quick``: the truncated corpus under-represents the plan
-    dedup a real sweep sees), and the committed ``speedup_x`` stat
-    keeps the ratio inside the ``--check`` tolerance band after that.
-    """
-    from ..backends.builtin import FastpathBackend, SimBackend
-    from ..kernels import enumerate_corpus
-    from ..lowering import lower
-
-    corpus = enumerate_corpus()
-    if quick:
-        corpus = corpus[:120]
-    blocks = [lower(e.assembly, e.uarch) for e in corpus]
-    iterations, warmup = 100, 33  # the fig3 measurement window
-
-    def cycle_side():
-        sim = SimBackend()
-        return sum(
-            sim.predict(
-                b, iterations=iterations, warmup=warmup
-            ).cycles_per_iteration
-            for b in blocks
-        )
-
-    def fast_side():
-        fp = FastpathBackend()  # fresh instance: cold result memo
-        hits = 0
-        total = 0.0
-        for b in blocks:
-            r = fp.predict(b, iterations=iterations, warmup=warmup)
-            total += r.cycles_per_iteration
-            hits += bool(r.stats.get("fastpath_hit"))
-        return total, hits
-
-    # The hard target gets up to three paired attempts (best ratio
-    # wins): the suite's best-of-repeats runs at the outer level, so a
-    # single load spike during one side of one rep must not abort the
-    # whole run.  Both sides of an attempt run back-to-back, keeping
-    # the ratio coherent under ambient load.
-    best = None
-    for _ in range(1 if quick else 3):
-        wall_c, cpu_c, prof_c, _reg, total_c = _profiled(cycle_side)
-        wall_f, cpu_f, prof_f, _reg, (total_f, hits) = _profiled(fast_side)
-        speedup = wall_c / wall_f if wall_f else 0.0
-        if best is None or speedup > best[0]:
-            best = (speedup, wall_c, cpu_c, wall_f, cpu_f, total_c, hits)
-        if quick or speedup >= FASTPATH_SPEEDUP_TARGET:
-            break
-    speedup, wall_c, cpu_c, wall_f, cpu_f, total_c, hits = best
-    if not quick and speedup < FASTPATH_SPEEDUP_TARGET:
-        raise RuntimeError(
-            f"fastpath speedup {speedup:.2f}x is below the "
-            f"{FASTPATH_SPEEDUP_TARGET:.0f}x target "
-            f"(cycle {wall_c:.3f}s vs fastpath {wall_f:.3f}s)"
-        )
-    stats = {
-        "work.blocks": float(len(blocks)),
-        "work.fastpath_hits": float(hits),
-        "work.cycles_sum": float(total_c),
-        "fastpath_fallback_rate": (len(blocks) - hits) / len(blocks),
-        "speedup_x": speedup,
-        "blocks_per_second": len(blocks) / wall_f if wall_f else 0.0,
-    }
-    return [("fastpath_speedup", wall_c + wall_f, cpu_c + cpu_f, stats)]
-
-
 def _case_fuzz(quick: bool) -> list[tuple[str, float, float, dict]]:
     """Seeded differential sweep — generator + full backend fan-out."""
     from ..engine import CorpusEngine
@@ -317,7 +222,6 @@ CASES: dict[str, Callable[[bool], list]] = {
     "fig3": _case_fig3,
     "lowering": _case_lowering,
     "sim": _case_sim,
-    "fastpath": _case_fastpath,
     "fuzz": _case_fuzz,
 }
 

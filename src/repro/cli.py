@@ -92,14 +92,12 @@ def analyze_main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--backend",
-        choices=("model", "mca", "sim", "fastpath", "all"),
+        choices=("model", "mca", "sim", "all"),
         default="model",
         help="prediction backend to run: the OSACA-style static model "
              "(default, full bottleneck report), the MCA baseline, the "
-             "cycle-level core simulator, the analytical fast path "
-             "(steady state when confident, cycle-accurate fallback), "
-             "or 'all' for a side-by-side table over one shared "
-             "lowering",
+             "cycle-level core simulator, or 'all' for a side-by-side "
+             "table over one shared lowering",
     )
     parser.add_argument(
         "--heuristic",
@@ -219,11 +217,7 @@ def _analyze_backends(source: str, args) -> int:
     """
     from .backends import predict_all
 
-    names = (
-        ["model", "mca", "sim", "fastpath"]
-        if args.backend == "all"
-        else [args.backend]
-    )
+    names = ["model", "mca", "sim"] if args.backend == "all" else [args.backend]
     opts = {"model": {"optimal_binding": not args.heuristic}}
     results = predict_all(source, args.arch, backends=names, opts=opts)
 
@@ -326,16 +320,6 @@ def bench_main(argv: list[str] | None = None) -> int:
         help="comma-separated subset of fig3's prediction backends "
              "(model,mca,sim); 'sim' is always required — it is the "
              "measurement every RPE is computed against",
-    )
-    parser.add_argument(
-        "--engine",
-        choices=("cycle", "fastpath"),
-        default="cycle",
-        dest="measurement_engine",
-        help="fig3 measurement engine: the cycle-accurate core "
-             "simulator (default) or the analytical steady-state fast "
-             "path with cycle-accurate fallback; fastpath runs record "
-             "which engine answered each unit in the manifest",
     )
     parser.add_argument(
         "--error-policy",
@@ -461,14 +445,8 @@ def bench_main(argv: list[str] | None = None) -> int:
                         f"{summary['passed']}/{summary['total']} acceptance "
                         f"criteria pass ({summary['seconds']:.0f} s)"
                     )
-                elif name == "fig3" and (
-                    backends is not None
-                    or args.measurement_engine != "cycle"
-                ):
-                    result = EXPERIMENTS[name].run(
-                        backends=backends,
-                        measurement_engine=args.measurement_engine,
-                    )
+                elif name == "fig3" and backends is not None:
+                    result = EXPERIMENTS[name].run(backends=backends)
                     collected[name] = result
                     if progress is not None:
                         progress.finish()

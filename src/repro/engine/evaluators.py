@@ -46,11 +46,8 @@ Evaluator = Callable[[dict], Dict[str, Any]]
 _EVALUATORS: dict[str, Evaluator] = {}
 
 #: corpus result-dict fields, keyed by the backend that produces them
-#: (``fastpath`` is the drop-in engine substitute for ``sim``, so it
-#: fills the same field)
 CORPUS_FIELDS = {
     "sim": "measurement",
-    "fastpath": "measurement",
     "model": "prediction_osaca",
     "mca": "prediction_mca",
 }
@@ -154,13 +151,6 @@ def _eval_corpus(p: dict) -> dict[str, Any]:
     names = p.get("backends") or CORPUS_BACKENDS
     # evaluation order is fixed regardless of the subset's order
     names = [n for n in CORPUS_BACKENDS if n in names]
-    # the measurement engine is selectable (fig3 --engine): "fastpath"
-    # swaps the sim slot for the analytical-first backend at the same
-    # measurement window; the default leaves historical semantics (and
-    # result dicts) untouched byte for byte
-    if p.get("engine") == "fastpath":
-        opts["fastpath"] = opts["sim"]
-        names = ["fastpath" if n == "sim" else n for n in names]
 
     out: dict[str, Any] = {}
     backend_errors: dict[str, str] = {}
@@ -176,11 +166,6 @@ def _eval_corpus(p: dict) -> dict[str, Any]:
         out[CORPUS_FIELDS[name]] = r.cycles_per_iteration
         if name == "model":
             out["bottleneck"] = r.bottleneck
-        elif name == "fastpath":
-            # record which engine actually answered this unit
-            hit = bool(r.stats.get("fastpath_hit"))
-            out["engine"] = "fastpath" if hit else "cycle"
-            out["engine_reason"] = r.stats.get("reason")
     if backend_errors:
         if len(backend_errors) == len(names):
             # nothing succeeded — a fully empty "partial" result would

@@ -46,7 +46,7 @@ from ..lowering.digests import sha256_text
 SCHEMA = "repro-serve/1"
 
 #: prediction backends a request may select (the registry's builtins)
-KNOWN_BACKENDS = ("model", "mca", "sim", "fastpath")
+KNOWN_BACKENDS = ("model", "mca", "sim")
 
 #: default measurement window for the simulating backends — the fig. 3
 #: corpus window, so served numbers match `repro-bench fig3` exactly
@@ -164,7 +164,7 @@ class AnalyzeRequest:
         (and therefore in the content-addressed cache key).
         """
         opts = dict(self.opts)
-        if self.backend in ("sim", "mca", "fastpath"):
+        if self.backend in ("sim", "mca"):
             opts.setdefault("iterations", self.iterations)
             opts.setdefault("warmup", self.warmup)
         return WorkUnit.make(

@@ -10,11 +10,8 @@ by simulators parameterized with the same microarchitectural data:
   :mod:`~repro.simulator.engine` replays it cycle-accurately
   (dispatch, renaming, greedy port binding, finite ROB, divider
   serialization) to produce the "measured" cycles/iteration —
-  :func:`simulate_kernel` is the one-call entry — and
-  :mod:`~repro.simulator.steadystate` predicts the same number
-  analytically when its confidence predicate holds (the ``fastpath``
-  backend's dispatch policy), probing the limit cycle as an observer
-  of the same engine run.
+  :func:`simulate_kernel` is the one-call entry.  Every measurement
+  is a :meth:`CycleEngine.run`.
 * :mod:`~repro.simulator.memory` — line-granular cache hierarchy with
   write-allocate policy hooks (always / cache-line claim / SpecI2M) and
   non-temporal store handling (Fig. 4).
@@ -27,14 +24,6 @@ by simulators parameterized with the same microarchitectural data:
 
 from .engine import CycleEngine, SimulationResult, TraceEvent, simulate_kernel
 from .plan import PlanConfig, UopPlan, build_uop_plan, plan_for, plan_for_block
-from .steadystate import (
-    AnalyticalBound,
-    ProbeOutcome,
-    SteadyStateResult,
-    analytical_bound,
-    predict_steady_state,
-    probe,
-)
 from .timeline import render_timeline, timeline
 from .frequency import FrequencyGovernor, sustained_frequency
 from .memory import CacheHierarchy, CacheLevel, WritePolicyStats
@@ -52,12 +41,6 @@ __all__ = [
     "build_uop_plan",
     "plan_for",
     "plan_for_block",
-    "AnalyticalBound",
-    "ProbeOutcome",
-    "SteadyStateResult",
-    "analytical_bound",
-    "predict_steady_state",
-    "probe",
     "render_timeline",
     "timeline",
     "FrequencyGovernor",

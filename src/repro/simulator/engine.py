@@ -29,13 +29,11 @@ Stage two of the staged simulator pipeline.  The engine owns only the
 *dynamic* state — port timelines, divider/special availability,
 register and memory readiness, the reorder buffer — and walks the
 plan's precomputed tables iteration by iteration.  It is the only copy
-of the out-of-order step: the steady-state probe of
-:mod:`~repro.simulator.steadystate` rides on :meth:`CycleEngine.run`
-as an iteration-boundary observer, so the probe's schedule is the
-engine's, float for float.  The arithmetic is that of the historical
-monolithic simulator (same operations, same order), so results are
-bit-identical to every committed golden: cycles, stall attribution,
-and the profiler's deterministic cycle attribution.
+of the out-of-order step and the one way a measurement is made.  The
+arithmetic is that of the historical monolithic simulator (same
+operations, same order), so results are bit-identical to every
+committed golden: cycles, stall attribution, and the profiler's
+deterministic cycle attribution.
 """
 
 from __future__ import annotations
@@ -108,8 +106,13 @@ class _PortIssueUnit:
     than that clock, so a dropped gap could never be filled: the
     window bounds the gap lists, it never changes a placement.
 
-    :meth:`CycleEngine.run` inlines :meth:`issue` (same arithmetic)
-    beside the probe's witness checks; the MCA baseline calls it.
+    :meth:`CycleEngine.run` inlines :meth:`issue` (same arithmetic,
+    same placements); the MCA baseline calls it.  The engine keeps its
+    own copy because the per-µop method call costs: routing the
+    engine's placement through :meth:`issue` made a run over the 153
+    distinct fig3 plans take 26-36% more CPU on a 2-vCPU x86 host
+    (median 1.65 -> 2.18 s in one 10-round comparison), with
+    bit-identical outputs.
     """
 
     #: gaps shorter than the smallest µop occupancy can never be filled
@@ -174,23 +177,6 @@ class _PortIssueUnit:
                 del gaps[:bisect_left(gaps, horizon, key=_gap_end)]
 
 
-#: a port/gap choice whose deciding comparison has less margin than
-#: this is "fragile".  The engine's arithmetic is max-plus, so a
-#: perturbation of size d can never grow past d — *except* through its
-#: discrete choices: the candidate-port comparison and the gap-fit
-#: test.  When one of those sits within this margin of its boundary,
-#: the ~1e-13 accumulation noise between a probed iteration and its
-#: Δ-shifted replay can flip it, sending the µop to a different port
-#: (or skipping a gap), after which the trajectories genuinely diverge;
-#: a limit-cycle certificate is only sound over a window free of such
-#: knife edges.  Exact ties *at the ready time* are the one robust
-#: kind: when a port's start is a bit-exact copy of ``ready`` (append
-#: with real slack, or a gap straddling it), every compared value is
-#: the same float object and the first-candidate tie-break cannot be
-#: perturbed — so those are not flagged.
-FRAGILE_EPS = 1e-6
-
-
 class CycleEngine:
     """Cycle-accurate execution of a prepared :class:`UopPlan`."""
 
@@ -204,7 +190,6 @@ class CycleEngine:
         tracer=None,
         collect_stalls: bool = False,
         profiler=None,
-        observer=None,
     ) -> SimulationResult:
         """Execute ``warmup + iterations`` iterations; measure the tail.
 
@@ -226,23 +211,9 @@ class CycleEngine:
         cycles, per-port occupancy, and ROB/scheduler-window
         accounting.  All three default off and then cost nothing: the
         hot loop only tests hoisted booleans.
-
-        ``observer`` is the steady-state probe's hook (see
-        :class:`repro.simulator.steadystate._Probe`): ``attach`` gets
-        the live state before iteration 0, ``boundary`` gets the clocks
-        after each iteration and stops the run by returning true.
-        While ``observer.witnessing`` holds, the iteration also yields
-        the certificate's witnesses: retire times, the widest
-        retire-minus-ready span, gap consultation, and port/gap choices
-        within :data:`FRAGILE_EPS` of flipping.  An observed run starts
-        measuring at iteration 0 (``warmup=0``), is never profiled, and
-        reports the iterations it actually ran.
         """
         if iterations < 1:
             raise ValueError("need at least one measured iteration")
-        observing = observer is not None
-        if observing and warmup:
-            raise ValueError("an observed run measures from iteration 0")
 
         n_body = plan.n_body
         total_iters = warmup + iterations
@@ -282,11 +253,11 @@ class CycleEngine:
         # loop below pays only local boolean tests per instruction.
         tracing = tracer is not None and getattr(tracer, "enabled", False)
         prof = profiler
-        if prof is None and not observing:
+        if prof is None:
             from ..obs.prof import active_profiler
 
             prof = active_profiler()
-        profiling = not observing and prof is not None and prof.enabled
+        profiling = prof is not None and prof.enabled
         collect = collect_stalls or tracing or profiling
         stalls: Optional[dict[str, float]] = None
         if collect:
@@ -308,29 +279,15 @@ class CycleEngine:
 
             port_tid = tracer.sim_lanes(plan.ports)
 
-        # the probe's witnesses, collected only while it asks for them
-        witnessing = False
-        if observing:
-            observer.attach(
-                reg_ready, mem_ready, special_free, port_tail, port_gaps,
-                frontend_time, divider_free, last_branch,
-            )
-            witnessing = observer.witnessing
-            witness_retire = observer.retire_times.append
-
         # hoisted bound methods / scalars of the cycle loop
         advance = issue_unit.advance
         rob_append = rob_retire.append
         tb_interval = plan.config.taken_branch_interval
         gap_min = _PortIssueUnit.GAP_MIN
-        eps = FRAGILE_EPS
-        fit_margin = 2 * FRAGILE_EPS
 
         mark_cycle = 0.0
         trace: list[TraceEvent] = []
         for it in range(total_iters):
-            span = 0.0
-            consulted = fragile = False
             record = it < trace_iterations
             for j in range(n_body):
                 # -- frontend: fused-domain dispatch slots
@@ -396,53 +353,30 @@ class CycleEngine:
                     if dur <= 0:
                         port_busy[ports[0]] += cycles
                         continue
-                    # only a choice *between* ports can flip on a
-                    # near-tie of candidate starts
-                    multi = len(ports) > 1
                     start = None
                     for cand in ports:
                         tail = port_tail[cand]
-                        d = ready - tail
-                        if witnessing and multi and -eps < d < eps:
-                            # append-vs-scan flip can hand the µop
-                            # to another port
-                            fragile = True
                         gi = None
-                        if d >= 0.0:
+                        if ready >= tail:
                             s = ready
                         else:
-                            consulted = True
                             s = tail
-                            # a gap ending before ready + dur cannot fit;
-                            # the margin keeps every near-tie fit test
-                            # (a fragile witness) in the scan
+                            # a gap ending before ready + dur cannot fit
                             glist = port_gaps[cand]
                             for gidx in range(
-                                bisect_left(glist, ready + dur - fit_margin,
-                                            key=_gap_end),
+                                bisect_left(glist, ready + dur, key=_gap_end),
                                 len(glist),
                             ):
                                 g0, g1 = glist[gidx]
                                 st = g0 if g0 > ready else ready
-                                edge = st + dur - g1
-                                if witnessing and -eps < edge < eps:
-                                    fragile = True
-                                if edge <= 0.0:
-                                    if witnessing and multi and \
-                                            0.0 < st - ready < eps:
-                                        fragile = True
+                                if st + dur <= g1:
                                     s = st
                                     gi = gidx
                                     break
                         if start is None or s < start:
-                            if witnessing and start is not None and \
-                                    start - s < eps:
-                                fragile = True
                             start, gap_idx, pt = s, gi, cand
                             if s <= ready:
                                 break
-                        elif witnessing and s - start < eps:
-                            fragile = True
                     if gap_idx is None:
                         tail = port_tail[pt]
                         if start - tail >= gap_min:
@@ -525,10 +459,6 @@ class CycleEngine:
                     retire = complete
                 retire_time_prev = retire
                 rob_append(retire)
-                if witnessing:
-                    witness_retire(retire)
-                    if retire - ready > span:
-                        span = retire - ready
 
                 if tracing:
                     if slot_consumed:
@@ -569,14 +499,6 @@ class CycleEngine:
             advance(frontend_time)
             if it == warmup - 1:
                 mark_cycle = retire_time_prev
-            if observing:
-                if observer.boundary(
-                    it, retire_time_prev, frontend_time, divider_free,
-                    last_branch, span, consulted, fragile,
-                ):
-                    iterations = total_iters = it + 1  # warmup is 0
-                    break
-                witnessing = observer.witnessing
 
         total = retire_time_prev
         measured = total - mark_cycle if warmup > 0 else total

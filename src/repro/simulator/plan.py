@@ -9,8 +9,6 @@ slots — promoted to a first-class IR built **once** per
 
 * :class:`~repro.simulator.engine.CycleEngine` — the cycle-accurate
   engine replays the plan iteration by iteration,
-* :mod:`~repro.simulator.steadystate` — the analytical engine derives
-  per-iteration throughput bounds directly from the plan's tables,
 * :mod:`~repro.simulator.timeline` / :mod:`~repro.simulator.coupled` —
   build the plan once and run the engine against it (so do the
   backends, microbenchmarks, and counterfactual studies),
@@ -181,7 +179,7 @@ class UopPlan:
 # shared per-instruction table derivations
 #
 # Shared with MCASimulator (the memory-key trio), so every simulator
-# and the analytical engine derive identical tables from one code path.
+# derives identical tables from one code path.
 # ---------------------------------------------------------------------------
 
 
@@ -448,9 +446,9 @@ def plan_for_block(
 
     The memo key is the block's identity (assembly digest × model
     digest — the same pair the lowering memo and the engine's on-disk
-    cache use) extended with the plan config, so the cycle engine, the
-    analytical engine, the timeline, and the fast-path dispatch all
-    share one plan per block instead of re-deriving tables.
+    cache use) extended with the plan config, so the one-call entry,
+    the timeline, and the memory-coupled run all share one plan per
+    block instead of re-deriving tables.
     """
     cfg = config or PlanConfig()
     key = (block.key, cfg)

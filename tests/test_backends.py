@@ -33,7 +33,7 @@ def fresh_memo():
 
 class TestRegistry:
     def test_builtins_registered(self):
-        assert available_backends() == ["fastpath", "mca", "model", "sim"]
+        assert available_backends() == ["mca", "model", "sim"]
 
     def test_instances_are_singletons_and_protocol_conformant(self):
         for name in available_backends():
@@ -127,7 +127,7 @@ class TestBuiltinBackends:
         before = memo_stats()
         table = predict_all(ASM, "zen4")
         after = memo_stats()
-        assert set(table) == {"fastpath", "mca", "model", "sim"}
+        assert set(table) == {"mca", "model", "sim"}
         assert after["memo_misses"] - before["memo_misses"] == 1
 
     def test_predict_all_subset_and_opts(self):
@@ -149,7 +149,7 @@ class TestBuiltinBackends:
         """A comment-only block: every backend runs its loop over an
         empty body and answers zero."""
         table = predict_all(source, arch)
-        assert set(table) == {"fastpath", "mca", "model", "sim"}
+        assert set(table) == {"mca", "model", "sim"}
         for name, result in table.items():
             assert result.cycles_per_iteration == 0.0, name
 

@@ -84,6 +84,15 @@ class TestCLI:
                              "--heuristic"]) == 0
         assert "heuristic" in capsys.readouterr().out
 
+    def test_analyze_removed_backend_is_usage_error(self, tmp_path, capsys):
+        # the removed steady-state backend is no longer a --backend choice
+        f = tmp_path / "k.s"
+        f.write_text(self.TRIAD)
+        with pytest.raises(SystemExit) as ei:
+            analyze_main([str(f), "--arch", "zen4", "--backend", "fastpath"])
+        assert ei.value.code == 2
+        assert "invalid choice: 'fastpath'" in capsys.readouterr().err
+
     def test_bench_fast_experiments(self, capsys):
         assert bench_main(["table2", "fig1"]) == 0
         out = capsys.readouterr().out

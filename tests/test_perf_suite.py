@@ -1,11 +1,16 @@
 """The repro-perf baseline suite: deterministic manifests, the
 noise-floor-aware --check gate, and the injected-slowdown self-test."""
 
+import json
+from pathlib import Path
+
 import pytest
 
-from repro.bench.perf import CASES, render_suite, run_suite
+from repro.bench.perf import CASES, DEFAULT_BASELINE, render_suite, run_suite
 from repro.cli import perf_main
 from repro.obs.report import load_manifest
+
+COMMITTED_BASELINE = Path(__file__).parent.parent / DEFAULT_BASELINE
 
 
 class TestRunSuite:
@@ -53,6 +58,19 @@ class TestRunSuite:
         )
         assert m["config"]["notes"] == {"k": "v"}
 
+    def test_fig3_cold_publishes_simulated_cycles(self):
+        # every cold measurement is a profiled cycle-engine run, so the
+        # sweep's simulated cycles reach the profile
+        m = run_suite(cases=["fig3"], quick=True, repeats=1)
+        stats = m["benchmarks"]["fig3_cold"]["stats"]
+        assert stats["work.sim_cycles_total"] > 0
+
+    def test_committed_baseline_names_only_known_cases(self):
+        # `repro-perf --check` re-runs the baseline's own case list and
+        # refuses a case it does not know before measuring anything
+        cases = json.loads(COMMITTED_BASELINE.read_text())["config"]["cases"]
+        assert cases and set(cases) <= set(CASES)
+
     def test_render_suite(self):
         m = run_suite(cases=["lowering"], quick=True, repeats=1)
         text = render_suite(m)
@@ -68,7 +86,6 @@ class TestRunSuite:
             "fig3_warm",
             "lowering_throughput",
             "sim_hot_loop",
-            "fastpath_speedup",
             "fuzz_sweep",
         } == names
         assert all(

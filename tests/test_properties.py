@@ -8,7 +8,9 @@ Invariants checked:
 * dependency graph — the intra-iteration graph is a DAG; LCD is
   non-negative and bounded by total chain latency;
 * simulator — measured cycles are at least the analytical lower bound
-  for arbitrary generated straight-line kernels; issue unit never
+  for arbitrary generated straight-line kernels; lengthening a
+  loop-carried multiply-add chain never lowers the measured
+  cycles/iteration; issue unit never
   double-books a port, its bisected gap search places every µop as a
   linear scan would, and the scheduler window never changes a
   placement;
@@ -32,10 +34,11 @@ from repro.analysis.portbinding import (
 from repro.isa import parse_kernel
 from repro.kernels import OPT_LEVELS, generate_assembly, personas_for_isa
 from repro.kernels.suite import KERNELS
+from repro.lowering import lower
 from repro.machine import get_machine_model
 from repro.machine.model import InstrEntry, MachineModel, Uop
 from repro.simulator.engine import CycleEngine, _PortIssueUnit
-from repro.simulator.plan import PlanConfig, build_uop_plan
+from repro.simulator.plan import PlanConfig, build_uop_plan, plan_for_block
 from repro.simulator.memory import CacheHierarchy, CacheLevel
 
 # ---------------------------------------------------------------------------
@@ -162,6 +165,41 @@ class TestAnalysisProperties:
         # backfilled by measured-window work (the same windowing
         # artifact real benchmark harnesses fight) — allow 2%.
         assert sim.cycles_per_iteration >= ana.prediction * 0.98 - 1e-6
+
+
+#: multiply-add chains whose steady state is latency-bound — the
+#: loop-carried recurrence dominates, so scaling its latency must
+#: scale the measurement
+CHAINS = {
+    "x86": ("vmulsd %xmm1, %xmm0, %xmm0\nvaddsd %xmm2, %xmm0, %xmm0", "zen4"),
+    "aarch64": (
+        "fmul v0.2d, v0.2d, v1.2d\nfadd v0.2d, v0.2d, v2.2d",
+        "neoverse_v2",
+    ),
+}
+
+
+class TestChainMonotonicity:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        isa=st.sampled_from(sorted(CHAINS)),
+        k1=st.floats(min_value=1.0, max_value=4.0),
+        k2=st.floats(min_value=1.0, max_value=4.0),
+    )
+    def test_longer_chain_never_faster(self, isa, k1, k2):
+        lo, hi = sorted((k1, k2))
+        src, uarch = CHAINS[isa]
+        base = plan_for_block(lower(src, uarch))
+
+        def at(scale):
+            plan = dataclasses.replace(
+                base,
+                eff_latency=tuple(l * scale for l in base.eff_latency),
+            )
+            return CycleEngine().run(plan, iterations=100, warmup=33)
+
+        slow, fast = at(hi), at(lo)
+        assert slow.cycles_per_iteration >= fast.cycles_per_iteration - 1e-9
 
 
 # ---------------------------------------------------------------------------

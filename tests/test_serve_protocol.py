@@ -76,6 +76,8 @@ class TestParse:
             ({"warmup": -1}, "warmup"),
             ({"opts": []}, "opts"),
             ({"label": 9}, "label"),
+            # the removed steady-state backend is refused like any other
+            ({"backend": "fastpath"}, "unknown backend 'fastpath'"),
         ],
     )
     def test_validation_errors(self, mutation, fragment):
