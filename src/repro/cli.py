@@ -418,6 +418,7 @@ def bench_main(argv: list[str] | None = None) -> int:
     tracer = None
     profiler = None
     with contextlib.ExitStack() as stack:
+        stack.enter_context(engine)
         stack.enter_context(use_engine(engine))
         if progress is not None:
             stack.callback(progress.finish)
@@ -742,6 +743,7 @@ def fuzz_main(argv: list[str] | None = None) -> int:
         unit_timeout=args.unit_timeout,
     )
     with contextlib.ExitStack() as stack:
+        stack.enter_context(engine)
         stack.enter_context(use_engine(engine))
         if progress is not None:
             stack.callback(progress.finish)
@@ -889,8 +891,7 @@ def serve_main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--jobs", type=int, default=2, metavar="N",
-        help="engine worker processes (default: 2; keep >= 2 so hung "
-             "units can be killed at the --unit-timeout deadline)",
+        help="engine worker processes (default: 2)",
     )
     parser.add_argument(
         "--cache", metavar="DIR", dest="cache",

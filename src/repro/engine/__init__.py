@@ -6,8 +6,9 @@ cleanly across workers and memoizes cleanly on content.  This package
 provides:
 
 * :class:`WorkUnit` — plain-data description of one computation,
-* :class:`CorpusEngine` — ``jobs``-wide worker pool with deterministic
-  result ordering (``jobs=1`` is the exact serial path),
+* :class:`CorpusEngine` — ``jobs`` engine-owned worker processes with
+  deterministic result ordering (``jobs=1`` without a deadline is the
+  exact serial path),
 * :class:`ResultCache` — on-disk content-addressed store keyed by
   :func:`cache_key` (assembly text modulo comments/whitespace +
   machine-model digest + simulation parameters + engine version),

@@ -78,8 +78,8 @@ class UnitTimeoutError(TransientError):
 
 
 class WorkerCrashError(TransientError):
-    """A pool worker died (SIGKILL, ``os._exit``, hard crash) while the
-    unit was in flight; the pool was respawned."""
+    """The worker process died (SIGKILL, ``os._exit``, hard crash) while
+    the unit was in flight; that worker was replaced."""
 
 
 class CacheWriteError(TransientError):
@@ -122,9 +122,9 @@ def failure_payload(exc: BaseException, tb_limit: int = 20) -> dict:
     """Plain-data description of an exception.
 
     This is what crosses the worker→parent pickle boundary: the
-    exception object itself may be unpicklable (or worse, pickle to
-    something that raises on unpickle and deadlocks the pool result
-    handler), so only its ``repr`` and formatted traceback travel.
+    exception object itself may be unpicklable (or pickle to something
+    that raises on unpickle), so only its ``repr`` and formatted
+    traceback travel.
     """
     return {
         "error_class": type(exc).__name__,

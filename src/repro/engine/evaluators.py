@@ -58,9 +58,9 @@ CORPUS_BACKENDS = ("model", "sim", "mca")
 
 #: when True, the ``corpus`` kind degrades gracefully: one backend
 #: failing yields a partial result tagged with the backend error rather
-#: than failing the whole unit.  Set by the engine (worker initializer
-#: / serial context) iff ``error_policy != "fail_fast"``, so the
-#: default policy keeps exact historical semantics.
+#: than failing the whole unit.  Set by the engine for each attempt
+#: iff ``error_policy != "fail_fast"``, so the default policy keeps
+#: exact historical semantics.
 _PARTIAL_RESULTS = False
 
 
@@ -123,7 +123,7 @@ def _predict_phase(name: str):
     from ..obs.prof import active_profiler
 
     prof = active_profiler()
-    if prof is not None and prof.enabled:
+    if prof is not None:
         return prof.phase(f"predict/{name}")
     return contextlib.nullcontext()
 

@@ -12,22 +12,28 @@ structure), so the parallel schedule is trivial:
    Fig. 3 corpus repeats identical blocks across compiler personas:
    416 units, 153 keys) are evaluated once, by the first of them, and
    the others receive a copy of its result,
-3. evaluate the distinct misses — inline for ``jobs=1`` (the degenerate
-   serial path, bit-identical by construction), else on a
-   ``multiprocessing`` pool consumed through ``imap_unordered`` so one
-   slow or dead worker never blocks the others' results,
+3. evaluate the distinct misses — inline when ``jobs=1`` and no
+   deadline is set (the degenerate serial path, bit-identical by
+   construction), else on the engine's own worker processes, each with
+   its own pipe and one task in flight, so a slow, hung or dead worker
+   costs exactly its own unit,
 4. write fresh results back to the cache and reassemble by index.
 
 Failure is a first-class outcome, not an afterthought (see
 ``docs/robustness.md``): every attempt that raises is classified
 transient/permanent (:mod:`.errors`), transient failures retry with
-deterministic backoff, per-attempt deadlines cut hung units loose, a
-worker that dies mid-unit is detected by watching the pool's PIDs and
-its unit is retried on the respawned capacity, and the ``error_policy``
-decides whether a finally-failed unit raises (``fail_fast``, the
-default), is collected as a structured :class:`~.errors.UnitFailure`
-(``collect``), or is additionally remembered so later batches skip it
-(``quarantine``).
+deterministic backoff, the parent kills a worker whose task outlives
+its deadline, a worker that dies mid-unit is known by its pipe and
+process sentinel, and in both cases that one unit fails transiently
+and that one worker is replaced.  The ``error_policy`` decides whether
+a finally-failed unit raises (``fail_fast``, the default), is collected
+as a structured :class:`~.errors.UnitFailure` (``collect``), or is
+additionally remembered so later batches skip it (``quarantine``).
+
+Workers fork at the engine's first pooled batch and live until
+:meth:`CorpusEngine.close` (or a ``with`` exit, or garbage collection),
+so an evaluator or backend registered after that point reaches them
+only after ``close()``.  They keep no per-kernel state between tasks.
 
 Metrics (per-unit wall time, cache hit rate, worker utilization,
 failure/retry/degradation counters) are collected on every run; a
@@ -40,38 +46,41 @@ import contextlib
 import copy
 import json
 import logging
+import math
 import multiprocessing
 import os
 import signal
-import threading
 import time
+import weakref
+from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Iterator, Optional, Sequence
+from multiprocessing.connection import wait
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional, Sequence
 
 from .cache import ResultCache
 from .cachekey import cache_key
 from .errors import (
     ERROR_POLICIES,
     AttemptRecord,
+    EngineError,
     RetryPolicy,
     UnitFailure,
     UnitTimeoutError,
     WorkerCrashError,
     failure_payload,
 )
-from .evaluators import evaluate, set_partial_results
+from .evaluators import evaluate, partial_results_enabled, set_partial_results
 from .units import UnitOutcome, WorkUnit
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..faults import FaultPlan
 
 log = logging.getLogger(__name__)
 
 ProgressHook = Callable[[dict[str, Any]], None]
 
-#: parent-side poll interval while waiting on worker results (seconds)
-_POLL_SECONDS = 0.05
-
-#: how long surviving results may keep draining after a worker death
-#: before the still-missing units are declared crashed
-_CRASH_DRAIN_GRACE = 2.0
+#: one attempt's outcome: ``(index, status, payload, seconds, profile)``
+Outcome = tuple[int, str, Any, float, Optional[dict]]
 
 #: span categories of reconstructed per-attempt trace slices
 _ATTEMPT_TRACE_CAT = {"ok": "unit", "retry": "retry", "failure": "failure"}
@@ -95,7 +104,7 @@ class EngineMetrics:
     retries: int = 0
     #: units that returned a partial result (a corpus backend failed)
     degraded: int = 0
-    #: pool workers observed dead and replaced mid-batch
+    #: workers replaced after dying or being killed at a deadline
     worker_respawns: int = 0
     #: result-cache writes absorbed as failures (the result survived)
     cache_write_errors: int = 0
@@ -168,8 +177,7 @@ class UnitEvaluationError(RuntimeError):
     """An evaluator raised; carries the unit for actionable reporting.
 
     The cause is kept as ``repr`` text, not the exception object, so the
-    error survives the pickle round-trip out of a worker process (an
-    unpicklable cause would deadlock the pool's result handler).
+    error survives a pickle round-trip whatever the cause was.
     Under ``error_policy="fail_fast"`` this is what :meth:`CorpusEngine.run`
     raises for the first finally-failed unit; ``failure`` carries the
     structured record including the attempt count.
@@ -193,102 +201,38 @@ class UnitEvaluationError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Worker-side machinery
+# Attempts and workers
 # ---------------------------------------------------------------------------
 
-#: per-attempt deadline, installed in workers by the pool initializer
-#: (and set directly around the serial path)
-_WORKER_TIMEOUT: Optional[float] = None
 
-#: when True, every unit attempt runs under a fresh per-unit profiler
-#: whose snapshot is shipped back with the result (set by the pool
-#: initializer / serial context iff the parent has an enabled profiler)
-_WORKER_PROFILING = False
+@dataclass(frozen=True)
+class _RunContext:
+    """The caller's state an attempt needs; it rides with every task.
 
-
-def _worker_init(
-    plan,
-    unit_timeout: Optional[float],
-    partial_results: bool,
-    profiling: bool = False,
-) -> None:
-    """Pool-worker initializer: install the ambient engine context.
-
-    Runs in every worker — including replacements the pool spawns after
-    a crash — so fault plans, deadlines, and the degradation flag
-    survive worker churn and do not depend on the fork start method.
+    :func:`_evaluate_task` installs it for one attempt, the same way
+    inline and in a worker.  It holds no deadline: the parent enforces
+    deadlines by killing the worker.
     """
-    global _WORKER_TIMEOUT, _WORKER_PROFILING
-    _WORKER_TIMEOUT = unit_timeout
-    _WORKER_PROFILING = bool(profiling)
-    # A forked worker inherits the parent's signal state.  When the
-    # parent is an asyncio daemon (repro-serve) that state is poison:
-    # asyncio's no-op SIGTERM/SIGINT handlers make the worker immune to
-    # ``Pool.terminate()`` (the teardown join then hangs forever), and
-    # the inherited ``signal.set_wakeup_fd`` socket means any signal a
-    # worker receives is *echoed into the parent's event loop*, which
-    # reads it as a signal of its own (a pool teardown thus looked like
-    # SIGTERM and self-drained the daemon).  Reset both.
-    signal.set_wakeup_fd(-1)
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    # shutdown is coordinated by the parent (finish batch, then
-    # terminate workers) — a tty Ctrl-C must not kill workers first
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    from .. import faults
 
-    faults.set_active_plan(plan)
-    set_partial_results(partial_results)
-    # a forked worker inherits the parent's ambient profiler object;
-    # recording into that copy would be silently discarded, so clear it
-    # — units profile into fresh per-attempt instances instead
-    from ..obs.prof import set_active_profiler
-
-    set_active_profiler(None)
+    #: the caller's active fault plan (``None``: nothing is injected)
+    faults: Optional["FaultPlan"]
+    #: let the ``corpus`` kind degrade to a partial result
+    #: (``error_policy != "fail_fast"``)
+    partial_results: bool
+    #: profile the attempt into a fresh profiler and return its snapshot
+    profiling: bool
 
 
-@contextlib.contextmanager
-def _deadline(seconds: Optional[float]) -> Iterator[None]:
-    """Raise :class:`UnitTimeoutError` when the body outlives *seconds*.
-
-    SIGALRM-based, so it only engages on the main thread of a POSIX
-    process — pool workers qualify, and so does the serial path.  A
-    hang inside uninterruptible C code escapes the alarm; the parent's
-    stall watchdog (:meth:`_WorkerPool.dispatch`) is the backstop.
-    """
-    usable = (
-        seconds is not None
-        and seconds > 0
-        and hasattr(signal, "SIGALRM")
-        and threading.current_thread() is threading.main_thread()
-    )
-    if not usable:
-        yield
-        return
-
-    def _alarm(signum, frame):
-        raise UnitTimeoutError(seconds)
-
-    previous = signal.signal(signal.SIGALRM, _alarm)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
-
-
-def _evaluate_task(
-    task: tuple[int, WorkUnit, int],
-) -> tuple[int, str, Any, float, Optional[dict]]:
-    """Worker entry point: one attempt at one unit; never raises.
+def _evaluate_task(task: tuple[int, WorkUnit, int], ctx: _RunContext) -> Outcome:
+    """One attempt at one unit under *ctx*; never raises.
 
     Returns ``(index, status, payload, seconds, profile)`` — status
     ``"ok"`` (payload is the result dict) or ``"err"`` (payload is an
     :func:`~.errors.failure_payload` dict).  Exceptions are flattened
-    to plain data *before* crossing the pickle boundary: an unpicklable
-    exception in the pool's result handler would deadlock the batch.
+    to plain data *before* they cross the pipe: an exception object
+    need not survive pickling.
 
-    With ``_WORKER_PROFILING`` on, the attempt runs under a **fresh**
+    With ``ctx.profiling`` on, the attempt runs under a **fresh**
     :class:`~repro.obs.prof.PhaseProfiler` and its plain-dict snapshot
     rides back as ``profile`` — the parent absorbs snapshots in
     submission order, so merged attribution does not depend on which
@@ -296,30 +240,67 @@ def _evaluate_task(
     bit-identical to a serial run).
     """
     idx, unit, attempt = task
-    from .. import faults
-
-    plan = faults.active_plan()
     t0 = time.perf_counter()
     snap: Optional[dict] = None
+    partial = partial_results_enabled()
+    set_partial_results(ctx.partial_results)
     try:
-        with _deadline(_WORKER_TIMEOUT):
-            if plan is not None:
-                plan.fire_worker_site(unit.label or unit.kind, attempt)
-            if _WORKER_PROFILING:
-                from ..obs.prof import PhaseProfiler, use_profiler
+        if ctx.faults is not None:
+            ctx.faults.fire_worker_site(unit.label or unit.kind, attempt)
+        if ctx.profiling:
+            from ..obs.prof import PhaseProfiler, use_profiler
 
-                unit_prof = PhaseProfiler()
-                with use_profiler(unit_prof):
-                    result = evaluate(unit.kind, unit.params)
-                snap = unit_prof.snapshot()
-            else:
+            unit_prof = PhaseProfiler()
+            with use_profiler(unit_prof):
                 result = evaluate(unit.kind, unit.params)
+            snap = unit_prof.snapshot()
+        else:
+            result = evaluate(unit.kind, unit.params)
     except Exception as exc:
         return idx, "err", failure_payload(exc), time.perf_counter() - t0, None
+    finally:
+        set_partial_results(partial)
     return idx, "ok", result, time.perf_counter() - t0, snap
 
 
-def _pool_context() -> multiprocessing.context.BaseContext:
+def _worker_main(conn, parent_end) -> None:
+    """A worker process: evaluate one task at a time until killed."""
+    # Without this copy of the parent's end, recv sees EOF (and the
+    # worker exits) once the parent is gone.
+    parent_end.close()
+    # A forked worker inherits the parent's signal state.  When the
+    # parent is an asyncio daemon (repro-serve) that state is poison:
+    # asyncio's no-op SIGTERM/SIGINT handlers would make the worker
+    # ignore SIGTERM, and the inherited ``signal.set_wakeup_fd`` socket
+    # means any signal a worker receives is *echoed into the parent's
+    # event loop*, which reads it as a signal of its own.  Reset both.
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    # shutdown is coordinated by the parent (finish batch, then
+    # kill workers) — a tty Ctrl-C must not kill workers first
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    # ambient observers inherited from the parent would record into a
+    # copy nobody reads; an attempt's profile rides back with its result
+    from ..lowering import clear_memo
+    from ..obs.prof import set_active_profiler
+    from ..obs.trace import set_active_tracer
+    from ..simulator.plan import clear_plan_memo
+
+    set_active_profiler(None)
+    set_active_tracer(None)
+    while True:
+        # No per-kernel state between tasks: the parent coalesces equal
+        # keys, so the memos would not hit, and they would grow the RSS.
+        clear_memo()
+        clear_plan_memo()
+        try:
+            task, ctx = conn.recv()
+            conn.send(_evaluate_task(task, ctx))
+        except (EOFError, OSError):  # the parent is gone
+            return
+
+
+def _fork_context() -> multiprocessing.context.BaseContext:
     """Prefer fork (workers inherit loaded models and user-registered
     kernels); fall back to the platform default elsewhere."""
     try:
@@ -328,126 +309,147 @@ def _pool_context() -> multiprocessing.context.BaseContext:
         return multiprocessing.get_context()
 
 
-class _WorkerPool:
-    """A multiprocessing pool with worker-crash detection and respawn.
+class _Worker:
+    """One worker process, the parent's end of its pipe, and the one
+    task it may hold."""
 
-    ``multiprocessing.Pool`` replaces a worker that dies (SIGKILL,
-    ``os._exit``, a hard native crash) — but the task that worker was
-    evaluating is lost forever, and a plain ``Pool.map`` consumer hangs
-    waiting for it.  This wrapper dispatches through
-    ``imap_unordered`` and polls with a timeout; when the set of worker
-    PIDs changes it lets the surviving results drain (``drain_grace``
-    seconds of quiet) and then declares the still-missing units crashed
-    so the caller can retry them on the replaced capacity.  A broken
-    result transport respawns the whole pool.
+    def __init__(self) -> None:
+        mp = _fork_context()
+        self.conn, child = mp.Pipe()
+        self.proc = mp.Process(
+            target=_worker_main, args=(child, self.conn), daemon=True
+        )
+        self.proc.start()
+        child.close()
+        self.task: Optional[tuple[int, WorkUnit, int]] = None
+        self.sent = 0.0
+        self.deadline = math.inf
+
+    def send(
+        self, task: tuple[int, WorkUnit, int], ctx: _RunContext,
+        timeout: Optional[float],
+    ) -> bool:
+        """Hand *task* over; ``False`` if the worker died while idle."""
+        try:
+            self.conn.send((task, ctx))
+        except OSError:
+            return False
+        self.task = task
+        self.sent = time.monotonic()
+        self.deadline = math.inf if timeout is None else self.sent + timeout
+        return True
+
+    def receive(self) -> Optional[Outcome]:
+        """The task's outcome, or ``None`` if the worker died without one."""
+        try:
+            if self.conn.poll():
+                return self.conn.recv()
+        except (EOFError, OSError):
+            pass
+        return None
+
+    def kill(self) -> None:
+        self.proc.kill()
+        self.proc.join()
+        self.conn.close()
+
+
+def _lost(idx: int, error: EngineError, seconds: float) -> Outcome:
+    """The outcome of a task whose worker died or was killed with it."""
+    payload = {
+        "error_class": type(error).__name__,
+        "kind": "transient",
+        "message": str(error),
+        "traceback_repr": "",
+    }
+    return idx, "err", payload, seconds, None
+
+
+class _Workers:
+    """The engine's ``jobs`` worker processes.
+
+    They are spawned at the first :meth:`dispatch` and live until
+    :meth:`close`.  Each holds at most one task, so the parent knows
+    which task a dead worker held, and a deadline is one worker's:
+    the parent kills that worker.  Either way only that task fails
+    (transiently) and only that worker is replaced.
     """
 
-    drain_grace = _CRASH_DRAIN_GRACE
-
-    def __init__(self, jobs: int, initargs: tuple):
+    def __init__(self, jobs: int) -> None:
         self.jobs = jobs
-        self._initargs = initargs
-        self._ctx = _pool_context()
-        self.worker_deaths = 0
-        self._spawn()
-
-    def _spawn(self) -> None:
-        self._pool = self._ctx.Pool(
-            processes=self.jobs,
-            initializer=_worker_init,
-            initargs=self._initargs,
-        )
-        self._pids = self._worker_pids()
-
-    def _worker_pids(self) -> set[int]:
-        return {p.pid for p in self._pool._pool if p.pid is not None}
-
-    def _check_deaths(self) -> int:
-        """Workers that vanished since the last check (pool replaces
-        them on its own; PIDs are never reused within the window)."""
-        current = self._worker_pids()
-        dead = self._pids - current
-        self._pids = current
-        self.worker_deaths += len(dead)
-        return len(dead)
-
-    def respawn(self) -> None:
-        with contextlib.suppress(Exception):
-            self._pool.terminate()
-            self._pool.join()
-        self._spawn()
+        #: live workers with no task in flight
+        self.idle: list[_Worker] = []
+        #: workers replaced after dying or being killed at a deadline
+        self.respawns = 0
 
     def close(self) -> None:
-        with contextlib.suppress(Exception):
-            self._pool.terminate()
-            self._pool.join()
+        """Kill and reap every worker; the next dispatch spawns anew."""
+        while self.idle:
+            self.idle.pop().kill()
+
+    def _replace(self, worker: _Worker) -> None:
+        worker.kill()
+        self.respawns += 1
+        self.idle.append(_Worker())
 
     def dispatch(
-        self,
-        tasks: Sequence[tuple[int, WorkUnit, int]],
-        stall_timeout: Optional[float] = None,
-    ) -> Iterator[tuple[int, str, Any, float, Optional[dict]]]:
+        self, tasks: Sequence[tuple[int, WorkUnit, int]], ctx: _RunContext,
+        timeout: Optional[float],
+    ) -> Iterator[Outcome]:
         """Run one round of attempts, yielding outcomes as they land.
 
-        Lost tasks surface as status ``"crash"`` (a worker died with
-        them in flight) or ``"stall"`` (no result arrived within
-        ``stall_timeout`` even though worker-side deadlines should have
-        fired — the pool is wedged and gets respawned); the retry loop
-        classifies both as transient.
+        A task whose worker dies with it yields a
+        :class:`~.errors.WorkerCrashError` outcome; one that outlives
+        *timeout* yields a :class:`~.errors.UnitTimeoutError` outcome
+        after its worker is killed.  A worker that died while idle is
+        replaced and the task resent, with no attempt charged.
         """
-        remaining = {t[0] for t in tasks}
-        it = self._pool.imap_unordered(_evaluate_task, tasks, chunksize=1)
-        last_result = time.monotonic()
-        crash_deadline: Optional[float] = None
-        while remaining:
-            try:
-                rec = it.next(timeout=_POLL_SECONDS)
-            except multiprocessing.TimeoutError:
+        while len(self.idle) < self.jobs:
+            self.idle.append(_Worker())
+        queue = deque(tasks)
+        busy: list[_Worker] = []
+        try:
+            while queue or busy:
+                while queue and self.idle:
+                    worker = self.idle.pop()
+                    if worker.send(queue[0], ctx, timeout):
+                        queue.popleft()
+                        busy.append(worker)
+                    else:
+                        self._replace(worker)
+                nearest = min(w.deadline for w in busy)
+                ready = wait(
+                    [w.conn for w in busy] + [w.proc.sentinel for w in busy],
+                    None if nearest == math.inf
+                    else max(0.0, nearest - time.monotonic()),
+                )
                 now = time.monotonic()
-                if self._check_deaths():
-                    crash_deadline = now + self.drain_grace
-                if crash_deadline is not None and now >= crash_deadline:
-                    log.warning(
-                        "worker death: %d unit(s) lost in flight; "
-                        "retrying on respawned capacity", len(remaining),
-                    )
-                    for idx in sorted(remaining):
-                        yield idx, "crash", None, 0.0, None
-                    return
-                if (
-                    stall_timeout is not None
-                    and now - last_result > stall_timeout
-                ):
-                    log.warning(
-                        "pool made no progress for %.1f s with %d unit(s) "
-                        "outstanding; respawning pool", stall_timeout,
-                        len(remaining),
-                    )
-                    self.respawn()
-                    for idx in sorted(remaining):
-                        yield idx, "stall", None, 0.0, None
-                    return
-                continue
-            except (OSError, EOFError):  # pragma: no cover - torn pipe
-                self.respawn()
-                for idx in sorted(remaining):
-                    yield idx, "crash", None, 0.0, None
-                return
-            remaining.discard(rec[0])
-            last_result = time.monotonic()
-            if crash_deadline is not None:
-                # results still flowing — keep draining survivors
-                crash_deadline = last_result + self.drain_grace
-            yield rec
-
-
-def _dispatch_serial(
-    tasks: Sequence[tuple[int, WorkUnit, int]],
-    stall_timeout: Optional[float] = None,
-) -> Iterator[tuple[int, str, Any, float, Optional[dict]]]:
-    """The inline (``jobs=1``) dispatch path — same contract, no pool."""
-    for task in tasks:
-        yield _evaluate_task(task)
+                for worker in list(busy):
+                    if worker.conn in ready or worker.proc.sentinel in ready:
+                        outcome = worker.receive()
+                        if outcome is not None:
+                            busy.remove(worker)
+                            self.idle.append(worker)
+                            yield outcome
+                            continue
+                        error: EngineError = WorkerCrashError(
+                            "worker process died with the unit in flight "
+                            f"(exit code {worker.proc.exitcode}); the "
+                            "worker was replaced"
+                        )
+                    elif now >= worker.deadline:
+                        error = UnitTimeoutError(timeout)
+                    else:
+                        continue
+                    busy.remove(worker)
+                    self._replace(worker)
+                    yield _lost(worker.task[0], error, now - worker.sent)
+        finally:
+            # The round was abandoned (a fail_fast raise drops this
+            # generator): results still in flight must not land in a
+            # later batch.
+            for worker in busy:
+                worker.kill()
 
 
 def _coalesce_key(
@@ -495,8 +497,10 @@ class CorpusEngine:
     Parameters
     ----------
     jobs:
-        Worker-process count; ``1`` (default) runs inline with no pool,
-        producing results bit-identical to any parallel run.
+        Worker-process count.  ``1`` (default) without a
+        ``unit_timeout`` runs inline, in the calling process; any other
+        setting evaluates in worker processes the engine owns (see
+        :meth:`close`).  Results are bit-identical either way.
     cache_dir:
         Root of the on-disk content-addressed result cache; ``None``
         disables memoization.
@@ -524,18 +528,12 @@ class CorpusEngine:
         re-attempts, attempt *n* delayed ``retry_backoff * 2**(n-1)``
         seconds (deterministic, no jitter).
     unit_timeout:
-        Per-attempt deadline in seconds; a unit running past it raises
-        :class:`~.errors.UnitTimeoutError` in the worker (transient,
-        so it is retried within budget).  ``None`` disables deadlines.
-    serial_fallback:
-        With ``jobs > 1``, a batch containing a *single* cache miss is
-        normally evaluated inline (default ``True`` — the pool fork
-        would cost more than the unit).  Inline evaluation runs in the
-        calling process: a crashing unit takes the caller down with it
-        and SIGALRM deadlines cannot arm off the main thread.  Hosts
-        that must contain arbitrary unit failures — the serving
-        daemon — pass ``False`` to force every evaluation through
-        worker processes regardless of batch size.
+        Per-attempt deadline in seconds; the parent kills the worker of
+        a unit running past it, and the attempt fails with
+        :class:`~.errors.UnitTimeoutError` (transient, so it is retried
+        within budget).  A deadline needs a worker to kill, so it sends
+        even ``jobs=1`` evaluation to a worker process.  ``None``
+        disables deadlines.
 
     Within a batch, misses that share a content key (the cache key,
     computed even when no cache is configured) are evaluated once: the
@@ -555,7 +553,6 @@ class CorpusEngine:
         max_retries: int = 2,
         retry_backoff: float = 0.05,
         unit_timeout: Optional[float] = None,
-        serial_fallback: bool = True,
     ):
         if error_policy not in ERROR_POLICIES:
             raise ValueError(
@@ -587,7 +584,10 @@ class CorpusEngine:
             max_retries=max_retries, backoff=retry_backoff
         )
         self.unit_timeout = unit_timeout
-        self.serial_fallback = serial_fallback
+        self._workers = _Workers(self.jobs)
+        # an engine dropped without close() still reaps its workers (at
+        # collection, or at interpreter exit)
+        weakref.finalize(self, self._workers.close)
         #: metrics of the most recent :meth:`run` batch
         self.metrics = EngineMetrics(jobs=self.jobs)
         #: metrics accumulated over the engine's lifetime
@@ -625,11 +625,11 @@ class CorpusEngine:
             from ..obs.trace import active_tracer
 
             tracer = active_tracer()
-        tracing = tracer is not None and tracer.enabled
+        tracing = tracer is not None
         from ..obs.prof import active_profiler
 
         prof = active_profiler()
-        profiling = prof is not None and prof.enabled
+        profiling = prof is not None
         if tracing:
             from ..obs.trace import (
                 PID_ENGINE,
@@ -716,7 +716,7 @@ class CorpusEngine:
                 )
             # ``pending`` is in submission order; absorbing worker
             # profile snapshots in that fixed order keeps the merged
-            # float sums identical run to run, whatever the pool's
+            # float sums identical run to run, whatever the workers'
             # completion order was.
             for i, unit, key in pending:
                 lead = leader_of.get(i)
@@ -784,7 +784,7 @@ class CorpusEngine:
                 # Per-attempt spans on worker lanes, reconstructed from
                 # the measured durations by greedy earliest-free-lane
                 # packing — exact for jobs=1, an approximation of the
-                # pool's schedule otherwise (flagged in the args).
+                # workers' schedule otherwise (flagged in the args).
                 # Failed and retried attempts get their own spans (cat
                 # "failure"/"retry") so a chaos run's trace shows where
                 # the time went.
@@ -857,6 +857,21 @@ class CorpusEngine:
         """Convenience: build units of one kind and run them."""
         return self.run([WorkUnit.make(kind, **p) for p in param_sets])
 
+    def close(self) -> None:
+        """Kill and reap the worker processes.
+
+        The engine stays usable: a later :meth:`run` forks new workers,
+        which also see evaluators and backends registered since the
+        last ones forked.
+        """
+        self._workers.close()
+
+    def __enter__(self) -> "CorpusEngine":
+        return self
+
+    def __exit__(self, *exc: Any) -> None:
+        self.close()
+
     # -- execution core ------------------------------------------------
 
     def _evaluate_pending(
@@ -867,42 +882,37 @@ class CorpusEngine:
         attempts: list[AttemptRecord],
         total: int,
     ) -> tuple[dict[int, tuple[dict, float, Optional[dict]]], dict[int, UnitFailure]]:
-        """Evaluate the distinct cache misses — inline or pooled — with
-        retries; ``followers`` only receive progress events."""
-        if self.jobs == 1 or (self.serial_fallback and len(pending) == 1):
-            with self._serial_state():
-                return self._attempt_rounds(
-                    pending, followers, _dispatch_serial, None, metrics,
-                    attempts, total,
-                )
+        """Evaluate the distinct cache misses — inline or on the
+        workers — with retries; ``followers`` only receive progress
+        events."""
         from .. import faults
         from ..obs.prof import active_profiler
 
-        prof = active_profiler()
-        wp = _WorkerPool(
-            self.jobs,
-            (
-                faults.active_plan(),
-                self.unit_timeout,
-                self.error_policy != "fail_fast",
-                prof is not None and prof.enabled,
-            ),
+        ctx = _RunContext(
+            faults=faults.active_plan(),
+            partial_results=self.error_policy != "fail_fast",
+            profiling=active_profiler() is not None,
         )
+        workers = self._workers
+        if self.jobs == 1 and self.unit_timeout is None:
+            def dispatch(tasks):
+                return (_evaluate_task(t, ctx) for t in tasks)
+        else:
+            def dispatch(tasks):
+                return workers.dispatch(tasks, ctx, self.unit_timeout)
+        respawns = workers.respawns
         try:
             return self._attempt_rounds(
-                pending, followers, wp.dispatch, self._stall_timeout(),
-                metrics, attempts, total,
+                pending, followers, dispatch, metrics, attempts, total
             )
         finally:
-            metrics.worker_respawns += wp.worker_deaths
-            wp.close()
+            metrics.worker_respawns += workers.respawns - respawns
 
     def _attempt_rounds(
         self,
         pending: list[tuple[int, WorkUnit, Optional[str]]],
         followers: dict[int, list[tuple[int, WorkUnit]]],
-        dispatch: Callable[..., Iterator[tuple[int, str, Any, float]]],
-        stall_timeout: Optional[float],
+        dispatch: Callable[[list[tuple[int, WorkUnit, int]]], Iterator[Outcome]],
         metrics: EngineMetrics,
         attempts: list[AttemptRecord],
         total: int,
@@ -927,9 +937,7 @@ class CorpusEngine:
         while tasks:
             retries: list[tuple[int, WorkUnit, int]] = []
             max_backoff = 0.0
-            for idx, status, payload, seconds, profile in dispatch(
-                tasks, stall_timeout
-            ):
+            for idx, status, payload, seconds, profile in dispatch(tasks):
                 st = state[idx]
                 st["attempts"] += 1
                 st["seconds"] += seconds
@@ -944,22 +952,6 @@ class CorpusEngine:
                         unit, idx, followers, st["seconds"], total
                     )
                     continue
-                if status == "crash":
-                    payload = {
-                        "error_class": WorkerCrashError.__name__,
-                        "kind": "transient",
-                        "message": "worker process died with the unit "
-                                   "in flight; pool capacity respawned",
-                        "traceback_repr": "",
-                    }
-                elif status == "stall":
-                    payload = {
-                        "error_class": UnitTimeoutError.__name__,
-                        "kind": "transient",
-                        "message": "no pool progress within the stall "
-                                   "deadline; pool respawned",
-                        "traceback_repr": "",
-                    }
                 if self.retry_policy.should_retry(attempt, payload["kind"]):
                     metrics.retries += 1
                     attempts.append(
@@ -1000,36 +992,6 @@ class CorpusEngine:
                 time.sleep(max_backoff)
             tasks = retries
         return results, failures
-
-    @contextlib.contextmanager
-    def _serial_state(self) -> Iterator[None]:
-        """Install worker-side context for the inline path."""
-        global _WORKER_TIMEOUT, _WORKER_PROFILING
-        from .evaluators import partial_results_enabled
-        from ..obs.prof import active_profiler
-
-        prev_timeout = _WORKER_TIMEOUT
-        prev_partial = partial_results_enabled()
-        prev_profiling = _WORKER_PROFILING
-        _WORKER_TIMEOUT = self.unit_timeout
-        prof = active_profiler()
-        _WORKER_PROFILING = prof is not None and prof.enabled
-        set_partial_results(self.error_policy != "fail_fast")
-        try:
-            yield
-        finally:
-            _WORKER_TIMEOUT = prev_timeout
-            _WORKER_PROFILING = prev_profiling
-            set_partial_results(prev_partial)
-
-    def _stall_timeout(self) -> Optional[float]:
-        """Parent-side no-progress deadline (backstop for hangs the
-        worker alarm cannot interrupt).  With worker deadlines enabled,
-        *some* result must land every ``unit_timeout`` seconds; quiet
-        beyond that plus grace means the pool is wedged."""
-        if self.unit_timeout is None:
-            return None
-        return self.unit_timeout + max(2.0, self.unit_timeout)
 
     # -- cache + quarantine --------------------------------------------
 

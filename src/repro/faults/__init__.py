@@ -15,7 +15,7 @@ serial run and a ``jobs=8`` run, and a transient fault at attempt 0
 deterministically heals (or not) at attempt 1.  ``match`` restricts a
 spec to unit labels containing a substring; ``attempts`` restricts it
 to specific attempt numbers (the idiom for "kill the worker once,
-succeed on retry"); ``max_triggers`` bounds firings per process.
+succeed on retry"); ``max_triggers`` bounds firings per plan object.
 
 Sites (see ``docs/robustness.md``):
 
@@ -30,10 +30,10 @@ cache.corrupt  parent, after a cache write — truncates the entry file
 ========== ============================================================
 
 Activation is ambient: ``with use_plan(plan): engine.run(units)``.
-The engine forwards the active plan into pool workers through the pool
-initializer, so injection works identically for ``jobs=1`` and
-``jobs=N``.  With no active plan every hook is a no-op behind a single
-``is None`` check.
+The engine sends the active plan with every task, so injection works
+identically inline and in the engine's workers, at any ``jobs``.  With
+no active plan every hook is a no-op behind a single ``is None``
+check.
 """
 
 from __future__ import annotations
@@ -68,9 +68,9 @@ class FaultSpec:
     ``rate`` is the per-event firing probability (1.0 = always);
     ``match`` a substring of the unit label ("" = every unit);
     ``attempts`` restricts firing to those attempt numbers (``None`` =
-    all attempts); ``max_triggers`` caps firings *per process* —
-    counters do not cross the fork boundary, so treat it as a
-    per-worker bound.
+    all attempts); ``max_triggers`` caps firings *per plan object*:
+    the caller's plan inline, but a worker receives a fresh copy with
+    every task, so there it bounds one attempt.
     """
 
     site: str
@@ -191,8 +191,8 @@ class FaultPlan:
 
 
 # ---------------------------------------------------------------------------
-# Ambient plan — engine and cache sites consult this; the pool
-# initializer re-installs it inside worker processes.
+# Ambient plan — the engine reads it once per batch and sends it to its
+# workers with every task.
 # ---------------------------------------------------------------------------
 
 _PLAN: Optional[FaultPlan] = None

@@ -65,14 +65,16 @@ def machine_model_digest(model_or_name: Any) -> str:
     """Digest of a machine model's full parameter set.
 
     Accepts a :class:`~repro.machine.model.MachineModel`, a model
-    name/chip alias, or an already-serialized model dict.
+    name/chip alias, or an already-serialized model dict.  A name
+    resolves to one registered model instance, so its digest is
+    memoized (:func:`cached_model_digest`).
     """
     from ..machine.io import model_to_dict
 
     if isinstance(model_or_name, str):
         from ..machine import get_machine_model
 
-        model_or_name = get_machine_model(model_or_name)
+        return cached_model_digest(get_machine_model(model_or_name))
     if not isinstance(model_or_name, dict):
         model_or_name = model_to_dict(model_or_name)
     return sha256_text(canonical_json(model_or_name))

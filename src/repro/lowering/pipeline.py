@@ -120,7 +120,7 @@ def _lower_uncached(
     from ..obs.prof import active_profiler
 
     prof = active_profiler()
-    if prof is not None and prof.enabled:
+    if prof is not None:
         # the profiler mirrors the pipeline's published stage names:
         # parse -> normalize -> resolve (docs/observability.md)
         with prof.phase("parse"):
@@ -173,7 +173,7 @@ def lower(
                 "lowering.memo_hits", "blocks served from the lowering memo"
             ).inc()
             tracer = active_tracer()
-            if tracer is not None and tracer.enabled:
+            if tracer is not None:
                 tracer.process(PID_LOWER, "lowering")
                 tracer.lane(PID_LOWER, TID_LOWER, "lower")
                 tracer.instant(
@@ -193,11 +193,11 @@ def lower(
     prof = active_profiler()
     prof_cm = (
         prof.phase("lower")
-        if prof is not None and prof.enabled
+        if prof is not None
         else contextlib.nullcontext()
     )
     tracer = active_tracer()
-    if tracer is not None and tracer.enabled:
+    if tracer is not None:
         tracer.process(PID_LOWER, "lowering")
         tracer.lane(PID_LOWER, TID_LOWER, "lower")
         with prof_cm, tracer.span(

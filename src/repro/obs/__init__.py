@@ -20,7 +20,7 @@ reproduction the same property at runtime, in three layers:
   (dispatch, port waits, ROB/scheduler occupancy), per-unit records
   that cross the engine's worker-process boundary, a ranked
   attribution report, and collapsed-stack flamegraph export.  Free
-  when disabled, same pattern as :class:`~repro.obs.trace.NullTracer`.
+  when disabled: "off" is ``None``, as for the tracer.
 * :mod:`.report` — structured run-report manifests written by
   ``repro-bench --run-report`` and diffed by the ``repro-report`` CLI,
   which flags accuracy and runtime regressions (``--check`` makes it a
@@ -43,7 +43,6 @@ from .metrics import (
     use_registry,
 )
 from .prof import (
-    NullProfiler,
     PhaseProfiler,
     active_profiler,
     set_active_profiler,
@@ -64,7 +63,6 @@ from .trace import (
     PID_ENGINE,
     PID_SERVE,
     PID_SIM,
-    NullTracer,
     Tracer,
     active_tracer,
     set_active_tracer,
@@ -82,8 +80,6 @@ __all__ = [
     "Histogram",
     "ManifestDiff",
     "MetricsRegistry",
-    "NullProfiler",
-    "NullTracer",
     "PhaseProfiler",
     "ProgressBar",
     "Tracer",

@@ -335,7 +335,8 @@ def record_engine_metrics(
         ).inc(m.degraded)
     if m.worker_respawns:
         reg.counter(
-            "engine.worker_respawns", "pool workers replaced after dying"
+            "engine.worker_respawns",
+            "workers replaced after dying or being killed at a deadline"
         ).inc(m.worker_respawns)
     if m.cache_write_errors:
         reg.counter(

@@ -28,18 +28,16 @@ Worker processes each build a fresh profiler per unit attempt
 :meth:`absorb`\\ s the snapshots **in submission order**, so the merged
 attribution is independent of worker scheduling.
 
-Disabled profiling must cost (near) nothing.  Mirroring
-:class:`~repro.obs.trace.NullTracer`, call sites hoist one boolean out
-of their hot loops::
+Disabled profiling must cost (near) nothing.  As with tracing, "off"
+is ``None``, and call sites hoist one boolean out of their hot loops::
 
     prof = active_profiler()
-    profiling = prof is not None and prof.enabled
+    profiling = prof is not None
     ...
     if profiling:
         prof.add_cycles({...})
 
-and :class:`NullProfiler` is an inert stand-in that never allocates a
-record.  See ``docs/observability.md`` ("Profiling & perf baselines").
+See ``docs/observability.md`` ("Profiling & perf baselines").
 """
 
 from __future__ import annotations
@@ -58,8 +56,6 @@ SEP = "/"
 
 class PhaseProfiler:
     """Collects phase timings and deterministic cost attribution."""
-
-    enabled = True
 
     def __init__(self) -> None:
         #: path -> [count, wall_seconds, cpu_seconds]
@@ -312,75 +308,6 @@ class PhaseProfiler:
     def write_collapsed(self, path) -> None:
         with open(path, "w") as fh:
             fh.write(self.to_collapsed() + "\n")
-
-
-class NullProfiler:
-    """Inert profiler: every call is a no-op; nothing is ever allocated.
-
-    ``enabled`` is ``False`` so instrumented code that hoists
-    ``prof.enabled`` skips record construction entirely; code that
-    calls through anyway still allocates nothing (the collections are
-    shared immutable empties).
-    """
-
-    enabled = False
-    phases: dict = {}
-    cycles: dict = {}
-    instructions: dict = {}
-    ports: dict = {}
-    counters: dict = {}
-    units: dict = {}
-
-    def current_path(self) -> str:
-        return ""
-
-    def phase(self, name: str):
-        return contextlib.nullcontext()
-
-    def record_phase(self, name, wall, cpu, count=1) -> None:
-        pass
-
-    def add_cycles(self, mapping) -> None:
-        pass
-
-    def add_instruction_cycles(self, mapping) -> None:
-        pass
-
-    def add_port_cycles(self, mapping) -> None:
-        pass
-
-    def add_counter(self, name, value) -> None:
-        pass
-
-    def record_unit(self, label, wall_seconds, sim_cycles=0.0) -> None:
-        pass
-
-    def snapshot(self) -> dict[str, Any]:
-        return {"schema": SCHEMA, "phases": {}, "cycles": {},
-                "instructions": {}, "ports": {}, "counters": {}, "units": {}}
-
-    def absorb(self, snapshot, prefix="") -> None:
-        pass
-
-    def self_wall(self) -> dict:
-        return {}
-
-    def attribution_shares(self, depth: int = 2, top: int = 8) -> dict:
-        return {}
-
-    def report(self, top: int = 10) -> str:
-        return "(profiling disabled)"
-
-    def to_collapsed(self) -> str:
-        return ""
-
-    def write(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.snapshot(), fh)
-
-    def write_collapsed(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("")
 
 
 # ---------------------------------------------------------------------------

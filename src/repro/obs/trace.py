@@ -16,16 +16,13 @@ into a single file viewable in Perfetto (https://ui.perfetto.dev) or
 The two clock domains never share a ``pid``, so the mismatch in units
 is explicit rather than misleading.
 
-Disabled tracing must cost (near) nothing.  Call sites hoist a single
-boolean out of their hot loops::
+Disabled tracing must cost (near) nothing.  "Off" is ``None``, and
+call sites hoist a single boolean out of their hot loops::
 
-    tracing = tracer is not None and tracer.enabled
+    tracing = tracer is not None
     ...
     if tracing:
         tracer.complete(...)
-
-and :class:`NullTracer` is an inert stand-in whose ``events`` is an
-empty tuple — it never allocates an event.
 """
 
 from __future__ import annotations
@@ -68,8 +65,6 @@ TID_SERVE_SLOT_BASE = 1
 
 class Tracer:
     """Collects Chrome trace events (plain dicts, appended in order)."""
-
-    enabled = True
 
     def __init__(self) -> None:
         self.events: list[dict[str, Any]] = []
@@ -225,56 +220,6 @@ class Tracer:
     ) -> None:
         with open(path, "w") as fh:
             json.dump(self.to_chrome(other_data), fh, indent=1)
-
-
-class NullTracer:
-    """Inert tracer: every call is a no-op and nothing is ever allocated.
-
-    ``enabled`` is ``False`` so instrumented code that hoists
-    ``tracer.enabled`` skips event construction entirely; code that
-    calls through anyway still allocates nothing (``events`` is a
-    shared empty tuple).
-    """
-
-    enabled = False
-    events: tuple = ()
-
-    def now_us(self) -> float:
-        return 0.0
-
-    def process(self, *a, **k) -> None:
-        pass
-
-    def lane(self, *a, **k) -> None:
-        pass
-
-    def sim_lanes(self, ports: Sequence[str]) -> dict[str, int]:
-        return {p: TID_PORT_BASE + i for i, p in enumerate(ports)}
-
-    def engine_lanes(self, jobs: int) -> None:
-        pass
-
-    def complete(self, *a, **k) -> None:
-        pass
-
-    def instant(self, *a, **k) -> None:
-        pass
-
-    def counter(self, *a, **k) -> None:
-        pass
-
-    def span(self, *a, **k):
-        return contextlib.nullcontext()
-
-    def metadata_events(self) -> list:
-        return []
-
-    def to_chrome(self, other_data=None) -> dict[str, Any]:
-        return {"traceEvents": [], "displayTimeUnit": "ms"}
-
-    def write(self, path, other_data=None) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_chrome(other_data), fh)
 
 
 # ---------------------------------------------------------------------------

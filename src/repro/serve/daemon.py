@@ -17,18 +17,19 @@ machinery wholesale:
 * **per-backend circuit breakers** (:mod:`.breaker`) turn a
   persistently failing backend into fast 503s;
 * the engine's ``collect``/``quarantine`` error policies isolate a
-  crashing unit to *one* structured 500 while the pool respawns;
+  crashing unit to *one* structured 500 while its worker is replaced;
 * **SIGTERM/SIGINT drain**: stop admitting, finish in-flight work up
   to a drain deadline, flush a run-report manifest, exit 0.
 
 Threading model: the asyncio loop owns all daemon state.  Engine
 batches run on a single-thread executor (``CorpusEngine`` is not
-thread-safe; one thread serializes batches), and the engine fans out
-to worker *processes* from there.  With ``jobs >= 2`` hung units are
-killed by the in-worker SIGALRM deadline; with ``jobs=1`` evaluation
-runs inside the executor thread where SIGALRM cannot be armed, so
-deadlines only shed queue wait — run at least two workers in any
-deployment that must survive hangs (the default does).
+thread-safe; one thread serializes batches), and the engine sends
+every evaluation to its worker *processes* from there.  The engine
+enforces a unit deadline by killing the worker, so with a
+``unit_timeout`` (the default) the daemon process never evaluates a
+request itself, at any ``jobs``: a crash or a hang costs one worker and
+one structured 500 or 504.  Shutdown closes the engine on the executor
+thread, after the last batch.
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ class ServeConfig:
 
     host: str = "127.0.0.1"
     port: int = 8472
-    #: engine worker processes; >= 2 keeps SIGALRM hang-kill available
+    #: engine worker processes
     jobs: int = 2
     cache_dir: Optional[str] = None
     #: "collect" or "quarantine" (quarantine needs a cache_dir)
@@ -133,11 +134,6 @@ class ReproServer:
             max_retries=cfg.max_retries,
             retry_backoff=cfg.retry_backoff,
             unit_timeout=cfg.unit_timeout,
-            # fault containment: never evaluate a request in-process —
-            # the engine's single-unit inline shortcut would let one
-            # crashing request take the whole daemon down (jobs=1 is
-            # still inline, and documented as unprotected)
-            serial_fallback=False,
         )
         self.queue = AdmissionQueue(
             capacity=cfg.queue_capacity, batch_max=cfg.batch_max
@@ -282,6 +278,10 @@ class ReproServer:
             await asyncio.gather(
                 *self._conn_tasks, return_exceptions=True
             )
+        # on the executor thread, so it runs after the last batch
+        await asyncio.get_running_loop().run_in_executor(
+            self._executor, self.engine.close
+        )
         self._executor.shutdown(wait=False)
         if self.config.manifest_path:
             try:
@@ -391,6 +391,14 @@ class ReproServer:
         finally:
             if task is not None:
                 self._conn_tasks.discard(task)
+            try:
+                # An engine worker forked while this connection was open
+                # holds a copy of its socket, so close() alone sends no
+                # FIN; shutting down the write side does.
+                if writer.can_write_eof():
+                    writer.write_eof()
+            except OSError:
+                pass
             try:
                 writer.close()
                 await writer.wait_closed()
@@ -663,7 +671,7 @@ class ReproServer:
         self._m_batches.inc()
 
         tracer = active_tracer()
-        tracing = tracer is not None and tracer.enabled
+        tracing = tracer is not None
         if tracing:
             tracer.serve_lanes(self.queue.batch_max)
             t0_us = tracer.now_us()

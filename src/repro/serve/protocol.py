@@ -261,8 +261,8 @@ def status_for_failure(failure: UnitFailure) -> tuple[int, str]:
 
     The split mirrors the engine's transient/permanent taxonomy:
     deadlines are 504, worker crashes 500, other exhausted transients
-    503 (retrying later may help — the pool respawns, memory pressure
-    subsides), permanent *input* errors 400, and permanent evaluator
+    503 (retrying later may help — a worker is replaced, memory
+    pressure subsides), permanent *input* errors 400, and permanent evaluator
     errors 500.
     """
     if failure.error_class == UnitTimeoutError.__name__:

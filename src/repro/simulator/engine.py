@@ -74,7 +74,7 @@ class SimulationResult:
     instructions_retired: int
     trace: list[TraceEvent] = None  # type: ignore[assignment]
     #: per-cause stall attribution in cycles, populated when the run
-    #: collects stats (``collect_stalls=True`` or an enabled tracer)
+    #: collects stats (``collect_stalls=True`` or a tracer)
     stall_cycles: Optional[dict[str, float]] = None
 
     @property
@@ -251,13 +251,13 @@ class CycleEngine:
 
         # Observability is opt-in and hoisted: with all flags off the
         # loop below pays only local boolean tests per instruction.
-        tracing = tracer is not None and getattr(tracer, "enabled", False)
+        tracing = tracer is not None
         prof = profiler
         if prof is None:
             from ..obs.prof import active_profiler
 
             prof = active_profiler()
-        profiling = prof is not None and prof.enabled
+        profiling = prof is not None
         collect = collect_stalls or tracing or profiling
         stalls: Optional[dict[str, float]] = None
         if collect:

@@ -10,11 +10,13 @@ failures surface as structured records, and the accounting invariant
 
 Marked ``chaos``: run via ``make test-chaos`` (or ``make test``);
 excluded from the ``make test-fast`` developer loop because worker
-kills and drain deadlines cost real seconds.
+kills and hangs cost real seconds.
 """
 
+import gc
 import os
 import signal
+import threading
 import time
 
 import pytest
@@ -25,7 +27,6 @@ from repro import faults
 from repro.bench import fig3
 from repro.engine import CorpusEngine, WorkUnit
 from repro.engine.evaluators import evaluator
-from repro.engine.pool import _WorkerPool
 from repro.faults import FaultPlan, FaultSpec
 
 pytestmark = pytest.mark.chaos
@@ -50,14 +51,38 @@ def _sigkill(p):
     return {"v": "survived"}
 
 
+@evaluator("chaos_sleep")
+def _sleep(p):
+    if "pidfile" in p:
+        with open(p["pidfile"], "w") as fh:
+            fh.write(str(os.getpid()))
+    time.sleep(p["seconds"])
+    if p.get("fail"):
+        raise ValueError("told to fail")
+    return {"slept": p["seconds"]}
+
+
+@evaluator("chaos_pid")
+def _pid(p):
+    return {"pid": os.getpid()}
+
+
+@evaluator("chaos_memo")
+def _memo(p):
+    from repro import lowering
+
+    lowering.lower(p["assembly"], "zen4")
+    return {"memo": lowering.memo_len()}
+
+
 def _units(n):
     return [WorkUnit.make("chaos_work", label=f"w{i}", x=i) for i in range(n)]
 
 
-@pytest.fixture
-def fast_drain(monkeypatch):
-    """Shrink the post-crash drain grace so kill tests stay quick."""
-    monkeypatch.setattr(_WorkerPool, "drain_grace", 0.4)
+def _assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
 class TestFaultRateSweep:
@@ -160,7 +185,7 @@ class TestFaultRateSweep:
 
 
 class TestWorkerKill:
-    def test_os_exit_victim_retried_and_batch_completes(self, fast_drain):
+    def test_os_exit_victim_retried_and_batch_completes(self):
         plan = FaultPlan(
             [FaultSpec(site="exit", match="w3", attempts=(0,))]
         )
@@ -179,9 +204,7 @@ class TestWorkerKill:
         assert eng.metrics.retries >= 1
         assert elapsed < 30, "worker kill must not stall the batch"
 
-    def test_sigkill_victim_retried_and_batch_completes(
-        self, fast_drain, tmp_path
-    ):
+    def test_sigkill_victim_retried_and_batch_completes(self, tmp_path):
         marker = str(tmp_path / "killed-once")
         units = [
             WorkUnit.make("chaos_work", label=f"w{i}", x=i) for i in range(6)
@@ -193,7 +216,7 @@ class TestWorkerKill:
         assert eng.metrics.worker_respawns >= 1
         assert os.path.exists(marker)
 
-    def test_kill_without_retry_budget_reports_crash(self, fast_drain):
+    def test_kill_without_retry_budget_reports_crash(self):
         plan = FaultPlan([FaultSpec(site="exit", match="w2")])
         units = _units(8)
         with faults.use_plan(plan):
@@ -208,7 +231,7 @@ class TestWorkerKill:
         # everything else still completed
         assert sum(r is not None for r in out) == 7
 
-    def test_fail_fast_raises_on_unrecoverable_crash(self, fast_drain):
+    def test_fail_fast_raises_on_unrecoverable_crash(self):
         from repro.engine import UnitEvaluationError
 
         plan = FaultPlan([FaultSpec(site="exit", match="w1")])
@@ -217,27 +240,53 @@ class TestWorkerKill:
             with pytest.raises(UnitEvaluationError, match="WorkerCrashError"):
                 eng.run(_units(6))
 
-    def test_single_unit_crash_contained_without_serial_fallback(
-        self, fast_drain
-    ):
-        # with jobs > 1 a single-miss batch normally runs inline; an
-        # exit fault there would kill *this* process.  serial_fallback
-        # =False (the serving daemon's setting) forces pool dispatch,
-        # so the crash is one structured failure, not a dead host.
+    def test_fail_fast_reaps_the_abandoned_round(self, tmp_path):
+        from repro.engine import UnitEvaluationError
+
+        pidfile = tmp_path / "sleeper.pid"
+        units = [
+            WorkUnit.make("chaos_sleep", label="sleeper", seconds=60.0,
+                          pidfile=str(pidfile)),
+            # fails (permanently) once the sleeper is surely asleep
+            WorkUnit.make("chaos_sleep", label="bad", seconds=0.5, fail=True),
+        ]
+        eng = CorpusEngine(jobs=2, max_retries=0)
+        t0 = time.monotonic()
+        with pytest.raises(UnitEvaluationError, match="told to fail"):
+            eng.run(units)
+        assert time.monotonic() - t0 < 30, "fail_fast waited for the sleeper"
+        _assert_reaped([int(pidfile.read_text())])
+        eng.close()
+
+    def test_single_unit_crash_contained(self):
+        # with jobs > 1 even a single-miss batch runs in a worker, so an
+        # exit fault is one structured failure, not a dead host
         plan = FaultPlan([FaultSpec(site="exit", match="w0")])
         with faults.use_plan(plan):
-            eng = CorpusEngine(
-                jobs=2, error_policy="collect", max_retries=0,
-                serial_fallback=False,
-            )
+            eng = CorpusEngine(jobs=2, error_policy="collect", max_retries=0)
             out = eng.run(_units(1))
         assert out == [None]
         (f,) = eng.failures
         assert f.error_class == "WorkerCrashError"
         # and the engine keeps working afterwards
         with faults.use_plan(FaultPlan()):
-            eng2 = CorpusEngine(jobs=2, serial_fallback=False)
-            assert eng2.run(_units(1)) == CorpusEngine(jobs=1).run(_units(1))
+            assert eng.run(_units(1)) == CorpusEngine(jobs=1).run(_units(1))
+
+    def test_crash_fails_only_the_victim(self):
+        # the bystander is still running long after the victim's worker
+        # died; it was never in the dead worker's hands
+        plan = FaultPlan([FaultSpec(site="exit", match="victim")])
+        units = [
+            WorkUnit.make("chaos_sleep", label="bystander", seconds=3.0),
+            WorkUnit.make("chaos_work", label="victim", x=1),
+        ]
+        with faults.use_plan(plan):
+            eng = CorpusEngine(jobs=2, error_policy="collect", max_retries=0)
+            out = eng.run(units)
+        assert out[0] == {"slept": 3.0}
+        (f,) = eng.failures
+        assert f.index == 1 and f.error_class == "WorkerCrashError"
+        assert eng.metrics.worker_respawns == 1
 
 
 class TestHangTimeout:
@@ -290,6 +339,84 @@ class TestHangTimeout:
             elapsed = time.monotonic() - t0
         assert out[1] is None and elapsed < 10
         assert eng.failures[0].error_class == "UnitTimeoutError"
+
+    def test_deadline_holds_off_the_main_thread(self):
+        # the serving daemon runs its engine on an executor thread
+        plan = FaultPlan(
+            [FaultSpec(site="hang", match="w1", hang_seconds=4.0)]
+        )
+        box = {}
+        with faults.use_plan(plan):
+            eng = CorpusEngine(
+                jobs=1, error_policy="collect", max_retries=0,
+                unit_timeout=0.3,
+            )
+            thread = threading.Thread(
+                target=lambda: box.update(out=eng.run(_units(3)))
+            )
+            t0 = time.monotonic()
+            thread.start()
+            thread.join(30)
+            elapsed = time.monotonic() - t0
+        assert not thread.is_alive()
+        assert box["out"][1] is None
+        assert box["out"][0] == {"v": 0.125, "sq": 0.0}
+        (f,) = eng.failures
+        assert f.error_class == "UnitTimeoutError"
+        assert elapsed < 3, "the deadline must cut the 4 s hang short"
+
+
+class TestWorkerLifecycle:
+    @staticmethod
+    def _pids(eng):
+        units = [WorkUnit.make("chaos_pid", label=f"p{i}", i=i)
+                 for i in range(2)]
+        return {r["pid"] for r in eng.run(units)}
+
+    def test_close_reaps_workers_and_a_later_run_respawns(self):
+        eng = CorpusEngine(jobs=2)
+        pids = self._pids(eng)
+        assert pids and os.getpid() not in pids
+        eng.close()
+        _assert_reaped(pids)
+        again = self._pids(eng)
+        assert again and not again & pids
+        eng.close()
+        _assert_reaped(again)
+
+    def test_with_exit_reaps_workers(self):
+        with CorpusEngine(jobs=2) as eng:
+            pids = self._pids(eng)
+        _assert_reaped(pids)
+
+    def test_dropped_engine_leaves_no_live_worker(self):
+        eng = CorpusEngine(jobs=2)
+        pids = self._pids(eng)
+        del eng
+        gc.collect()
+        _assert_reaped(pids)
+
+    def test_worker_dead_while_idle_is_replaced_without_charge(self):
+        eng = CorpusEngine(jobs=1, unit_timeout=30.0, max_retries=0,
+                           error_policy="collect")
+        (pid,) = self._pids(eng)
+        os.kill(pid, signal.SIGKILL)
+        os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)  # dead, not reaped
+        out = eng.run(_units(2))
+        assert out == CorpusEngine(jobs=1).run(_units(2))
+        m = eng.metrics
+        assert m.failed == 0 and m.retries == 0 and m.worker_respawns == 1
+        eng.close()
+
+    def test_workers_keep_no_lowering_memo_between_tasks(self):
+        units = [
+            WorkUnit.make("chaos_memo", label=f"m{i}",
+                          assembly=f"vaddpd %ymm{i}, %ymm1, %ymm2\n")
+            for i in range(3)
+        ]
+        # a deadline sends jobs=1 evaluation to a worker
+        out = CorpusEngine(jobs=1, unit_timeout=30.0).run(units)
+        assert [r["memo"] for r in out] == [1, 1, 1]
 
 
 class TestCacheFaults:

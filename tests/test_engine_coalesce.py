@@ -86,12 +86,6 @@ class TestOneEvaluationPerKey:
         assert eng.metrics.cache_hits == 6 and eng.metrics.coalesced == 0
         assert len(_evaluations(log)) == 3
 
-    def test_single_distinct_miss_runs_inline(self, tmp_path):
-        # five copies are one evaluation: not worth a pool fork
-        log = tmp_path / "evals.log"
-        CorpusEngine(jobs=2).run(_units(log, [7] * 5))
-        assert _evaluations(log) == [str(os.getpid())]
-
     def test_comment_variants_coalesce_without_a_cache(self):
         asm = "vaddpd %ymm0, %ymm1, %ymm2\nvmulpd %ymm2, %ymm3, %ymm4\n"
         noisy = "# compiler banner\n  " + asm.replace(", ", ",  ") + "\n"

@@ -143,6 +143,18 @@ class TestDigests:
         model = get_machine_model("zen4")
         assert cached_model_digest(model) == cached_model_digest(model)
 
+    def test_name_digest_serializes_the_model_once(self, monkeypatch):
+        import repro.machine.io as io
+
+        first = machine_model_digest("zen4")
+        calls = []
+        real = io.model_to_dict
+        monkeypatch.setattr(
+            io, "model_to_dict", lambda m: calls.append(m) or real(m)
+        )
+        assert machine_model_digest("zen4") == first
+        assert calls == []
+
 
 class TestCorpusLowersOnce:
     """The tentpole contract, measured on the real Fig. 3 evaluator."""

@@ -11,7 +11,6 @@ from repro.engine import CorpusEngine, cache_key, use_engine
 from repro.kernels import enumerate_corpus
 from repro.lowering import lower
 from repro.obs.prof import (
-    NullProfiler,
     PhaseProfiler,
     active_profiler,
     set_active_profiler,
@@ -110,22 +109,6 @@ class TestSnapshotAbsorb:
             stack, us = line.rsplit(" ", 1)
             assert int(us) > 0
             assert "/" not in stack
-
-
-class TestNullProfiler:
-    def test_disabled_and_inert(self):
-        n = NullProfiler()
-        assert n.enabled is False
-        with n.phase("x"):
-            n.add_cycles({"a": 1.0})
-            n.add_counter("c", 1.0)
-            n.record_unit("u", 1.0)
-        # class-level shared empties: nothing was allocated or recorded
-        assert n.phases == {} and n.cycles == {} and n.units == {}
-        assert n.phases is NullProfiler.phases
-        assert n.report() == "(profiling disabled)"
-        assert n.to_collapsed() == ""
-        assert n.attribution_shares() == {}
 
 
 class TestAmbientProfiler:

@@ -13,7 +13,6 @@ from repro.obs.trace import (
     PID_SIM,
     TID_FRONTEND,
     TID_RETIRE,
-    NullTracer,
     Tracer,
     active_tracer,
     use_tracer,
@@ -148,17 +147,6 @@ class TestDisabledPath:
     def test_no_tracer_collects_nothing(self):
         result = simulate_kernel(KERNEL, "zen4", iterations=10, warmup=2)
         assert result.stall_cycles is None
-
-    def test_null_tracer_allocates_no_events(self):
-        nt = NullTracer()
-        result = simulate_kernel(
-            KERNEL, "zen4", iterations=10, warmup=2, tracer=nt
-        )
-        assert nt.events == ()
-        assert result.stall_cycles is None  # disabled => no collection
-
-    def test_null_tracer_events_shared_immutable(self):
-        assert isinstance(NullTracer().events, tuple)
 
     def test_disabled_result_matches_traced_result(self):
         plain = simulate_kernel(KERNEL, "zen4", iterations=10, warmup=2)

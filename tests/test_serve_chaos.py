@@ -11,8 +11,8 @@ succeeds after respawn; a hung unit converts to a 504 at the unit
 deadline; SIGTERM during load drains in-flight work and exits 0.
 
 Fault activation is ambient (a module-level plan), so ``use_plan`` in
-the test is visible to the daemon's engine executor thread and is
-forwarded into forked pool workers.
+the test is visible to the daemon's engine executor thread, which
+sends it to the engine's workers with every task.
 """
 
 import http.client
@@ -28,19 +28,12 @@ import pytest
 
 from repro import faults
 from repro.engine import CorpusEngine
-from repro.engine.pool import _WorkerPool
 from repro.faults import FaultPlan, FaultSpec
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.daemon import ServeConfig, ServerThread
 from repro.serve.loadgen import _payloads, run_load
 
 pytestmark = [pytest.mark.chaos, pytest.mark.serve]
-
-
-@pytest.fixture
-def fast_drain(monkeypatch):
-    """Shrink the post-crash drain grace so kill tests stay quick."""
-    monkeypatch.setattr(_WorkerPool, "drain_grace", 0.4)
 
 
 def _post(port, payload, headers=None, timeout=60):
@@ -73,7 +66,7 @@ class TestAcceptanceLoad:
     UNIQUE = 60
     TOTAL = 500
 
-    def test_chaos_load_correct_or_structured(self, tmp_path, fast_drain):
+    def test_chaos_load_correct_or_structured(self, tmp_path):
         payloads = _payloads(self.SEED, self.UNIQUE)
         # clean serial ground truth, computed before any plan is active
         clean_engine = CorpusEngine(jobs=1)
@@ -171,9 +164,7 @@ class TestAcceptanceLoad:
 
 
 class TestTargetedFaults:
-    def test_worker_sigkill_mid_request_then_recovery(
-        self, tmp_path, fast_drain
-    ):
+    def test_worker_sigkill_mid_request_then_recovery(self, tmp_path):
         [doomed, healthy] = _payloads(5, 2)
         plan = FaultPlan(
             [FaultSpec(site="exit", rate=1.0, match=doomed["label"])],
@@ -195,9 +186,9 @@ class TestTargetedFaults:
                 assert status == 200
                 assert body["cycles_per_iteration"] > 0
 
-    def test_hung_unit_converts_to_504_at_unit_deadline(
-        self, tmp_path, fast_drain
-    ):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_hung_unit_converts_to_504_at_unit_deadline(self, tmp_path, jobs):
+        # at jobs=1 too: the deadline sends evaluation to a worker
         [stuck, healthy] = _payloads(6, 2)
         plan = FaultPlan(
             [FaultSpec(site="hang", rate=1.0, match=stuck["label"],
@@ -205,7 +196,7 @@ class TestTargetedFaults:
             seed=6,
         )
         cfg = ServeConfig(
-            port=0, jobs=2, cache_dir=str(tmp_path / "cache"),
+            port=0, jobs=jobs, cache_dir=str(tmp_path / "cache"),
             unit_timeout=0.5, max_retries=0, request_timeout=60.0,
         )
         with faults.use_plan(plan):

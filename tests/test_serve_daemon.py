@@ -4,6 +4,7 @@ sockets (``ServerThread``) and at the handler layer (no sockets)."""
 import asyncio
 import http.client
 import json
+import socket
 import time
 
 import pytest
@@ -139,6 +140,34 @@ class TestSocketLevel:
                 resp.read()
         finally:
             conn.close()
+
+    def test_closed_connection_reaches_eof_after_workers_fork(self, server):
+        # the first request forks the engine's workers while this
+        # connection is open, so they hold copies of its socket
+        sock = socket.create_connection(("127.0.0.1", server.port), timeout=5)
+        try:
+            for label, close in (("eof0", False), ("eof1", True)):
+                body = json.dumps(
+                    {"assembly": ASM, "arch": "gcs", "label": label,
+                     "backend": "sim"}
+                ).encode()
+                sock.sendall(
+                    b"POST /v1/analyze HTTP/1.1\r\nHost: t\r\n"
+                    + (b"Connection: close\r\n" if close else b"")
+                    + f"Content-Length: {len(body)}\r\n\r\n".encode() + body
+                )
+                head = b""
+                while not head.endswith(b"\r\n\r\n"):
+                    head += sock.recv(1)
+                assert head.startswith(b"HTTP/1.1 200")
+                length = int(
+                    head.lower().split(b"content-length:")[1].split(b"\r\n")[0]
+                )
+                while length:
+                    length -= len(sock.recv(length))
+            assert sock.recv(1) == b""  # the daemon's close arrived
+        finally:
+            sock.close()
 
     def test_x_timeout_must_be_numeric(self, server):
         status, body = _post(
