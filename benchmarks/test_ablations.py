@@ -155,8 +155,7 @@ class TestMCADataAblation:
             predict_all, args=(None,), rounds=1, iterations=1
         )
         clean = predict_all(
-            dict(sve_pipe_limit=0, fp_port_limit=0,
-                 store_uop_inflation=0, drop_throughput_caps=False)
+            dict(sve_pipe_limit=0, fp_port_limit=0, store_uop_inflation=0)
         )
         slower = sum(
             d["cycles_per_iteration"] >= c["cycles_per_iteration"] - 1e-9

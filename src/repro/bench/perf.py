@@ -92,7 +92,6 @@ def _case_fig3(quick: bool) -> list[tuple[str, float, float, dict]]:
 
     from ..engine import CorpusEngine, use_engine
     from ..lowering import clear_memo
-    from ..simulator.plan import clear_plan_memo
     from . import fig3
 
     machines = ("spr",) if quick else ("spr", "genoa", "gcs")
@@ -110,9 +109,8 @@ def _case_fig3(quick: bool) -> list[tuple[str, float, float, dict]]:
         for name in ("fig3_cold", "fig3_warm"):
             if name == "fig3_cold":
                 # every cold repeat starts from nothing; the warm run
-                # keeps the memos and the result cache
+                # keeps the memo and the result cache
                 clear_memo()
-                clear_plan_memo()
             wall, cpu, prof, reg, result = _profiled(sweep)
             snap = reg.snapshot()
             m = engine.metrics

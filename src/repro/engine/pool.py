@@ -284,15 +284,13 @@ def _worker_main(conn, parent_end) -> None:
     from ..lowering import clear_memo
     from ..obs.prof import set_active_profiler
     from ..obs.trace import set_active_tracer
-    from ..simulator.plan import clear_plan_memo
 
     set_active_profiler(None)
     set_active_tracer(None)
     while True:
         # No per-kernel state between tasks: the parent coalesces equal
-        # keys, so the memos would not hit, and they would grow the RSS.
+        # keys, so the memo would not hit, and it would grow the RSS.
         clear_memo()
-        clear_plan_memo()
         try:
             task, ctx = conn.recv()
             conn.send(_evaluate_task(task, ctx))

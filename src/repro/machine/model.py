@@ -313,10 +313,8 @@ class MachineModel:
     def resolve(self, instr: Instruction, strict: bool = False) -> ResolvedInstruction:
         """Bind an instruction to µops, latency, and memory traffic.
 
-        With ``strict=True`` an unknown form raises
-        :class:`UnknownInstructionError`; otherwise a conservative
-        single-µop default on all integer ports is used and flagged via
-        ``from_default``.
+        A recognized zero idiom (with ``zero_idioms`` on) resolves to no
+        µops and no latency; everything else is :meth:`bind`.
         """
         from ..isa.idioms import is_zero_idiom
 
@@ -339,6 +337,17 @@ class MachineModel:
                 ),
             )
 
+        return self.bind(instr, strict)
+
+    def bind(self, instr: Instruction, strict: bool = False) -> ResolvedInstruction:
+        """Bind an instruction through the tables alone, with no renamer
+        idioms.
+
+        With ``strict=True`` an unknown form raises
+        :class:`UnknownInstructionError`; otherwise a conservative
+        single-µop default on all integer ports is used and flagged via
+        ``from_default``.
+        """
         sig = self.signature(instr)
         entry = self.find_entry(instr.mnemonic, sig)
 

@@ -12,8 +12,10 @@ This package reimplements that baseline:
   transformation of our machine models to LLVM-quality information
   (generic latencies, coarser port maps for SVE, no renamer tricks,
   optimistic gathers).
-* :mod:`~repro.mca.simulator` — MCA's dispatch/issue/retire timeline
-  (unfused-µop dispatch accounting, no macro-fusion, greedy binding).
+* :mod:`~repro.mca.simulator` — MCA's dispatch/issue/retire timeline:
+  a plan of that data (unfused-µop dispatch accounting, no
+  macro-fusion, no reorder buffer) replayed on the measurement's own
+  cycle engine.
 * Views mirroring the tool's output: summary, resource pressure.
 """
 

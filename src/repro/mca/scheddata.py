@@ -81,26 +81,19 @@ class MCASchedData:
     fp_port_limit: int = 2
     #: sched models decompose stores into extra AGU µops
     store_uop_inflation: int = 1
-    #: drop explicit serialization caps (gathers) — MCA optimism
-    drop_throughput_caps: bool = True
-    #: dispatch accounting is per unfused µop
-    unfused_dispatch: bool = True
 
     def resolve(self, instr: Instruction) -> ResolvedInstruction:
-        """Resolve an instruction with LLVM-quality data."""
-        # Base resolution WITHOUT renamer idioms: temporarily query the
-        # model with idiom handling off.
+        """Resolve an instruction with LLVM-quality data.
+
+        Explicit serialization caps (gathers) are always dropped — MCA
+        optimism.
+        """
+        # Base resolution WITHOUT renamer idioms: the table binding.
         model = self.model
-        had_zero = model.zero_idioms
-        model.zero_idioms = False
-        try:
-            r = model.resolve(instr)
-        finally:
-            model.zero_idioms = had_zero
+        r = model.bind(instr)
 
         uops = list(r.uops)
         latency = r.latency
-        throughput = r.throughput
         load_latency = r.load_latency
 
         # Eliminated moves become real ALU/vector µops.
@@ -149,14 +142,11 @@ class MCASchedData:
         if divider and family == "div" and self._is_scalar_fp(instr):
             divider = max(divider, latency)
 
-        if self.drop_throughput_caps:
-            throughput = None
-
         return ResolvedInstruction(
             instruction=instr,
             uops=tuple(uops),
             latency=latency,
-            throughput=throughput,
+            throughput=None,
             divider=divider,
             n_loads=r.n_loads,
             n_stores=r.n_stores,

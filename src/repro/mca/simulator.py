@@ -1,16 +1,24 @@
-"""MCA's dispatch/issue/retire timeline.
+"""MCA's dispatch/issue/retire timeline, replayed on the cycle engine.
 
-Structurally like :class:`~repro.simulator.engine.CycleEngine`, but with
-the behaviours of the LLVM tool:
+:class:`MCASimulator` builds a :class:`~repro.simulator.plan.UopPlan`
+from :class:`~repro.mca.scheddata.MCASchedData` and replays it on the
+same :class:`~repro.simulator.engine.CycleEngine` that makes the
+measurement, so the baseline and the measurement share one timeline
+and differ only in plan data.  The plan carries the behaviours of the
+LLVM tool:
 
 * dispatch counts **unfused µops** (no macro-fusion, memory operands
-  cost their own slots),
+  cost their own slots): each instruction's dispatch step is
+  ``max(1, n_uops) / dispatch_width``,
+* µops occupy their ports for their unscaled cycles (no issue
+  inefficiency), and there is no harness overhead,
 * all register dependencies are honored verbatim (no renamer tricks:
   zero idioms, move elimination, and SVE merge renaming do not exist),
-* scheduling data comes from :class:`~repro.mca.scheddata.MCASchedData`,
-* default micro-op buffer is generous (MCA's ``--micro-op-queue``), so
-  window effects rarely bite — another reason latency-heavy loops come
-  out slower than hardware.
+* no reorder buffer, no in-order retire bandwidth, no taken-branch or
+  special-op limits — so window effects never bite, another reason
+  latency-heavy loops come out slower than hardware,
+* no memory dependencies under llvm-mca's ``-noalias`` default;
+  otherwise every address key aliases across iterations.
 
 The headline number mirrors ``llvm-mca``'s *Block RThroughput* /
 cycles-per-iteration from its summary view.
@@ -18,12 +26,23 @@ cycles-per-iteration from its summary view.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from ..isa.instruction import Instruction
 from ..machine import MachineModel
+from ..simulator.plan import PlanConfig, UopPlan, mem_reads, mem_writes
 from .scheddata import MCASchedData
+
+#: MCA's plan knobs: no renamer tricks, no divider overrides, unscaled
+#: occupancies and dispatch, no harness overhead
+_MCA_CONFIG = PlanConfig(
+    merge_renaming=False,
+    divider_overrides=(),
+    issue_efficiency=1.0,
+    dispatch_efficiency=1.0,
+    measurement_overhead=0.0,
+)
 
 
 @dataclass
@@ -73,86 +92,69 @@ class MCASimulator:
         iterations: int = 100,
         warmup: int = 20,
     ) -> MCAResult:
-        from ..simulator.engine import _PortIssueUnit
-        from ..simulator.plan import mem_reads, mem_writes
+        """Replay :meth:`plan` on the cycle engine, publishing nothing."""
+        from ..simulator.engine import CycleEngine
 
-        resolved = [self.sched.resolve(i) for i in instructions]
-        n_body = len(instructions)
-
-        issue_unit = _PortIssueUnit(
-            self.model.ports, window=float(self.model.scheduler_size)
-        )
-        port_busy = {p: 0.0 for p in self.model.ports}
-        divider_free = 0.0
-        reg_ready: dict[str, float] = {}
-        mem_ready: dict[tuple, float] = {}
-
-        dispatch_width = float(self.model.dispatch_width)
-        frontend_time = 0.0
-        last_retire = 0.0
-        mark = 0.0
-        uops_per_iter = sum(max(1, r.n_uops) for r in resolved)
-
-        # Per-instruction dependency sets are loop-invariant; computing
-        # them per dynamic instance dominated corpus-sweep wall time.
-        reg_reads = [ins.register_reads() for ins in instructions]
-        reg_writes = [ins.register_writes() for ins in instructions]
-        if not self.assume_noalias:
-            # memory aliasing keys are shared with the core pipeline
-            mem_reads_of = [mem_reads(ins) for ins in instructions]
-            mem_writes_of = [mem_writes(ins) for ins in instructions]
-
-        for it in range(warmup + iterations):
-            for j in range(n_body):
-                r = resolved[j]
-
-                # unfused dispatch accounting
-                slots = max(1, r.n_uops)
-                frontend_time += slots / dispatch_width
-                dispatch = frontend_time
-
-                ready = dispatch
-                for root in reg_reads[j]:
-                    ready = max(ready, reg_ready.get(root, 0.0))
-                # llvm-mca's default is -noalias=true: no memory
-                # dependencies are modeled at all
-                if not self.assume_noalias:
-                    for key in mem_reads_of[j]:
-                        ready = max(ready, mem_ready.get(key, 0.0))
-
-                finish = ready
-                for u in r.uops:
-                    start, chosen = issue_unit.issue(u.ports, ready, u.cycles)
-                    port_busy[chosen] += u.cycles
-                    finish = max(finish, start)
-                if r.divider:
-                    start = max(divider_free, ready)
-                    divider_free = start + r.divider
-                    finish = max(finish, start)
-
-                complete = finish + r.latency
-                if r.n_loads:
-                    complete += r.load_latency
-
-                last_retire = max(last_retire, complete)
-                for root in reg_writes[j]:
-                    reg_ready[root] = complete
-                if not self.assume_noalias:
-                    for key in mem_writes_of[j]:
-                        mem_ready[key] = complete
-            issue_unit.advance(frontend_time)
-            if it == warmup - 1:
-                mark = max(frontend_time, last_retire)
-
-        total = max(frontend_time, last_retire)
-        per_iter = (total - mark) / iterations
-        pressure = {p: port_busy[p] / (warmup + iterations) for p in self.model.ports}
+        plan = self.plan(instructions)
+        r, _ = CycleEngine().replay(plan, iterations, warmup)
         return MCAResult(
-            cycles_per_iteration=per_iter,
-            total_cycles=total,
+            cycles_per_iteration=r.cycles_per_iteration,
+            total_cycles=r.total_cycles,
             iterations=iterations,
-            uops_per_iteration=uops_per_iter,
-            resource_pressure=pressure,
+            uops_per_iteration=plan.n_slots,
+            resource_pressure={
+                p: busy / (warmup + iterations)
+                for p, busy in r.port_busy.items()
+            },
+        )
+
+    def plan(self, instructions: Sequence[Instruction]) -> UopPlan:
+        """The MCA plan: scheduling-data tables the engine replays."""
+        model = self.model
+        instructions = tuple(instructions)
+        n = len(instructions)
+        resolved = [self.sched.resolve(i) for i in instructions]
+        dispatch_width = float(model.dispatch_width)
+        slots = [max(1, r.n_uops) for r in resolved]
+        if self.assume_noalias:
+            mem_reads_of = mem_writes_of = ((),) * n
+        else:
+            # every key aliases across iterations (none is loop-variant)
+            mem_reads_of = tuple(
+                tuple((k, False) for k in mem_reads(i)) for i in instructions
+            )
+            mem_writes_of = tuple(
+                tuple((k, False) for k in mem_writes(i)) for i in instructions
+            )
+        return UopPlan(
+            model=model,
+            config=_MCA_CONFIG,
+            instructions=instructions,
+            n_body=n,
+            step_of=tuple(n / dispatch_width for n in slots),
+            n_slots=sum(slots),
+            uop_plans=tuple(
+                tuple((u.ports, u.cycles, u.cycles) for u in r.uops)
+                for r in resolved
+            ),
+            divider_occ=tuple(r.divider for r in resolved),
+            eff_latency=tuple(r.latency for r in resolved),
+            load_lat=tuple(
+                r.load_latency if r.n_loads else None for r in resolved
+            ),
+            is_branch_of=(False,) * n,
+            special_of=(None,) * n,
+            mnemonic_of=tuple(i.mnemonic for i in instructions),
+            reads=tuple(i.register_reads() for i in instructions),
+            writes=tuple(i.register_writes() for i in instructions),
+            mem_reads_of=mem_reads_of,
+            mem_writes_of=mem_writes_of,
+            dispatch_step=1.0 / dispatch_width,
+            retire_step=0.0,
+            occupancy_scale=1.0,
+            rob_size=0,
+            scheduler_window=float(model.scheduler_size),
+            ports=model.ports,
         )
 
 

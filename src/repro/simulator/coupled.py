@@ -137,8 +137,6 @@ def simulate_with_memory(
             mem_cycles += per_elem * elems / bw
             bytes_iter = per_elem * elems
 
-    # one shared (memoized) plan feeds both the clean core run and the
-    # coupled one — the tables are derived exactly once per block
     plan = plan_for_block(
         block,
         PlanConfig.make(

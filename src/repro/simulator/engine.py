@@ -29,8 +29,12 @@ Stage two of the staged simulator pipeline.  The engine owns only the
 *dynamic* state — port timelines, divider/special availability,
 register and memory readiness, the reorder buffer — and walks the
 plan's precomputed tables iteration by iteration.  It is the only copy
-of the out-of-order step and the one way a measurement is made.  The
-arithmetic is that of the historical monolithic simulator (same
+of the out-of-order step: a measurement is :meth:`CycleEngine.run`
+over a :func:`~repro.simulator.plan.build_uop_plan` plan, and the MCA
+baseline is :meth:`CycleEngine.replay` over the plan
+:class:`~repro.mca.simulator.MCASimulator` builds from its scheduling
+data (per-µop dispatch steps, no ROB, no branch or special-op limits).
+The arithmetic is that of the historical monolithic simulator (same
 operations, same order), so results are bit-identical to every
 committed golden: cycles, stall attribution, and the profiler's
 deterministic cycle attribution.
@@ -94,8 +98,8 @@ class _PortIssueUnit:
     Real OoO schedulers are greedy *per cycle*: an older µop with a
     far-future ready time does not reserve the port — younger ready µops
     backfill the idle cycles.  We model each port as a busy timeline
-    with explicit gaps; a µop issues into the earliest gap (or at the
-    tail) no earlier than its ready time.
+    with explicit gaps; :meth:`CycleEngine.replay` issues a µop into
+    the earliest gap (or at the tail) no earlier than its ready time.
 
     Each port's gaps are disjoint ``(start, end)`` tuples sorted by end
     (appended at the tail, split in place, pruned from the front), so
@@ -105,14 +109,6 @@ class _PortIssueUnit:
     before the dispatch clock.  Every later µop is ready no earlier
     than that clock, so a dropped gap could never be filled: the
     window bounds the gap lists, it never changes a placement.
-
-    :meth:`CycleEngine.run` inlines :meth:`issue` (same arithmetic,
-    same placements); the MCA baseline calls it.  The engine keeps its
-    own copy because the per-µop method call costs: routing the
-    engine's placement through :meth:`issue` made a run over the 153
-    distinct fig3 plans take 26-36% more CPU on a 2-vCPU x86 host
-    (median 1.65 -> 2.18 s in one 10-round comparison), with
-    bit-identical outputs.
     """
 
     #: gaps shorter than the smallest µop occupancy can never be filled
@@ -122,50 +118,6 @@ class _PortIssueUnit:
         self.tail = {p: 0.0 for p in ports}
         self.gaps: dict[str, list[tuple[float, float]]] = {p: [] for p in ports}
         self.window = window
-
-    def _best_start(self, port: str, ready: float, dur: float):
-        tail = self.tail[port]
-        if ready >= tail:
-            # no gap ends after the tail: append directly
-            return ready, None
-        gaps = self.gaps[port]
-        for k in range(bisect_left(gaps, ready + dur, key=_gap_end), len(gaps)):
-            g0, g1 = gaps[k]
-            start = g0 if g0 > ready else ready
-            if start + dur <= g1:
-                return start, k
-        return tail if tail > ready else ready, None
-
-    def issue(self, candidates, ready: float, dur: float):
-        """Place a µop; returns (start_time, port)."""
-        if dur <= 0:
-            return ready, candidates[0]
-        if len(candidates) == 1:
-            best = (*self._best_start(candidates[0], ready, dur), candidates[0])
-            start, gap_idx, port = best
-        else:
-            best = None
-            for p in candidates:
-                start, gap_idx = self._best_start(p, ready, dur)
-                if best is None or start < best[0]:
-                    best = (start, gap_idx, p)
-                    if start <= ready:  # cannot do better than 'ready'
-                        break
-            start, gap_idx, port = best
-        if gap_idx is None:
-            tail = self.tail[port]
-            if start - tail >= self.GAP_MIN:
-                self.gaps[port].append((tail, start))
-            self.tail[port] = start + dur
-        else:
-            g0, g1 = self.gaps[port][gap_idx]
-            repl = []
-            if start - g0 >= self.GAP_MIN:
-                repl.append((g0, start))
-            if g1 - (start + dur) >= self.GAP_MIN:
-                repl.append((start + dur, g1))
-            self.gaps[port][gap_idx:gap_idx + 1] = repl
-        return start, port
 
     def advance(self, now: float) -> None:
         """Prune gaps ending more than ``window`` before dispatch clock ``now``."""
@@ -191,13 +143,7 @@ class CycleEngine:
         collect_stalls: bool = False,
         profiler=None,
     ) -> SimulationResult:
-        """Execute ``warmup + iterations`` iterations; measure the tail.
-
-        Steady-state cycles/iteration is the slope between the retire
-        time of the last warmup iteration and the final iteration.
-        With ``trace_iterations > 0``, per-instance timing events for
-        the first iterations are collected (the llvm-mca-style
-        timeline; see :mod:`repro.simulator.timeline`).
+        """Measure ``plan``: :meth:`replay` it and publish the profile.
 
         ``tracer`` (a :class:`repro.obs.Tracer`) records every dynamic
         instruction as Chrome trace events: dispatch slots on the
@@ -211,6 +157,56 @@ class CycleEngine:
         cycles, per-port occupancy, and ROB/scheduler-window
         accounting.  All three default off and then cost nothing: the
         hot loop only tests hoisted booleans.
+        """
+        prof = profiler
+        if prof is None:
+            from ..obs.prof import active_profiler
+
+            prof = active_profiler()
+        keep_stalls = collect_stalls or tracer is not None
+        wall0 = time.perf_counter()
+        cpu0 = time.process_time()
+        result, issue_unit = self.replay(
+            plan, iterations, warmup, trace_iterations,
+            tracer=tracer, collect=keep_stalls or prof is not None,
+        )
+        if prof is not None:
+            _publish_profile(
+                prof,
+                wall=time.perf_counter() - wall0,
+                cpu=time.process_time() - cpu0,
+                result=result,
+                plan=plan,
+                issue_unit=issue_unit,
+            )
+            if not keep_stalls:
+                result.stall_cycles = None
+        return result
+
+    def replay(
+        self,
+        plan: UopPlan,
+        iterations: int,
+        warmup: int,
+        trace_iterations: int = 0,
+        *,
+        tracer=None,
+        collect: bool = False,
+    ) -> tuple[SimulationResult, _PortIssueUnit]:
+        """Execute ``warmup + iterations`` iterations; measure the tail.
+
+        Steady-state cycles/iteration is the slope between the retire
+        time of the last warmup iteration and the final iteration.
+        With ``trace_iterations > 0``, per-instance timing events for
+        the first iterations are collected (the llvm-mca-style
+        timeline; see :mod:`repro.simulator.timeline`).  ``collect``
+        (implied by a ``tracer``) fills
+        :attr:`SimulationResult.stall_cycles`.  A plan with
+        ``rob_size == 0`` has no reorder buffer: nothing is kept per
+        dynamic instruction and dispatch never waits on retirement.
+
+        Publishes nothing; returns the result and the final port
+        timelines.
         """
         if iterations < 1:
             raise ValueError("need at least one measured iteration")
@@ -229,14 +225,15 @@ class CycleEngine:
         last_branch = -1e9
 
         frontend_time = 0.0
-        rob_size = plan.rob_size
-        rob_retire: deque[float] = deque(maxlen=rob_size)
+        rob_retire: deque[float] = deque(maxlen=plan.rob_size)
+        # rob_size 0 is "no ROB": the deque keeps nothing, and no length
+        # equals -1, so dispatch never waits on retirement
+        rob_full = plan.rob_size or -1
         retire_time_prev = 0.0
-        dispatch_step = plan.dispatch_step
         retire_step = plan.retire_step
 
         # hoisted plan tables (locals are faster than attribute loads)
-        slot_of = plan.slot_of
+        step_of = plan.step_of
         uop_plans = plan.uop_plans
         divider_occ = plan.divider_occ
         eff_latency = plan.eff_latency
@@ -252,13 +249,7 @@ class CycleEngine:
         # Observability is opt-in and hoisted: with all flags off the
         # loop below pays only local boolean tests per instruction.
         tracing = tracer is not None
-        prof = profiler
-        if prof is None:
-            from ..obs.prof import active_profiler
-
-            prof = active_profiler()
-        profiling = prof is not None
-        collect = collect_stalls or tracing or profiling
+        collect = collect or tracing
         stalls: Optional[dict[str, float]] = None
         if collect:
             stalls = {
@@ -266,9 +257,6 @@ class CycleEngine:
                 "port": 0.0, "divider": 0.0, "special": 0.0,
                 "branch": 0.0, "retire": 0.0,
             }
-        if profiling:
-            wall0 = time.perf_counter()
-            cpu0 = time.process_time()
         if tracing:
             from ..obs.trace import (
                 PID_SIM,
@@ -290,15 +278,15 @@ class CycleEngine:
         for it in range(total_iters):
             record = it < trace_iterations
             for j in range(n_body):
-                # -- frontend: fused-domain dispatch slots
-                slot_consumed = slot_of[j]
-                if slot_consumed:
-                    frontend_time += dispatch_step
+                # -- frontend: in-order dispatch
+                step = step_of[j]
+                if step:
+                    frontend_time += step
                 dispatch = frontend_time
 
                 # -- ROB backpressure: the slot of the instruction
                 # rob_size back must have retired
-                if len(rob_retire) == rob_size:
+                if len(rob_retire) == rob_full:
                     head = rob_retire[0]
                     if head > dispatch:
                         if collect:
@@ -461,9 +449,9 @@ class CycleEngine:
                 rob_append(retire)
 
                 if tracing:
-                    if slot_consumed:
+                    if step:
                         tracer.complete(
-                            mnemonic_of[j], dispatch, dispatch_step, PID_SIM,
+                            mnemonic_of[j], dispatch, step, PID_SIM,
                             TID_FRONTEND, cat="dispatch",
                             args={"iter": it, "i": j},
                         )
@@ -503,18 +491,6 @@ class CycleEngine:
         total = retire_time_prev
         measured = total - mark_cycle if warmup > 0 else total
         measured *= 1.0 + plan.config.measurement_overhead
-        if profiling:
-            _publish_profile(
-                prof,
-                wall=time.perf_counter() - wall0,
-                cpu=time.process_time() - cpu0,
-                stalls=stalls,
-                total=total,
-                total_iters=total_iters,
-                plan=plan,
-                port_busy=port_busy,
-                issue_unit=issue_unit,
-            )
         return SimulationResult(
             cycles_per_iteration=measured / iterations,
             total_cycles=total,
@@ -523,8 +499,8 @@ class CycleEngine:
             port_busy=port_busy,
             instructions_retired=total_iters * n_body,
             trace=trace,
-            stall_cycles=stalls if (collect_stalls or tracing) else None,
-        )
+            stall_cycles=stalls,
+        ), issue_unit
 
 
 def _publish_profile(
@@ -532,12 +508,9 @@ def _publish_profile(
     *,
     wall: float,
     cpu: float,
-    stalls: dict[str, float],
-    total: float,
-    total_iters: int,
+    result: SimulationResult,
     plan: UopPlan,
-    port_busy: dict[str, float],
-    issue_unit: "_PortIssueUnit",
+    issue_unit: _PortIssueUnit,
 ) -> None:
     """Publish one run's deterministic attribution to the profiler.
 
@@ -549,6 +522,9 @@ def _publish_profile(
     cycles, and the retire deque is append-only and bounded — so
     the simulated hot loop carries no profiling branches at all.
     """
+    stalls = result.stall_cycles
+    total = result.total_cycles
+    total_iters = result.warmup_iterations + result.iterations
     n_body = plan.n_body
     rob_size = plan.rob_size
     prof.record_phase("simulate", wall, cpu)
@@ -572,7 +548,7 @@ def _publish_profile(
         per_iter = sum(cycles for _ports, cycles, _dur in plan.uop_plans[j])
         mnem_cycles[m] = mnem_cycles.get(m, 0.0) + per_iter * total_iters
     prof.add_instruction_cycles(mnem_cycles)
-    prof.add_port_cycles(port_busy)
+    prof.add_port_cycles(result.port_busy)
     n_instr = total_iters * n_body
     # occupancy before the k-th dynamic instruction is min(k, rob_size)
     cap = min(n_instr, rob_size)

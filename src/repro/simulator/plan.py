@@ -3,17 +3,18 @@
 Stage one of the staged simulator pipeline.  A :class:`UopPlan` is the
 per-body-index precomputation PR 7 first hoisted out of the cycle loop
 — µop schedules with pre-scaled port occupancies, divider/latency/
-branch tables, register and memory dependency edges, macro-fusion
-slots — promoted to a first-class IR built **once** per
-:class:`~repro.lowering.LoweredBlock` and shared by every consumer:
+branch tables, register and memory dependency edges, per-instruction
+dispatch steps — promoted to a first-class IR that every consumer
+builds once per run:
 
 * :class:`~repro.simulator.engine.CycleEngine` — the cycle-accurate
   engine replays the plan iteration by iteration,
 * :mod:`~repro.simulator.timeline` / :mod:`~repro.simulator.coupled` —
   build the plan once and run the engine against it (so do the
   backends, microbenchmarks, and counterfactual studies),
-* :class:`~repro.mca.simulator.MCASimulator` — shares the memory-key
-  helpers so aliasing semantics can never drift between simulators.
+* :class:`~repro.mca.simulator.MCASimulator` — builds its own plan from
+  MCA scheduling data with the memory-key helpers below, so aliasing
+  semantics can never drift between the measurement and the baseline.
 
 Every precomputed float reproduces the exact value the old inline
 expression produced (same operations, same order), so the
@@ -23,7 +24,6 @@ monolithic simulator it replaced.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
@@ -45,13 +45,10 @@ DEFAULT_DIVIDER_OVERRIDES: dict[tuple[str, str], float] = {
     ("zen4", "vdivsd"): 4.0,
 }
 
-#: plan memo capacity; same sizing rationale as the lowering memo
-PLAN_MEMO_CAP = 4096
-
 
 @dataclass(frozen=True)
 class PlanConfig:
-    """Simulation knobs that shape a plan (hashable memo component).
+    """Simulation knobs that shape a plan.
 
     ``divider_overrides`` is stored as a sorted tuple so configs hash
     and compare structurally (:meth:`make` accepts a dict).
@@ -134,8 +131,9 @@ class UopPlan:
     config: PlanConfig
     instructions: tuple[Instruction, ...]
     n_body: int
-    #: fused-domain dispatch: True when index j consumes a frontend slot
-    slot_of: tuple[bool, ...]
+    #: frontend time index j's dispatch adds: ``dispatch_step`` when it
+    #: takes a fused-domain slot, 0.0 when fused into its predecessor
+    step_of: tuple[float, ...]
     n_slots: int
     #: per instruction: ((ports, cycles, cycles*occupancy_scale), ...)
     #: including the synthesized cache-line-split replay µop
@@ -178,7 +176,7 @@ class UopPlan:
 # ---------------------------------------------------------------------------
 # shared per-instruction table derivations
 #
-# Shared with MCASimulator (the memory-key trio), so every simulator
+# Shared with MCASimulator's plan (the memory-key trio), so every plan
 # derives identical tables from one code path.
 # ---------------------------------------------------------------------------
 
@@ -362,12 +360,12 @@ def build_uop_plan(
             tuple((k, key_variant(k, variant_regs)) for k in mem_writes(ins))
         )
 
-    fused_with_next = macro_fusion(instructions, model)
-    slot_of = tuple(
-        j == 0 or not fused_with_next[j - 1] for j in range(n_body)
-    )
-
     dispatch_step = 1.0 / (model.dispatch_width * cfg.dispatch_efficiency)
+    fused_with_next = macro_fusion(instructions, model)
+    step_of = tuple(
+        dispatch_step if j == 0 or not fused_with_next[j - 1] else 0.0
+        for j in range(n_body)
+    )
     retire_step = 1.0 / model.retire_width
     occupancy_scale = 1.0 / cfg.issue_efficiency
 
@@ -412,8 +410,8 @@ def build_uop_plan(
         config=cfg,
         instructions=instructions,
         n_body=n_body,
-        slot_of=slot_of,
-        n_slots=sum(slot_of),
+        step_of=step_of,
+        n_slots=sum(1 for step in step_of if step),
         uop_plans=tuple(uop_plans),
         divider_occ=tuple(divider_occ),
         eff_latency=tuple(eff_latency),
@@ -434,35 +432,13 @@ def build_uop_plan(
     )
 
 
-# -- per-block memo --------------------------------------------------------
-
-_PLAN_MEMO: "OrderedDict[tuple, UopPlan]" = OrderedDict()
-
-
 def plan_for_block(
     block: "LoweredBlock", config: Optional[PlanConfig] = None
 ) -> UopPlan:
-    """The plan for a lowered block (memoized per block × config).
-
-    The memo key is the block's identity (assembly digest × model
-    digest — the same pair the lowering memo and the engine's on-disk
-    cache use) extended with the plan config, so the one-call entry,
-    the timeline, and the memory-coupled run all share one plan per
-    block instead of re-deriving tables.
-    """
-    cfg = config or PlanConfig()
-    key = (block.key, cfg)
-    plan = _PLAN_MEMO.get(key)
-    if plan is not None:
-        _PLAN_MEMO.move_to_end(key)
-        return plan
-    plan = build_uop_plan(
-        block.instructions, block.model, resolved=block.resolved, config=cfg
+    """The plan for a lowered block under ``config``."""
+    return build_uop_plan(
+        block.instructions, block.model, resolved=block.resolved, config=config
     )
-    _PLAN_MEMO[key] = plan
-    while len(_PLAN_MEMO) > PLAN_MEMO_CAP:
-        _PLAN_MEMO.popitem(last=False)
-    return plan
 
 
 def plan_for(
@@ -478,12 +454,3 @@ def plan_for(
     if arch is None:
         raise ValueError("plan_for(source, arch): arch is required for text")
     return plan_for_block(lower(source_or_block, arch), config)
-
-
-def clear_plan_memo() -> None:
-    """Drop every memoized plan (tests; perf-case cold starts)."""
-    _PLAN_MEMO.clear()
-
-
-def plan_memo_len() -> int:
-    return len(_PLAN_MEMO)

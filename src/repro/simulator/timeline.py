@@ -75,9 +75,8 @@ def timeline(
 ) -> str:
     """Parse, simulate, and render the timeline of the first iterations.
 
-    Consumes the shared (memoized) :class:`~repro.simulator.plan.UopPlan`
-    rather than re-deriving the per-instruction tables, so a timeline of
-    a block the analyzer already touched costs only the engine replay.
+    Plans the (memoized) lowering under ``PlanConfig.make(**sim_kwargs)``
+    and renders the engine's trace of its first ``iterations``.
     """
     from ..lowering import lower
 

@@ -1,10 +1,17 @@
 """LLVM-MCA-style baseline: scheduling data transforms and simulation."""
 
+import dataclasses
+import tracemalloc
+
 import pytest
 
+from repro.backends.builtin import MCABackend
 from repro.isa import parse_kernel
+from repro.lowering import lower
 from repro.machine import get_machine_model
+from repro.machine.model import MachineModel
 from repro.mca import MCASchedData, MCASimulator, mca_predict
+from repro.obs.prof import PhaseProfiler, use_profiler
 from repro.simulator.engine import CycleEngine
 from repro.simulator.plan import build_uop_plan
 
@@ -29,6 +36,23 @@ class TestSchedDataTransforms:
         m = get_machine_model("spr")
         MCASchedData(m).resolve(one("vxorpd %ymm0, %ymm0, %ymm0", "x86"))
         assert m.zero_idioms is True
+
+    def test_resolve_never_writes_the_shared_model(self):
+        """The model's renamer policy is read meanwhile (lowerings, the
+        memoized model digest), so resolution must not even flip it."""
+        writes = []
+
+        class Spy(MachineModel):
+            def __setattr__(self, name, value):
+                if name == "zero_idioms":
+                    writes.append(value)
+                super().__setattr__(name, value)
+
+        m = get_machine_model("spr")
+        spy = Spy(**{f.name: getattr(m, f.name) for f in dataclasses.fields(m)})
+        writes.clear()  # the constructor's own assignment
+        MCASchedData(spy).resolve(one("vxorpd %ymm0, %ymm0, %ymm0", "x86"))
+        assert writes == []
 
     def test_generic_fp_latency(self):
         sched = MCASchedData(get_machine_model("spr"))
@@ -89,7 +113,7 @@ class TestMCASimulation:
     jb .L4
     """
 
-    def test_unfused_dispatch_slower_than_measurement(self):
+    def test_per_uop_dispatch_slower_than_measurement(self):
         model = get_machine_model("spr")
         instrs = parse_kernel(self.TRIAD, "x86")
         mca = MCASimulator(model).run(instrs, iterations=60, warmup=15)
@@ -124,3 +148,35 @@ class TestMCASimulation:
         mca = MCASimulator(model).run(instrs, iterations=60, warmup=15)
         meas = CycleEngine().run(build_uop_plan(instrs, model), iterations=100, warmup=30)
         assert mca.cycles_per_iteration > meas.cycles_per_iteration
+
+    def test_needs_a_measured_iteration(self):
+        model = get_machine_model("spr")
+        with pytest.raises(ValueError):
+            MCASimulator(model).run(parse_kernel(self.TRIAD, "x86"), iterations=0)
+
+    def test_publishes_nothing_to_the_ambient_profiler(self):
+        """MCA replays on the measurement's engine but is no
+        measurement: no cycles, counters or phases of its own."""
+        prof = PhaseProfiler()
+        block = lower(self.TRIAD, "spr")
+        with use_profiler(prof):
+            for noalias in (True, False):
+                MCABackend().predict(block, assume_noalias=noalias)
+        snap = prof.snapshot()
+        for part in ("phases", "cycles", "instructions", "ports", "counters"):
+            assert snap[part] == {}, part
+
+    def test_memory_does_not_grow_with_iterations(self):
+        """MCA has no reorder buffer, so a replay keeps nothing per
+        dynamic instruction."""
+
+        def peak(iterations):
+            tracemalloc.start()
+            try:
+                mca_predict("addq $1, %rax", "spr", iterations=iterations)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1_000)  # lowering memo, imports
+        assert peak(20_000) <= peak(1_000) + 64 * 1024

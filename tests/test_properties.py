@@ -10,10 +10,9 @@ Invariants checked:
 * simulator — measured cycles are at least the analytical lower bound
   for arbitrary generated straight-line kernels; lengthening a
   loop-carried multiply-add chain never lowers the measured
-  cycles/iteration; issue unit never
-  double-books a port, its bisected gap search places every µop as a
-  linear scan would, and the scheduler window never changes a
-  placement;
+  cycles/iteration; the engine never double-books a port, its
+  bisected gap search places every µop as a linear scan would, and
+  the scheduler window never changes a placement;
 * cache hierarchy — the store-benchmark traffic ratio always lands in
   [1, 2]; LRU never exceeds capacity;
 * codegen pipeline — any (kernel, persona, opt, uarch) combination
@@ -37,9 +36,12 @@ from repro.kernels.suite import KERNELS
 from repro.lowering import lower
 from repro.machine import get_machine_model
 from repro.machine.model import InstrEntry, MachineModel, Uop
+from repro.mca import MCASimulator
 from repro.simulator.engine import CycleEngine, _PortIssueUnit
 from repro.simulator.plan import PlanConfig, build_uop_plan, plan_for_block
 from repro.simulator.memory import CacheHierarchy, CacheLevel
+
+from .toyplan import toy_plan, traced_replay
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -206,105 +208,159 @@ class TestChainMonotonicity:
 # issue unit
 # ---------------------------------------------------------------------------
 
-class _LinearScanIssueUnit(_PortIssueUnit):
-    """Reference placement: first fit by a linear scan of every gap,
-    and a prune that rebuilds each gap list."""
+#: µop durations of the drawn plans: exact binary fractions plus the
+#: sim plans' occupancies scaled by 1/issue_efficiency (1/0.88)
+PLAN_DURATIONS = [0.0, 0.5, 1.0, 2.0, 3.0] + [c / 0.88 for c in (0.5, 1.0, 2.0)]
 
-    def _best_start(self, port, ready, dur):
-        tail = self.tail[port]
-        if ready >= tail:
-            return ready, None
-        for k, (g0, g1) in enumerate(self.gaps[port]):
-            start = g0 if g0 > ready else ready
-            if start + dur <= g1:
-                return start, k
-        return tail if tail > ready else ready, None
+REGS = ("r0", "r1", "r2")
 
-    def advance(self, now):
-        horizon = now - self.window
-        if horizon <= 0:
-            return
-        for p, gaps in self.gaps.items():
-            self.gaps[p] = [g for g in gaps if g[1] >= horizon]
+
+@st.composite
+def toy_bodies(draw):
+    """``(body, window)`` of a hand-built plan (see ``tests/toyplan.py``):
+    random µops on random port subsets, register chains, latencies,
+    dispatch steps and scheduler windows."""
+    body = []
+    for _ in range(draw(st.integers(1, 6))):
+        body.append((
+            draw(st.lists(
+                st.tuples(port_subsets, st.sampled_from(PLAN_DURATIONS)),
+                max_size=3,
+            )),
+            draw(st.lists(st.sampled_from(REGS), max_size=2, unique=True)),
+            draw(st.lists(st.sampled_from(REGS), max_size=1)),
+            draw(st.sampled_from([0.0, 1.0, 3.0, 4.0 / 0.88, 10.0])),
+            draw(st.sampled_from([0.0, 1.0 / 6, 1.0 / (6 * 0.92), 0.5, 2.0])),
+        ))
+    return body, draw(st.sampled_from([0.5, 4.0, 1e9]))
+
+
+def linear_scan_replay(plan, iterations, warmup):
+    """Reference replay of a toy plan: each µop takes the first gap that
+    holds it, found by scanning every gap from the oldest, and each
+    prune rebuilds the gap lists.
+
+    Returns ``(placed, total_cycles, port_busy, tail, gaps)`` with
+    ``placed`` as :func:`tests.toyplan.traced_replay` reports it.
+    """
+    gap_min = _PortIssueUnit.GAP_MIN
+    tail = {p: 0.0 for p in plan.ports}
+    gaps = {p: [] for p in plan.ports}
+    busy = {p: 0.0 for p in plan.ports}
+    reg_ready = {}
+    frontend = retire = 0.0
+    placed = []
+    for it in range(warmup + iterations):
+        for j in range(plan.n_body):
+            frontend += plan.step_of[j]
+            ready = frontend
+            for root in plan.reads[j]:
+                ready = max(ready, reg_ready.get(root, 0.0))
+            finish = ready
+            for ports, cycles, dur in plan.uop_plans[j]:
+                if dur <= 0:
+                    busy[ports[0]] += cycles
+                    continue
+                best = None
+                for p in ports:
+                    start, k = (tail[p] if tail[p] > ready else ready), None
+                    if ready < tail[p]:
+                        for idx, (g0, g1) in enumerate(gaps[p]):
+                            s = g0 if g0 > ready else ready
+                            if s + dur <= g1:
+                                start, k = s, idx
+                                break
+                    if best is None or start < best[0]:
+                        best = (start, k, p)
+                        if start <= ready:
+                            break
+                start, k, p = best
+                if k is None:
+                    if start - tail[p] >= gap_min:
+                        gaps[p].append((tail[p], start))
+                    tail[p] = start + dur
+                else:
+                    g0, g1 = gaps[p][k]
+                    gaps[p][k:k + 1] = [
+                        g for g in ((g0, start), (start + dur, g1))
+                        if g[1] - g[0] >= gap_min
+                    ]
+                busy[p] += cycles
+                finish = max(finish, start)
+                placed.append((it, j, start, dur, p))
+            complete = finish + plan.eff_latency[j]
+            retire = max(retire, complete)
+            for root in plan.writes[j]:
+                reg_ready[root] = complete
+        horizon = frontend - plan.scheduler_window
+        if horizon > 0:
+            gaps = {p: [g for g in gl if g[1] >= horizon] for p, gl in gaps.items()}
+    return placed, retire, busy, tail, gaps
+
+
+def with_near_tie(data, body, window):
+    """Append to ``body`` a µop that ends within 1e-6 of a gap's end —
+    the fit test's edge.  A late µop on ``port`` leaves a gap ending at
+    ``end``; a µop of duration ``dur`` then becomes ready at
+    ``end - dur + delta``, exactly on the edge when ``delta`` is 0."""
+    *_, tail, _gaps = linear_scan_replay(toy_plan(body, PORTS, window=window), 1, 0)
+    port = data.draw(st.sampled_from(PORTS), label="port")
+    dur = data.draw(st.sampled_from([d for d in PLAN_DURATIONS if d]), label="dur")
+    slack = data.draw(st.sampled_from([0.0, 0.5, 1.0 / 0.88, 3.0]), label="slack")
+    delta = data.draw(st.one_of(st.just(0.0), st.floats(-1e-6, 1e-6)), label="delta")
+    frontend = sum(step for *_, step in body)
+    gap_latency = max(tail[port], frontend) + dur + slack + 1.0 - frontend
+    end = frontend + gap_latency  # the late µop's start: the gap's end
+    latency = end - dur + delta - frontend
+    if delta == 0:
+        # nudge by ulps until the engine's own sum lands on the gap end
+        for _ in range(4):
+            over = frontend + latency + dur - end
+            if over == 0:
+                break
+            latency = math.nextafter(latency, -math.inf if over > 0 else math.inf)
+    return body + [
+        ((), (), ("rg",), gap_latency, 0.0),
+        ((((port,), 1.0),), ("rg",), (), 0.0, 0.0),
+        ((), (), ("rt",), latency, 0.0),
+        ((((port,), dur),), ("rt",), (), 0.0, 0.0),
+    ]
 
 
 class TestIssueUnitProperties:
-    @given(
-        st.lists(
-            st.tuples(
-                port_subsets,
-                st.floats(0.0, 50.0),
-                st.sampled_from([0.5, 1.0, 2.0]),
-            ),
-            min_size=1,
-            max_size=40,
-        )
-    )
+    @given(toy_bodies(), st.integers(1, 8))
     @settings(max_examples=60, deadline=None)
-    def test_no_double_booking(self, jobs):
-        unit = _PortIssueUnit(PORTS, window=1e9)
-        placed = {p: [] for p in PORTS}
-        for ports, ready, dur in jobs:
-            start, port = unit.issue(ports, ready, dur)
-            assert start >= ready - 1e-9
-            for s, e in placed[port]:
-                assert start >= e - 1e-9 or start + dur <= s + 1e-9, (
-                    "overlapping booking on one port"
-                )
-            placed[port].append((start, start + dur))
+    def test_no_double_booking(self, body_window, iterations):
+        body, window = body_window
+        plan = toy_plan(body, PORTS, window=window)
+        _result, _unit, placed = traced_replay(plan, iterations)
+        by_port = {p: [] for p in PORTS}
+        for _it, _i, start, dur, port in placed:
+            by_port[port].append((start, start + dur))
+        for slices in by_port.values():
+            slices.sort()
+            for (_s0, e0), (s1, _e1) in zip(slices, slices[1:]):
+                assert s1 >= e0, "overlapping booking on one port"
 
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
     def test_bisected_first_fit_matches_linear_scan(self, data):
         """The gap search skips only gaps that cannot hold the µop."""
-        unit = _PortIssueUnit(PORTS, window=4.0)
-        ref = _LinearScanIssueUnit(PORTS, window=4.0)
-        now = 0.0
-        for _ in range(data.draw(st.integers(1, 60), label="steps")):
-            ports = data.draw(port_subsets, label="ports")
-            dur = data.draw(durations, label="dur")
-            ends = sorted({g[1] for p in ports for g in ref.gaps[p]})
-            if ends and data.draw(st.booleans(), label="near_tie"):
-                # a gap end within 1e-6 of ready + dur: the fit test's edge
-                end = data.draw(st.sampled_from(ends), label="end")
-                delta = data.draw(st.floats(-1e-6, 1e-6), label="delta")
-                ready = max(0.0, end - dur + delta)
-            else:
-                ready = data.draw(st.floats(0.0, 50.0), label="ready")
-            assert unit.issue(ports, ready, dur) == ref.issue(ports, ready, dur)
-            if data.draw(st.booleans(), label="prune"):
-                now += data.draw(st.floats(0.0, 5.0), label="clock")
-                unit.advance(now)
-                ref.advance(now)
-            assert unit.tail == ref.tail
-            assert unit.gaps == ref.gaps
-
-    @given(
-        st.lists(
-            st.tuples(
-                port_subsets,
-                st.floats(0.0, 3.0),
-                st.floats(0.0, 20.0),
-                durations,
-            ),
-            min_size=1,
-            max_size=60,
+        body, window = data.draw(toy_bodies(), label="body")
+        if data.draw(st.booleans(), label="near_tie"):
+            body = with_near_tie(data, body, window)
+        plan = toy_plan(body, PORTS, window=window)
+        iterations = data.draw(st.integers(1, 8), label="iterations")
+        warmup = data.draw(st.integers(0, 3), label="warmup")
+        result, unit, placed = traced_replay(plan, iterations, warmup)
+        ref_placed, total, busy, tail, gaps = linear_scan_replay(
+            plan, iterations, warmup
         )
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_window_never_changes_a_placement(self, steps):
-        """Pruned gaps end before every later ready time, so any window
-        places every µop the same."""
-        tight = _PortIssueUnit(PORTS, window=0.5)
-        wide = _PortIssueUnit(PORTS, window=1e9)
-        dispatch = 0.0
-        for ports, step, wait, dur in steps:
-            dispatch += step
-            ready = dispatch + wait
-            assert tight.issue(ports, ready, dur) == wide.issue(ports, ready, dur)
-            tight.advance(dispatch)
-            wide.advance(dispatch)
-        assert tight.tail == wide.tail
+        assert placed == ref_placed
+        assert result.total_cycles == total
+        assert result.port_busy == busy
+        assert unit.tail == tail
+        assert unit.gaps == gaps
 
     @given(toy_models_with_instrs())
     @settings(
@@ -313,20 +369,27 @@ class TestIssueUnitProperties:
         suppress_health_check=[HealthCheck.too_slow],
     )
     def test_engine_window_never_changes_the_schedule(self, mi):
+        """Pruned gaps end before every later ready time, so any window
+        places every µop the same — on measurement plans and on MCA
+        plans, whose gap lists grow longest (no ROB)."""
         model, instrs = mi
-        plan = build_uop_plan(instrs, model)
-        tight, wide = (
-            CycleEngine().run(
-                dataclasses.replace(plan, scheduler_window=window),
-                iterations=40,
-                warmup=10,
-                collect_stalls=True,
+        for plan in (
+            build_uop_plan(instrs, model),
+            MCASimulator(model).plan(instrs),
+        ):
+            (tight, tight_unit), (wide, wide_unit) = (
+                CycleEngine().replay(
+                    dataclasses.replace(plan, scheduler_window=window),
+                    iterations=40,
+                    warmup=10,
+                    collect=True,
+                )
+                for window in (0.5, 1e9)
             )
-            for window in (0.5, 1e9)
-        )
-        assert tight.total_cycles == wide.total_cycles
-        assert tight.port_busy == wide.port_busy
-        assert tight.stall_cycles == wide.stall_cycles
+            assert tight.total_cycles == wide.total_cycles
+            assert tight.port_busy == wide.port_busy
+            assert tight.stall_cycles == wide.stall_cycles
+            assert tight_unit.tail == wide_unit.tail
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,15 @@ import pytest
 
 from repro.isa import parse_kernel
 from repro.machine import get_machine_model
-from repro.simulator.engine import CycleEngine, _PortIssueUnit, simulate_kernel
+from repro.simulator.engine import CycleEngine, simulate_kernel
 from repro.simulator.plan import (
     PlanConfig,
     build_uop_plan,
     macro_fusion,
     split_load_uops,
 )
+
+from .toyplan import toy_plan, traced_replay
 
 
 def clean_config(**kw):
@@ -179,38 +181,76 @@ class TestHarnessFactors:
 
 
 class TestPortIssueUnit:
+    """Port placement on tiny hand-built plans replayed by the engine.
+
+    An instruction with no µops that writes ``r`` at latency *t* makes
+    every reader of ``r`` ready at *t*; dispatch steps are 0 unless a
+    test needs the clock to move.
+    """
+
     def test_backfill_into_gap(self):
-        unit = _PortIssueUnit(("A",))
-        # a late-ready uop leaves a gap at the front
-        s1, _ = unit.issue(("A",), ready=10.0, dur=1.0)
-        assert s1 == 10.0
-        s2, _ = unit.issue(("A",), ready=0.0, dur=1.0)
-        assert s2 == 0.0  # backfilled
+        # a late-ready µop leaves a gap at the front
+        plan = toy_plan(
+            [
+                ((), (), ("r",), 10.0, 0.0),
+                (((("A",), 1.0),), ("r",), (), 1.0, 0.0),
+                (((("A",), 1.0),), (), (), 1.0, 0.0),
+            ],
+            ("A",),
+        )
+        _, _, placed = traced_replay(plan)
+        assert [(i, s) for _it, i, s, _d, _p in placed] == [(1, 10.0), (2, 0.0)]
 
     def test_gap_splitting(self):
-        unit = _PortIssueUnit(("A",))
-        unit.issue(("A",), ready=10.0, dur=1.0)
-        unit.issue(("A",), ready=4.0, dur=2.0)
-        s, _ = unit.issue(("A",), ready=0.0, dur=4.0)
-        assert s == 0.0
+        plan = toy_plan(
+            [
+                ((), (), ("r10",), 10.0, 0.0),
+                ((), (), ("r4",), 4.0, 0.0),
+                (((("A",), 1.0),), ("r10",), (), 1.0, 0.0),
+                (((("A",), 2.0),), ("r4",), (), 1.0, 0.0),
+                (((("A",), 4.0),), (), (), 1.0, 0.0),
+            ],
+            ("A",),
+        )
+        _, unit, placed = traced_replay(plan)
+        assert [s for *_, s, _d, _p in placed] == [10.0, 4.0, 0.0]
+        assert unit.gaps["A"] == [(6.0, 10.0)]
 
     def test_picks_earliest_port(self):
-        unit = _PortIssueUnit(("A", "B"))
-        unit.issue(("A",), ready=0.0, dur=5.0)
-        s, p = unit.issue(("A", "B"), ready=0.0, dur=1.0)
-        assert p == "B" and s == 0.0
+        plan = toy_plan(
+            [
+                (((("A",), 5.0),), (), (), 1.0, 0.0),
+                (((("A", "B"), 1.0),), (), (), 1.0, 0.0),
+            ],
+            ("A", "B"),
+        )
+        _, _, placed = traced_replay(plan)
+        assert placed[1][2:] == (0.0, 1.0, "B")
 
     def test_window_pruning(self):
-        unit = _PortIssueUnit(("A",), window=10.0)
-        unit.issue(("A",), ready=100.0, dur=1.0)  # gap [0, 100)
-        unit.advance(200.0)
-        assert unit.gaps["A"] == []
+        # gap [0, 100) on A, then the dispatch clock moves to 200
+        body = [
+            ((), (), ("r",), 100.0, 0.0),
+            (((("A",), 1.0),), ("r",), (), 1.0, 0.0),
+            ((), (), (), 0.0, 200.0),
+        ]
+        _, kept, _ = traced_replay(toy_plan(body, ("A",), window=1e9))
+        assert kept.gaps["A"] == [(0.0, 100.0)]
+        _, pruned, _ = traced_replay(toy_plan(body, ("A",), window=10.0))
+        assert pruned.gaps["A"] == []
 
     def test_zero_duration_noop(self):
-        unit = _PortIssueUnit(("A",))
-        s, _ = unit.issue(("A",), ready=3.0, dur=0.0)
-        assert s == 3.0
+        plan = toy_plan(
+            [
+                ((), (), ("r",), 3.0, 0.0),
+                (((("A",), 0.0),), ("r",), (), 0.0, 0.0),
+            ],
+            ("A",),
+        )
+        result, unit, placed = traced_replay(plan)
+        assert placed == []
         assert unit.tail["A"] == 0.0
+        assert result.total_cycles == 3.0
 
 
 class TestSimulateKernel:
