@@ -362,6 +362,19 @@ class TestIssueUnitProperties:
         assert unit.tail == tail
         assert unit.gaps == gaps
 
+    @given(toy_bodies(), st.integers(1, 8), st.integers(0, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_window_never_changes_a_placement(self, body_window, iterations, warmup):
+        """Pruned gaps end before every later ready time, so any window
+        places every µop the same."""
+        body, _window = body_window
+        (_tight, tight_unit, tight_placed), (_wide, wide_unit, wide_placed) = (
+            traced_replay(toy_plan(body, PORTS, window=window), iterations, warmup)
+            for window in (0.5, 1e9)
+        )
+        assert tight_placed == wide_placed
+        assert tight_unit.tail == wide_unit.tail
+
     @given(toy_models_with_instrs())
     @settings(
         max_examples=30,
