@@ -1,7 +1,7 @@
 """Ablation benchmarks for the design choices called out in DESIGN.md.
 
-* exact LP port binding vs OSACA's equal-split heuristic (accuracy and
-  speed),
+* the most balanced (optimal) port binding vs OSACA's equal-split
+  heuristic (accuracy and speed),
 * simulator scheduler window (it never changes a measurement),
 * SpecI2M bandwidth-threshold sweep,
 * MCA scheduling-data ablation: how much of the Fig. 3 gap is *data*
@@ -43,7 +43,7 @@ def fig3_blocks():
 
 
 class TestPortBindingAblation:
-    def test_lp_binding_speed(self, benchmark, zen4_blocks):
+    def test_optimal_binding_speed(self, benchmark, zen4_blocks):
         model, blocks = zen4_blocks
         resolved = [[model.resolve(i) for i in b] for b in blocks]
 
@@ -61,16 +61,16 @@ class TestPortBindingAblation:
 
         benchmark(run_all)
 
-    def test_lp_tightens_the_bound(self, fig3_blocks):
-        """Across every distinct Fig. 3 block the LP bound is never
+    def test_optimal_tightens_the_bound(self, fig3_blocks):
+        """Across every distinct Fig. 3 block the optimal bound is never
         looser than equal split, and strictly tighter on some."""
         assert len(fig3_blocks) == 153
         tighter = 0
         for b in fig3_blocks:
-            lp = assign_ports_optimal(b.model, b.resolved).max_pressure
+            opt = assign_ports_optimal(b.model, b.resolved).max_pressure
             heur = assign_ports_heuristic(b.model, b.resolved).max_pressure
-            assert lp <= heur + 1e-9, b.key
-            if lp < heur - 1e-6:
+            assert opt <= heur + 1e-9, b.key
+            if opt < heur - 1e-6:
                 tighter += 1
         assert tighter >= 1
 

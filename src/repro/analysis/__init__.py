@@ -6,7 +6,8 @@ of :mod:`repro.machine`:
 * :mod:`~repro.analysis.depgraph` — register/memory dependency graph,
   critical path, loop-carried dependency (LCD) detection;
 * :mod:`~repro.analysis.portbinding` — µop→port assignment, both the
-  OSACA-style equal-split heuristic and an exact LP solution;
+  OSACA-style equal-split heuristic and the unique most balanced
+  binding, whose highest load is the exact minimax bound;
 * :mod:`~repro.analysis.throughput` — block throughput and runtime
   prediction combining port pressure, divider occupancy, frontend
   width, and LCD;

@@ -29,12 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-import networkx as nx
-
 from ..isa.idioms import is_zero_idiom
 from ..isa.instruction import Instruction, OperandAccess
 from ..isa.operands import MemoryOperand, Register
-from ..machine.model import MachineModel, ResolvedInstruction
+from ..machine.model import ResolvedInstruction
 
 
 def _memory_key(op: MemoryOperand) -> tuple:
@@ -66,17 +64,9 @@ class DependencyGraph:
 
     # ------------------------------------------------------------------
 
-    def intra_graph(self) -> nx.DiGraph:
-        g = nx.DiGraph()
-        g.add_nodes_from(range(len(self.instructions)))
-        for e in self.edges:
-            if e.kind in ("reg", "mem"):
-                # Keep the heaviest edge between any node pair.
-                if g.has_edge(e.src, e.dst):
-                    if g[e.src][e.dst]["latency"] >= e.latency:
-                        continue
-                g.add_edge(e.src, e.dst, latency=e.latency, kind=e.kind)
-        return g
+    def intra_graph(self) -> "IntraGraph":
+        """Intra-iteration edges, heaviest per node pair."""
+        return IntraGraph(len(self.instructions), self.edges)
 
     def carried_edges(self) -> list[DepEdge]:
         return [e for e in self.edges if e.kind.endswith("carried")]
@@ -85,20 +75,19 @@ class DependencyGraph:
 
     def critical_path(self) -> float:
         """Longest latency chain through one iteration (cycles)."""
-        g = self.intra_graph()
+        succ = self.intra_graph().successors
+        if not succ:
+            return 0.0
         # Node-weighted longest path: dp[j] = max over preds of
         # dp[i] + edge latency, plus the node's own latency at the end.
-        dp = {n: 0.0 for n in g.nodes}
-        for n in nx.topological_sort(g):
-            for _, m, data in g.out_edges(n, data=True):
-                dp[m] = max(dp[m], dp[n] + data["latency"])
-        if not dp:
-            return 0.0
+        # Every edge points forward, so program order is topological.
+        dp = [0.0] * len(succ)
+        for n, out in enumerate(succ):
+            for m, latency in out.items():
+                dp[m] = max(dp[m], dp[n] + latency)
         # Add the terminal node's latency so a single long-latency
         # instruction shows its full cost.
-        return max(
-            dp[n] + self.resolved[n].total_latency for n in g.nodes
-        ) if g.nodes else 0.0
+        return max(d + r.total_latency for d, r in zip(dp, self.resolved))
 
     def loop_carried_dependency(self) -> tuple[float, list[int]]:
         """Heaviest dependency cycle per iteration.
@@ -106,16 +95,15 @@ class DependencyGraph:
         Returns ``(cycles, node_chain)`` where ``node_chain`` is the
         intra-iteration path of the heaviest cycle (empty if none).
         """
-        g = self.intra_graph()
-        # Longest path between all pairs in the DAG via DP per source.
-        order = list(nx.topological_sort(g))
-        best = 0.0
-        best_chain: list[int] = []
         carried = self.carried_edges()
         if not carried:
             return 0.0, []
+        succ = self.intra_graph().successors
+        best = 0.0
+        best_chain: list[int] = []
         # Longest path dst -> src for each carried edge (src written this
-        # iteration, consumed by dst next iteration).
+        # iteration, consumed by dst next iteration); the path lies
+        # between the two in program order.
         for e in carried:
             start, end = e.dst, e.src
             if start == end:
@@ -123,14 +111,14 @@ class DependencyGraph:
                 if total > best:
                     best, best_chain = total, [end]
                 continue
-            dist = {n: float("-inf") for n in g.nodes}
-            prev: dict[int, Optional[int]] = {n: None for n in g.nodes}
+            dist = [float("-inf")] * len(succ)
+            prev: list[Optional[int]] = [None] * len(succ)
             dist[start] = 0.0
-            for n in order:
+            for n in range(start, end):
                 if dist[n] == float("-inf"):
                     continue
-                for _, m, data in g.out_edges(n, data=True):
-                    cand = dist[n] + data["latency"]
+                for m, latency in succ[n].items():
+                    cand = dist[n] + latency
                     if cand > dist[m]:
                         dist[m] = cand
                         prev[m] = n
@@ -144,6 +132,29 @@ class DependencyGraph:
                     chain.append(prev[chain[-1]])  # type: ignore[arg-type]
                 best_chain = list(reversed(chain))
         return best, best_chain
+
+
+class IntraGraph:
+    """Intra-iteration RAW edges as per-node successor dicts.
+
+    ``successors[i]`` maps each consumer of instruction *i* to the
+    heaviest edge latency between the two.  Every intra-iteration edge
+    runs from an earlier instruction to a later one, so program order
+    is a topological order.
+    """
+
+    __slots__ = ("successors",)
+
+    def __init__(self, n: int, edges: Sequence[DepEdge]):
+        self.successors: list[dict[int, float]] = [{} for _ in range(n)]
+        for e in edges:
+            if e.kind in ("reg", "mem"):
+                out = self.successors[e.src]
+                if out.get(e.dst, float("-inf")) < e.latency:
+                    out[e.dst] = e.latency
+
+    def has_edge(self, src: int, dst: int) -> bool:
+        return dst in self.successors[src]
 
 
 def _merge_only_reads(ins: Instruction) -> set[str]:

@@ -94,7 +94,9 @@ class ECMModel:
 
         ``bytes_*`` are the data volumes one loop iteration moves across
         each boundary (from a layer-condition argument or the cache
-        simulator).
+        simulator).  ``T_OL`` and ``T_nOL`` read the per-port loads of
+        the analysis' binding; the default (most balanced) binding is
+        unique, so they depend on the block's µops alone.
         """
         mem_ports = (
             set(self.model.load_ports)

@@ -50,8 +50,10 @@ def render_report(result: "AnalysisResult", max_width: int = 120) -> str:
     lines.append(" " * 6 + totals)
     lines.append("")
     lines.append(f"Port binding method:        {result.pressure.method}")
+    binding = result.pressure.bottleneck_ports
     lines.append(f"Port pressure bound:        {result.block_throughput:8.2f} cy/iter"
-                 f"  (port {result.pressure.bottleneck_port})")
+                 + (f"  (port{'s' * (len(binding) > 1)} {', '.join(binding)})"
+                    if binding else ""))
     if result.divider_cycles:
         lines.append(f"Divider occupancy:          {result.divider_cycles:8.2f} cy/iter")
     if result.special_cycles:

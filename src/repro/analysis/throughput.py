@@ -8,8 +8,8 @@ For a loop body the predicted cycles per iteration is
 
 where
 
-* ``T_ports`` — the minimax port binding (see
-  :mod:`~repro.analysis.portbinding`),
+* ``T_ports`` — the highest port load of the most balanced binding,
+  the exact minimax bound (see :mod:`~repro.analysis.portbinding`),
 * ``T_div`` — accumulated occupancy of the non-pipelined divide/sqrt
   unit,
 * ``T_special`` — explicit reciprocal-throughput caps (gathers,
@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+from ..isa.idioms import macro_fuses
 from ..isa.instruction import Instruction
 from ..machine import MachineModel
 from ..machine.model import ResolvedInstruction
@@ -52,13 +53,7 @@ def _fused_domain_uops(instructions: Sequence[Instruction]) -> float:
         if skip_next_fuse:
             skip_next_fuse = False
             continue
-        if (
-            ins.isa in ("x86", "x86_64")
-            and ins.mnemonic.rstrip("bwlq") in ("cmp", "test", "add", "sub", "and", "inc", "dec")
-            and i + 1 < len(instructions)
-            and instructions[i + 1].is_branch
-            and instructions[i + 1].mnemonic != "jmp"
-        ):
+        if i + 1 < len(instructions) and macro_fuses(ins, instructions[i + 1]):
             skip_next_fuse = True  # macro-fused pair: one slot
         n += 1
     return n
@@ -191,8 +186,8 @@ def analyze_kernel(
         Model name/alias (``zen4``, ``spr``, ``grace`` …) or a
         :class:`MachineModel` instance.
     optimal_binding:
-        Use the exact LP port binding (default) instead of the
-        equal-split heuristic.
+        Use the most balanced port binding (default; its highest load is
+        the exact minimax bound) instead of the equal-split heuristic.
     respect_merge_dependency:
         Keep RMW dependencies on merging-predicated SVE destinations
         (the static-model default; hardware may rename them away).

@@ -29,7 +29,7 @@ class ModelBackend:
     """OSACA-style static throughput/latency lower bound."""
 
     name = "model"
-    version = "1"
+    version = "2"
 
     def predict(
         self,
@@ -99,7 +99,7 @@ class SimBackend:
     """Cycle-level core simulator — the hardware stand-in."""
 
     name = "sim"
-    version = "1"
+    version = "2"
 
     def predict(
         self,

@@ -16,9 +16,8 @@ predictions more than 2× too slow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+import math
+from dataclasses import dataclass
 
 from ..engine import CorpusEngine, WorkUnit, resolve_engine
 from ..kernels import enumerate_corpus
@@ -85,23 +84,23 @@ class Fig3Result:
             if any(getattr(r, f"rpe_{w}") is not None for r in self.records)
         ]
 
-    def _arr(self, which: str) -> np.ndarray:
+    def _rpes(self, which: str) -> list[float]:
         vals = [getattr(r, f"rpe_{which}") for r in self.records]
-        return np.array([v for v in vals if v is not None])
+        return [v for v in vals if v is not None]
 
     def summary(self, which: str) -> dict:
-        x = self._arr(which)
-        if x.size == 0:
+        x = self._rpes(which)
+        if not x:
             return {"tests": 0}
-        right = x >= -1e-9
+        right = [v for v in x if v >= -1e-9]
         return {
-            "tests": int(x.size),
-            "right_side_fraction": float(np.mean(right)),
-            "within_10pct": float(np.mean(right & (x < 0.1))),
-            "within_20pct": float(np.mean(right & (x < 0.2))),
-            "off_by_2x": int(np.sum(x <= -1.0)),
-            "avg_right_rpe": float(np.mean(x[right])) if right.any() else 0.0,
-            "global_rpe": float(np.mean(np.abs(x))),
+            "tests": len(x),
+            "right_side_fraction": len(right) / len(x),
+            "within_10pct": sum(v < 0.1 for v in right) / len(x),
+            "within_20pct": sum(v < 0.2 for v in right) / len(x),
+            "off_by_2x": sum(v <= -1.0 for v in x),
+            "avg_right_rpe": _mean(right) if right else 0.0,
+            "global_rpe": _mean([abs(v) for v in x]),
         }
 
     def per_arch_summary(self, which: str) -> dict[str, dict]:
@@ -115,11 +114,10 @@ class Fig3Result:
             ]
             if not sel:
                 continue
-            x = np.array(sel)
-            right = x >= -1e-9
+            right = [v for v in sel if v >= -1e-9]
             out[uarch] = {
-                "avg_right_rpe": float(np.mean(x[right])) if right.any() else 0.0,
-                "global_rpe": float(np.mean(np.abs(x))),
+                "avg_right_rpe": _mean(right) if right else 0.0,
+                "global_rpe": _mean([abs(v) for v in sel]),
             }
         return out
 
@@ -144,14 +142,18 @@ class Fig3Result:
                 groups.setdefault(getattr(r.entry, by), []).append(rpe)
         out = {}
         for key, vals in sorted(groups.items()):
-            x = np.array(vals)
             out[key] = {
-                "n": int(x.size),
-                "mean_rpe": float(np.mean(x)),
-                "mean_abs_rpe": float(np.mean(np.abs(x))),
-                "right_side_fraction": float(np.mean(x >= -1e-9)),
+                "n": len(vals),
+                "mean_rpe": _mean(vals),
+                "mean_abs_rpe": _mean([abs(v) for v in vals]),
+                "right_side_fraction": sum(v >= -1e-9 for v in vals) / len(vals),
             }
         return out
+
+
+def _mean(values: list[float]) -> float:
+    """Correctly rounded mean: the exact sum, rounded once, over n."""
+    return math.fsum(values) / len(values)
 
 
 def manifest_stats(result: Fig3Result) -> dict:

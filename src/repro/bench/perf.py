@@ -3,8 +3,11 @@
 Four deterministic workloads cover the layers the profiler attributes
 (:mod:`repro.obs.prof`): the full fig. 3 corpus sweep cold and warm
 (result cache + lowering memo), raw lowering throughput, the simulator
-hot loop, and a seeded differential-fuzz sweep.  Each case runs under a
-fresh :class:`~repro.obs.prof.PhaseProfiler` and
+hot loop, and a seeded differential-fuzz sweep.  A fifth case,
+``import_cli``, times ``import repro.cli`` in a fresh interpreter and
+records its peak RSS, so a heavy dependency that creeps back into the
+import graph fails the gate.  Each in-process case runs under a fresh
+:class:`~repro.obs.prof.PhaseProfiler` and
 :class:`~repro.obs.metrics.MetricsRegistry`, and reports
 
 * ``seconds`` — best-of-``repeats`` wall time (min, not mean: the
@@ -215,8 +218,40 @@ def _case_fuzz(quick: bool) -> list[tuple[str, float, float, dict]]:
     return [("fuzz_sweep", wall, cpu, stats)]
 
 
+def _case_import(quick: bool) -> list[tuple[str, float, float, dict]]:
+    """``import repro.cli`` in a fresh interpreter: time and peak RSS.
+
+    The child times its own import and reads its own ``ru_maxrss``
+    (KiB on Linux): the parent's ``RUSAGE_CHILDREN`` would also count
+    the workers of earlier cases.  ``quick`` changes nothing.
+    """
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[2])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    probe = (
+        "import json, resource, time\n"
+        "t0, c0 = time.perf_counter(), time.process_time()\n"
+        "import repro.cli\n"
+        "print(json.dumps([time.perf_counter() - t0, time.process_time() - c0,"
+        " resource.getrusage(resource.RUSAGE_SELF).ru_maxrss]))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    wall, cpu, maxrss_kib = json.loads(out.stdout)
+    return [("import_cli", wall, cpu, {"peak_rss_mb": maxrss_kib / 1024})]
+
+
 #: suite registry, in run order
 CASES: dict[str, Callable[[bool], list]] = {
+    "import": _case_import,
     "fig3": _case_fig3,
     "lowering": _case_lowering,
     "sim": _case_sim,
@@ -298,7 +333,7 @@ def render_suite(manifest: dict[str, Any]) -> str:
         headline = " ".join(
             f"{k}={v:.6g}"
             for k, v in sorted(stats.items())
-            if k.endswith("_per_second") or k.startswith("work.")
+            if k.endswith(("_per_second", "_mb")) or k.startswith("work.")
         )
         lines.append(f"{name:<22} {rec['seconds']:7.3f}  {headline}")
     return "\n".join(lines)

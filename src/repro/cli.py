@@ -102,7 +102,8 @@ def analyze_main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--heuristic",
         action="store_true",
-        help="use the OSACA equal-split port binding instead of the exact LP",
+        help="use the OSACA equal-split port binding instead of the most "
+             "balanced (exact minimax) binding",
     )
     parser.add_argument(
         "--compare",

@@ -1,4 +1,4 @@
-"""Dependency-breaking idiom recognition.
+"""Dependency-breaking and macro-fusion idiom recognition.
 
 Modern renamers execute certain instruction patterns at zero cost and,
 more importantly, *without* reading their nominal source operands:
@@ -14,6 +14,9 @@ more importantly, *without* reading their nominal source operands:
 Both the analyzer's dependency graph and the machine-model resolver
 consult :func:`is_zero_idiom` so that zeroed registers start fresh
 dependency chains, matching hardware behaviour.
+
+:func:`macro_fuses` is the one x86 macro-fusion rule that both the
+analyzer's frontend term and the simulator's dispatch plan apply.
 """
 
 from __future__ import annotations
@@ -44,3 +47,19 @@ def is_zero_idiom(instr: Instruction) -> bool:
         return False
     roots = {r.root for r in regs}
     return len(roots) == 1
+
+
+#: flag-setting x86 ops that macro-fuse with a following conditional jump
+_X86_FUSIBLE = ("cmp", "test", "add", "sub", "and", "inc", "dec")
+
+
+def macro_fuses(instr: Instruction, nxt: Instruction) -> bool:
+    """True if x86 *instr* macro-fuses with the conditional jump *nxt*.
+
+    The pair decodes into one fused-domain slot.  At most one AT&T size
+    suffix is stripped, so ``sub``/``subq`` fuse like ``cmp``/``cmpq``.
+    """
+    if instr.isa not in ("x86", "x86_64") or not nxt.is_branch or nxt.mnemonic == "jmp":
+        return False
+    m = instr.mnemonic
+    return m in _X86_FUSIBLE or (m[-1:] in ("b", "w", "l", "q") and m[:-1] in _X86_FUSIBLE)

@@ -30,7 +30,7 @@ SCHEMA = "repro-run-report/1"
 _LOWER_IS_BETTER = (
     "rpe", "mape", "error", "off_by", "seconds", "misses", "violations",
     "skipped", "failed", "retries", "diverg", "degraded", "_share",
-    "fallback", "timeouts",
+    "fallback", "timeouts", "rss",
 )
 _HIGHER_IS_BETTER = (
     "right_side", "within_", "hit_rate", "accuracy", "gflops", "ipc",

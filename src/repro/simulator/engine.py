@@ -10,9 +10,10 @@ repeatedly under the same port model the analyzer uses, but with the
   zero idioms and eliminated moves neither execute nor depend,
 * **greedy** µop→port binding: each µop picks the candidate port that
   is free earliest at issue time (hardware schedulers are greedy, the
-  analyzer's LP is clairvoyant — this is one structural reason
-  measurements exceed predictions), with gap backfill (the scheduler
-  window only bounds the idle gaps kept; see :class:`_PortIssueUnit`),
+  analyzer's balanced binding is clairvoyant — this is one structural
+  reason measurements exceed predictions), with gap backfill (the
+  scheduler window only bounds the idle gaps kept; see
+  :class:`_PortIssueUnit`),
 * non-pipelined divide/sqrt unit and serialized special ops (gathers),
 * finite reorder buffer with in-order retirement,
 * at most one taken branch per cycle.

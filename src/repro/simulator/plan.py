@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
-from ..isa.idioms import is_zero_idiom
+from ..isa.idioms import is_zero_idiom, macro_fuses
 from ..isa.instruction import Instruction, OperandAccess
 from ..isa.operands import MemoryOperand, Register
 from ..machine import MachineModel
@@ -305,12 +305,7 @@ def macro_fusion(
     if model.isa != "x86":
         return out
     for i in range(len(instructions) - 1):
-        m = instructions[i].mnemonic.rstrip("bwlq")
-        nxt = instructions[i + 1]
-        if m in ("cmp", "test", "add", "sub", "and", "inc", "dec") and (
-            nxt.is_branch and nxt.mnemonic != "jmp"
-        ):
-            out[i] = True
+        out[i] = macro_fuses(instructions[i], instructions[i + 1])
     return out
 
 

@@ -82,6 +82,7 @@ class TestRunSuite:
         m = run_suite(quick=True, repeats=1)
         names = set(m["benchmarks"])
         assert {
+            "import_cli",
             "fig3_cold",
             "fig3_warm",
             "lowering_throughput",

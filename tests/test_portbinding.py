@@ -1,4 +1,13 @@
-"""Port binding: heuristic vs exact LP minimax assignment."""
+"""Port binding: equal split vs the most balanced binding.
+
+The most balanced binding is checked against a test-only LP reference
+(``tests/lp_reference.py``) on every distinct Fig. 3 block: the same
+optimum, loads no less balanced, and — unlike the LP — totals and rows
+that do not depend on instruction order.
+"""
+
+import math
+import random
 
 import pytest
 
@@ -7,8 +16,12 @@ from repro.analysis.portbinding import (
     assign_ports_optimal,
 )
 from repro.isa import parse_kernel
+from repro.kernels import enumerate_corpus
+from repro.lowering import lower
 from repro.machine import get_machine_model
 from repro.machine.model import InstrEntry, MachineModel, uop
+
+from .lp_reference import lp_port_binding
 
 
 def make_model(entries):
@@ -80,7 +93,7 @@ class TestOptimal:
         m = get_machine_model("spr")
         p = assign_ports_optimal(m, [])
         assert p.max_pressure == 0.0
-        assert p.bottleneck_port == "" or p.max_pressure == 0.0
+        assert p.bottleneck_ports == ()
 
     def test_per_instruction_breakdown_sums(self):
         m = get_machine_model("spr")
@@ -108,3 +121,92 @@ class TestOptimal:
         r = resolved_for(m, "addq $1, %rax\n")
         assert assign_ports_optimal(m, r).method == "optimal"
         assert assign_ports_heuristic(m, r).method == "heuristic"
+
+
+def lex_leq(loads, reference, tol=1e-9):
+    """``loads`` sorted descending is lexicographically <= ``reference``."""
+    for a, b in zip(sorted(loads, reverse=True), sorted(reference, reverse=True)):
+        if a < b - tol:
+            return True
+        if a > b + tol:
+            return False
+    return True
+
+
+def assert_rows_consistent(p, model, resolved, tol=1e-9):
+    """Rows sum to their µop cycles on candidate ports, and to totals."""
+    for r, row in zip(resolved, p.per_instruction):
+        assert set(row) <= {q for u in r.uops for q in u.ports}
+        cycles = math.fsum(u.cycles for u in r.uops)
+        assert math.fsum(row.values()) == pytest.approx(cycles, rel=tol, abs=tol)
+    for q in model.ports:
+        column = math.fsum(row.get(q, 0.0) for row in p.per_instruction)
+        assert column == pytest.approx(p.totals[q], rel=tol, abs=tol)
+
+
+@pytest.fixture(scope="module")
+def fig3_blocks():
+    """The 153 distinct lowered blocks of the Fig. 3 corpus."""
+    seen, out = set(), []
+    for e in enumerate_corpus():
+        block = lower(e.assembly, e.uarch)
+        if block.key not in seen:
+            seen.add(block.key)
+            out.append(block)
+    assert len(out) == 153
+    return out
+
+
+class TestMostBalanced:
+    def test_spreads_the_free_ports(self):
+        # the bound is 2.0 on A either way; the most balanced binding
+        # also spreads the A|B|C µops evenly over B and C
+        m = make_model([
+            InstrEntry("opa", "r,r", (uop("A"),), latency=1.0),
+            InstrEntry("opf", "r,r", (uop("A|B|C"),), latency=1.0),
+        ])
+        r = resolved_for(m, "opa %rax, %rbx\nopa %rax, %rbx\nopf %rax, %rbx")
+        p = assign_ports_optimal(m, r)
+        assert p.totals == {"A": 2.0, "B": 0.5, "C": 0.5}
+        assert p.bottleneck_ports == ("A",)
+        assert p.per_instruction[2] == {"B": 0.5, "C": 0.5}
+
+    def test_bottleneck_ports_are_the_densest_set(self):
+        m = make_model([
+            InstrEntry("opa", "r,r", (uop("A|B"),), latency=1.0),
+            InstrEntry("opc", "r,r", (uop("C"),), latency=1.0),
+        ])
+        r = resolved_for(m, "opa %rax, %rbx\nopa %rax, %rbx\nopa %rax, %rbx")
+        assert assign_ports_optimal(m, r).bottleneck_ports == ("A", "B")
+        assert assign_ports_heuristic(m, r).bottleneck_ports == ("A", "B")
+
+    def test_permuting_the_body_changes_nothing(self, fig3_blocks):
+        rng = random.Random(1980)
+        for b in fig3_blocks:
+            p = assign_ports_optimal(b.model, b.resolved)
+            order = list(range(len(b.resolved)))
+            for perm in (order[::-1], rng.sample(order, len(order))):
+                q = assign_ports_optimal(b.model, [b.resolved[k] for k in perm])
+                assert q.totals == p.totals
+                assert q.bottleneck_ports == p.bottleneck_ports
+                assert [q.per_instruction[perm.index(k)] for k in order] == (
+                    p.per_instruction
+                )
+
+    def test_bound_matches_lp(self, fig3_blocks):
+        for b in fig3_blocks:
+            p = assign_ports_optimal(b.model, b.resolved)
+            lp = lp_port_binding(b.model, b.resolved)
+            assert p.max_pressure == pytest.approx(lp.max_pressure, rel=1e-12)
+
+    def test_no_less_balanced_than_lp(self, fig3_blocks):
+        for b in fig3_blocks:
+            p = assign_ports_optimal(b.model, b.resolved)
+            lp = lp_port_binding(b.model, b.resolved)
+            assert lex_leq(p.totals.values(), lp.totals.values())
+
+    def test_rows_consistent(self, fig3_blocks):
+        for b in fig3_blocks:
+            assert_rows_consistent(
+                assign_ports_optimal(b.model, b.resolved), b.model, b.resolved
+            )

@@ -2,11 +2,14 @@
 
 Invariants checked:
 
-* port binding — LP optimum never exceeds the heuristic; both conserve
+* port binding — the optimum never exceeds the heuristic; both conserve
   total µop occupancy; the bound is at least the work of any single
-  port-restricted µop set;
-* dependency graph — the intra-iteration graph is a DAG; LCD is
-  non-negative and bounded by total chain latency;
+  port-restricted µop set; the most balanced binding matches the LP
+  reference's optimum, is no less balanced, and ignores instruction
+  order;
+* dependency graph — every intra-iteration edge points forward (so
+  the graph is a DAG); LCD is non-negative and bounded by total chain
+  latency;
 * simulator — measured cycles are at least the analytical lower bound
   for arbitrary generated straight-line kernels; lengthening a
   loop-carried multiply-add chain never lowers the measured
@@ -41,6 +44,8 @@ from repro.simulator.engine import CycleEngine, _PortIssueUnit
 from repro.simulator.plan import PlanConfig, build_uop_plan, plan_for_block
 from repro.simulator.memory import CacheHierarchy, CacheLevel
 
+from .lp_reference import lp_port_binding
+from .test_portbinding import assert_rows_consistent, lex_leq
 from .toyplan import toy_plan, traced_replay
 
 # ---------------------------------------------------------------------------
@@ -117,6 +122,31 @@ class TestPortBindingProperties:
         opt = assign_ports_optimal(model, resolved)
         assert opt.max_pressure >= total / len(model.ports) - 1e-6
 
+    @given(toy_models_with_instrs())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_lp_reference(self, mi):
+        """Same optimum as the LP, loads no less balanced."""
+        model, instrs = mi
+        resolved = [model.resolve(i) for i in instrs]
+        opt = assign_ports_optimal(model, resolved)
+        lp = lp_port_binding(model, resolved)
+        assert opt.max_pressure == pytest.approx(lp.max_pressure, rel=1e-9)
+        assert lex_leq(opt.totals.values(), lp.totals.values())
+        assert_rows_consistent(opt, model, resolved)
+
+    @given(toy_models_with_instrs(), st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_order_independent(self, mi, rnd):
+        model, instrs = mi
+        resolved = [model.resolve(i) for i in instrs]
+        perm = rnd.sample(range(len(resolved)), len(resolved))
+        opt = assign_ports_optimal(model, resolved)
+        shuffled = assign_ports_optimal(model, [resolved[k] for k in perm])
+        assert shuffled.totals == opt.totals
+        assert [shuffled.per_instruction[perm.index(k)] for k in range(len(perm))] == (
+            opt.per_instruction
+        )
+
 
 # ---------------------------------------------------------------------------
 # dependency analysis / prediction vs simulation
@@ -126,14 +156,19 @@ class TestAnalysisProperties:
     @given(toy_models_with_instrs())
     @settings(max_examples=40, deadline=None)
     def test_intra_graph_is_dag(self, mi):
-        import networkx as nx
-
+        """Every intra-iteration edge points forward in program order,
+        so program order is a topological order and the graph a DAG."""
         model, instrs = mi
         resolved = [model.resolve(i) for i in instrs]
         from repro.analysis.depgraph import build_dependency_graph
 
-        g = build_dependency_graph(instrs, resolved).intra_graph()
-        assert nx.is_directed_acyclic_graph(g)
+        g = build_dependency_graph(instrs, resolved)
+        intra = [e for e in g.edges if e.kind in ("reg", "mem")]
+        assert all(e.src < e.dst for e in intra)
+        succ = g.intra_graph().successors
+        assert len(succ) == len(instrs)
+        assert all(dst > src for src, out in enumerate(succ) for dst in out)
+        assert sum(map(len, succ)) == len({(e.src, e.dst) for e in intra})
 
     @given(toy_models_with_instrs())
     @settings(max_examples=40, deadline=None)

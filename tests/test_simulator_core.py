@@ -129,9 +129,13 @@ class TestWindowEffects:
         small_r = simulate(small, instrs, 50, 10, clean_config())
         assert small_r.cycles_per_iteration >= big_r.cycles_per_iteration
 
-    def test_macro_fusion_saves_dispatch_slot(self):
+    @pytest.mark.parametrize(
+        "op", ["cmpq %rax, %rbx", "subq $1, %rcx", "sub %rax, %rbx"],
+        ids=["cmpq", "subq", "sub"],
+    )
+    def test_macro_fusion_saves_dispatch_slot(self, op):
         fused = macro_fusion(
-            parse_kernel("cmpq %rax, %rbx\njb .L\n", "x86"),
+            parse_kernel(f"{op}\njb .L\n", "x86"),
             get_machine_model("spr"),
         )
         assert fused == [True, False]

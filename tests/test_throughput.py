@@ -100,8 +100,12 @@ class TestPredictions:
 
 
 class TestFusedDomain:
-    def test_cmp_jcc_fuses(self):
-        instrs = parse_kernel("cmpq %rax, %rbx\njb .L\n", "x86")
+    @pytest.mark.parametrize(
+        "op", ["cmpq %rax, %rbx", "subq $1, %rcx", "sub %rax, %rbx"],
+        ids=["cmpq", "subq", "sub"],
+    )
+    def test_cmp_jcc_fuses(self, op):
+        instrs = parse_kernel(f"{op}\njb .L\n", "x86")
         assert _fused_domain_uops(instrs) == 1.0
 
     def test_non_adjacent_no_fuse(self):
