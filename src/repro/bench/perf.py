@@ -35,8 +35,9 @@ from __future__ import annotations
 import time
 from typing import Any, Callable, Optional
 
-from ..obs.metrics import MetricsRegistry, use_registry
-from ..obs.prof import PhaseProfiler, use_profiler
+from ..context import use_context
+from ..obs.metrics import MetricsRegistry
+from ..obs.prof import PhaseProfiler
 from ..obs.report import build_manifest
 
 #: gate defaults — wide enough for shared CI hardware, tight enough to
@@ -54,7 +55,7 @@ def _profiled(fn: Callable[[], Any]):
     reg = MetricsRegistry()
     wall0 = time.perf_counter()
     cpu0 = time.process_time()
-    with use_profiler(prof), use_registry(reg):
+    with use_context(profiler=prof, metrics=reg):
         out = fn()
     wall = time.perf_counter() - wall0
     cpu = time.process_time() - cpu0
@@ -93,7 +94,7 @@ def _case_fig3(quick: bool) -> list[tuple[str, float, float, dict]]:
     """
     import tempfile
 
-    from ..engine import CorpusEngine, use_engine
+    from ..engine import CorpusEngine
     from ..lowering import clear_memo
     from . import fig3
 
@@ -104,10 +105,9 @@ def _case_fig3(quick: bool) -> list[tuple[str, float, float, dict]]:
         engine = CorpusEngine(jobs=1, cache_dir=tmp)
 
         def sweep():
-            with use_engine(engine):
-                return fig3.run(
-                    machines=machines, iterations=iterations, engine=engine
-                )
+            return fig3.run(
+                machines=machines, iterations=iterations, engine=engine
+            )
 
         for name in ("fig3_cold", "fig3_warm"):
             if name == "fig3_cold":

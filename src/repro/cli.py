@@ -252,11 +252,10 @@ def _analyze_backends(source: str, args) -> int:
 
 
 def bench_main(argv: list[str] | None = None) -> int:
-    import contextlib
     import time
 
     from .bench import EXPERIMENTS, render_experiment
-    from .engine import CorpusEngine, use_engine
+    from .context import current_context, use_context
 
     parser = argparse.ArgumentParser(
         prog="repro-bench",
@@ -273,20 +272,7 @@ def bench_main(argv: list[str] | None = None) -> int:
         help="additionally dump the structured results of all named "
              "experiments as JSON",
     )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="shard corpus-style work across N worker processes "
-             "(default: 1, the exact serial path)",
-    )
-    parser.add_argument(
-        "--cache",
-        metavar="DIR",
-        help="memoize simulator/analyzer results in an on-disk "
-             "content-addressed cache rooted at DIR",
-    )
+    _add_engine_flags(parser, error_policy="fail_fast")
     parser.add_argument(
         "--trace",
         metavar="PATH",
@@ -323,37 +309,6 @@ def bench_main(argv: list[str] | None = None) -> int:
              "measurement every RPE is computed against",
     )
     parser.add_argument(
-        "--error-policy",
-        choices=("fail_fast", "collect", "quarantine"),
-        default="fail_fast",
-        dest="error_policy",
-        help="what a failed work unit does to the run: abort it "
-             "(fail_fast, default), finish the sweep and report "
-             "structured failures (collect — the exit code is still "
-             "nonzero when failures remain), or additionally skip the "
-             "failed units in later batches (quarantine); see "
-             "docs/robustness.md",
-    )
-    parser.add_argument(
-        "--max-retries",
-        type=int,
-        default=2,
-        metavar="N",
-        dest="max_retries",
-        help="re-attempts for transiently failed units (deterministic "
-             "exponential backoff; default: 2, 0 disables retries)",
-    )
-    parser.add_argument(
-        "--unit-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        dest="unit_timeout",
-        help="per-attempt deadline for one work unit; a unit running "
-             "past it fails transiently and is retried within the "
-             "retry budget (default: no deadline)",
-    )
-    parser.add_argument(
         "--list-quarantine",
         action="store_true",
         dest="list_quarantine",
@@ -369,8 +324,7 @@ def bench_main(argv: list[str] | None = None) -> int:
              "is untouched)",
     )
     args = parser.parse_args(argv)
-    if args.jobs < 1:
-        parser.error("--jobs must be >= 1")
+    _check_engine_flags(parser, args)
     if args.list_quarantine or args.clear_quarantine:
         if not args.cache:
             parser.error(
@@ -380,10 +334,6 @@ def bench_main(argv: list[str] | None = None) -> int:
         return _quarantine_admin(args)
     if not args.experiment:
         parser.error("name at least one experiment (or 'all')")
-    if args.max_retries < 0:
-        parser.error("--max-retries must be >= 0")
-    if args.unit_timeout is not None and args.unit_timeout <= 0:
-        parser.error("--unit-timeout must be positive")
     backends: tuple[str, ...] | None = None
     if args.backends:
         from .bench.fig3 import _normalize_backends
@@ -395,17 +345,7 @@ def bench_main(argv: list[str] | None = None) -> int:
         except ValueError as exc:
             parser.error(str(exc))
 
-    from .obs.progress import ProgressBar
-
-    progress = ProgressBar.if_tty()
-    engine = CorpusEngine(
-        jobs=args.jobs,
-        cache_dir=args.cache,
-        progress=progress,
-        error_policy=args.error_policy,
-        max_retries=args.max_retries,
-        unit_timeout=args.unit_timeout,
-    )
+    engine, progress = _engine_from_flags(args)
     names = list(EXPERIMENTS) if "all" in args.experiment else args.experiment
     structured = bool(args.json or args.run_report)
     collected: dict[str, object] = {}
@@ -413,26 +353,20 @@ def bench_main(argv: list[str] | None = None) -> int:
     failures: list[str] = []
     wall0, cpu0 = time.perf_counter(), time.process_time()
     if args.run_report:
-        from .obs.metrics import get_registry
-
-        registry_since = get_registry().snapshot()
+        registry_since = current_context().metrics.snapshot()
+    # only what this run attaches replaces the caller's context
+    changes: dict[str, object] = {"engine": engine}
     tracer = None
     profiler = None
-    with contextlib.ExitStack() as stack:
-        stack.enter_context(engine)
-        stack.enter_context(use_engine(engine))
-        if progress is not None:
-            stack.callback(progress.finish)
-        if args.trace:
-            from .obs.trace import Tracer, use_tracer
+    if args.trace:
+        from .obs.trace import Tracer
 
-            tracer = Tracer()
-            stack.enter_context(use_tracer(tracer))
-        if args.profile or args.flamegraph:
-            from .obs.prof import PhaseProfiler, use_profiler
+        tracer = changes["tracer"] = Tracer()
+    if args.profile or args.flamegraph:
+        from .obs.prof import PhaseProfiler
 
-            profiler = PhaseProfiler()
-            stack.enter_context(use_profiler(profiler))
+        profiler = changes["profiler"] = PhaseProfiler()
+    with engine, use_context(**changes):
         for name in names:
             t0 = time.perf_counter()
             try:
@@ -508,7 +442,6 @@ def bench_main(argv: list[str] | None = None) -> int:
             json.dump(_jsonable(collected), fh, indent=1)
         print(f"[structured results written to {args.json}]")
     if args.run_report:
-        from .obs.metrics import get_registry
         from .obs.report import build_manifest, write_manifest
 
         manifest = build_manifest(
@@ -524,26 +457,14 @@ def bench_main(argv: list[str] | None = None) -> int:
             wall_seconds=time.perf_counter() - wall0,
             cpu_seconds=time.process_time() - cpu0,
             engine=engine,
-            registry=get_registry(),
+            registry=current_context().metrics,
             registry_since=registry_since,
             failures=failures,
             unit_failures=engine.failure_log,
         )
         write_manifest(manifest, args.run_report)
         print(f"[run report written to {args.run_report}]")
-    if engine.failure_log:
-        print(
-            f"ERROR: {len(engine.failure_log)} work unit(s) failed "
-            f"(error_policy={args.error_policy}):",
-            file=sys.stderr,
-        )
-        for f in engine.failure_log[:20]:
-            print(f"  {f.summary()}", file=sys.stderr)
-        if len(engine.failure_log) > 20:
-            print(
-                f"  ... and {len(engine.failure_log) - 20} more",
-                file=sys.stderr,
-            )
+    units_failed = _report_unit_failures(engine, args.error_policy)
     if failures:
         print(
             f"ERROR: {len(failures)} experiment(s) failed: "
@@ -551,7 +472,101 @@ def bench_main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 1
-    return 1 if engine.failure_log else 0
+    return 1 if units_failed else 0
+
+
+def _add_engine_flags(
+    parser: argparse.ArgumentParser, error_policy: str
+) -> None:
+    """The engine flags of ``repro-bench`` and ``repro-fuzz``;
+    *error_policy* is the command's default policy."""
+    parser.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        metavar="N",
+        help="shard the work units across N worker processes (default: "
+             "1, the exact serial path; results are identical at any N)",
+    )
+    parser.add_argument(
+        "--cache",
+        metavar="DIR",
+        help="memoize backend results in an on-disk content-addressed "
+             "cache rooted at DIR (default: no cache)",
+    )
+    parser.add_argument(
+        "--error-policy",
+        choices=("fail_fast", "collect", "quarantine"),
+        default=error_policy,
+        dest="error_policy",
+        help="what a failed work unit does to the run: abort it "
+             "(fail_fast), finish and report structured failures with a "
+             "nonzero exit (collect), or also skip the failed units in "
+             "later batches (quarantine; without --cache it degrades to "
+             f"collect); default: {error_policy}; see docs/robustness.md",
+    )
+    parser.add_argument(
+        "--max-retries",
+        type=int,
+        default=2,
+        metavar="N",
+        dest="max_retries",
+        help="re-attempts for transiently failed units (deterministic "
+             "exponential backoff; default: 2, 0 disables retries)",
+    )
+    parser.add_argument(
+        "--unit-timeout",
+        type=float,
+        default=None,
+        metavar="SECONDS",
+        dest="unit_timeout",
+        help="per-attempt deadline for one work unit; a unit running "
+             "past it fails transiently and is retried within the "
+             "retry budget (default: no deadline)",
+    )
+
+
+def _check_engine_flags(parser: argparse.ArgumentParser, args) -> None:
+    if args.jobs < 1:
+        parser.error("--jobs must be >= 1")
+    if args.max_retries < 0:
+        parser.error("--max-retries must be >= 0")
+    if args.unit_timeout is not None and args.unit_timeout <= 0:
+        parser.error("--unit-timeout must be positive")
+
+
+def _engine_from_flags(args):
+    """The engine the flags ask for, and its progress bar on a TTY."""
+    from .engine import CorpusEngine
+    from .obs.progress import ProgressBar
+
+    progress = ProgressBar.if_tty()
+    engine = CorpusEngine(
+        jobs=args.jobs,
+        cache_dir=args.cache,
+        progress=progress,
+        error_policy=args.error_policy,
+        max_retries=args.max_retries,
+        unit_timeout=args.unit_timeout,
+    )
+    return engine, progress
+
+
+def _report_unit_failures(engine, error_policy: str) -> bool:
+    """Print the engine's failed units to stderr; whether there were any."""
+    failed = engine.failure_log
+    if not failed:
+        return False
+    print(
+        f"ERROR: {len(failed)} work unit(s) failed "
+        f"(error_policy={error_policy}):",
+        file=sys.stderr,
+    )
+    for f in failed[:20]:
+        print(f"  {f.summary()}", file=sys.stderr)
+    if len(failed) > 20:
+        print(f"  ... and {len(failed) - 20} more", file=sys.stderr)
+    return True
 
 
 def _quarantine_admin(args) -> int:
@@ -589,10 +604,6 @@ def _quarantine_admin(args) -> int:
 
 
 def fuzz_main(argv: list[str] | None = None) -> int:
-    import contextlib
-
-    from .engine import CorpusEngine, use_engine
-
     parser = argparse.ArgumentParser(
         prog="repro-fuzz",
         description="seeded kernel fuzzing with differential backend "
@@ -645,20 +656,7 @@ def fuzz_main(argv: list[str] | None = None) -> int:
         help="simulator iterations per kernel (default: 60; mca/warmup "
              "budgets derive from it exactly as for the paper corpus)",
     )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="shard the sweep across N worker processes (default: 1; "
-             "the triage manifest is identical at any jobs count)",
-    )
-    parser.add_argument(
-        "--cache",
-        metavar="DIR",
-        help="memoize backend results in an on-disk cache rooted at DIR "
-             "(fuzz sweeps default to cache-less)",
-    )
+    _add_engine_flags(parser, error_policy="collect")
     parser.add_argument(
         "--report",
         metavar="PATH",
@@ -673,46 +671,16 @@ def fuzz_main(argv: list[str] | None = None) -> int:
         help="divergences/clusters to show in the console summary "
              "(default: 10)",
     )
-    parser.add_argument(
-        "--error-policy",
-        choices=("fail_fast", "collect", "quarantine"),
-        default="collect",
-        dest="error_policy",
-        help="disposition of fuzzer-provoked unit failures (default: "
-             "collect — a crashing kernel never kills the sweep; "
-             "quarantine degrades to collect when no --cache is set)",
-    )
-    parser.add_argument(
-        "--max-retries",
-        type=int,
-        default=2,
-        metavar="N",
-        dest="max_retries",
-        help="re-attempts for transiently failed units (default: 2)",
-    )
-    parser.add_argument(
-        "--unit-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        dest="unit_timeout",
-        help="per-attempt deadline for one work unit (default: none)",
-    )
     args = parser.parse_args(argv)
+    _check_engine_flags(parser, args)
     if args.seed < 0:
         parser.error("--seed must be >= 0")
     if args.count < 1:
         parser.error("--count must be >= 1")
-    if args.jobs < 1:
-        parser.error("--jobs must be >= 1")
     if args.tolerance is not None and args.tolerance <= 0:
         parser.error("--tolerance must be positive")
     if args.iterations is not None and args.iterations < 1:
         parser.error("--iterations must be >= 1")
-    if args.max_retries < 0:
-        parser.error("--max-retries must be >= 0")
-    if args.unit_timeout is not None and args.unit_timeout <= 0:
-        parser.error("--unit-timeout must be positive")
     backends = tuple(s.strip() for s in args.backends.split(",") if s.strip())
 
     from .fuzz import (
@@ -724,7 +692,6 @@ def fuzz_main(argv: list[str] | None = None) -> int:
         run_differential,
     )
     from .fuzz.triage import write_manifest
-    from .obs.progress import ProgressBar
 
     try:
         corpus = generate_fuzz_corpus(args.seed, args.count, isa=args.isa)
@@ -734,20 +701,8 @@ def fuzz_main(argv: list[str] | None = None) -> int:
         f"generated {len(corpus)} fuzzed kernels "
         f"(seed {args.seed}, isa {args.isa})"
     )
-    progress = ProgressBar.if_tty()
-    engine = CorpusEngine(
-        jobs=args.jobs,
-        cache_dir=args.cache,
-        progress=progress,
-        error_policy=args.error_policy,
-        max_retries=args.max_retries,
-        unit_timeout=args.unit_timeout,
-    )
-    with contextlib.ExitStack() as stack:
-        stack.enter_context(engine)
-        stack.enter_context(use_engine(engine))
-        if progress is not None:
-            stack.callback(progress.finish)
+    engine, progress = _engine_from_flags(args)
+    with engine:
         try:
             result = run_differential(
                 corpus,
@@ -765,6 +720,9 @@ def fuzz_main(argv: list[str] | None = None) -> int:
             )
         except ValueError as exc:
             parser.error(str(exc))
+        finally:
+            if progress is not None:
+                progress.finish()
     manifest = build_triage_manifest(result, isa=args.isa)
     print(render_triage(manifest, limit=args.top))
     if args.jobs > 1 or args.cache:
@@ -772,21 +730,7 @@ def fuzz_main(argv: list[str] | None = None) -> int:
     if args.report:
         write_manifest(manifest, args.report)
         print(f"[triage report written to {args.report}]")
-    if engine.failure_log:
-        print(
-            f"ERROR: {len(engine.failure_log)} work unit(s) failed "
-            f"(error_policy={args.error_policy}):",
-            file=sys.stderr,
-        )
-        for f in engine.failure_log[:20]:
-            print(f"  {f.summary()}", file=sys.stderr)
-        if len(engine.failure_log) > 20:
-            print(
-                f"  ... and {len(engine.failure_log) - 20} more",
-                file=sys.stderr,
-            )
-        return 1
-    return 0
+    return 1 if _report_unit_failures(engine, args.error_policy) else 0
 
 
 def report_main(argv: list[str] | None = None) -> int:

@@ -20,8 +20,12 @@ provides:
   (``fail_fast`` / ``collect`` / ``quarantine`` — ``docs/robustness.md``).
 
 Entry points: ``repro-bench --jobs N --cache DIR`` drives every
-experiment through an ambient engine; library code accepts
-``engine=``/``jobs=``/``cache=`` keywords (see ``docs/engine.md``).
+experiment through the engine it installs in the run context
+(``use_context(engine=...)``, :mod:`repro.context`); library code
+accepts ``engine=``/``jobs=``/``cache=`` keywords and otherwise runs on
+the context's engine (see ``docs/engine.md``).  A batch reads the run
+context once and sends each attempt its fault plan, ``partial_results``
+and a fresh profiler, the same way inline and in a worker.
 """
 
 from .cache import CacheStats, ResultCache
@@ -48,10 +52,7 @@ from .pool import (
     CorpusEngine,
     EngineMetrics,
     UnitEvaluationError,
-    get_default_engine,
     resolve_engine,
-    set_default_engine,
-    use_engine,
 )
 from .units import UnitOutcome, WorkUnit
 
@@ -78,10 +79,7 @@ __all__ = [
     "canonicalize_assembly",
     "evaluate",
     "evaluator",
-    "get_default_engine",
     "known_kinds",
     "machine_model_digest",
     "resolve_engine",
-    "set_default_engine",
-    "use_engine",
 ]

@@ -41,6 +41,8 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict
 
+from ..context import current_context
+
 Evaluator = Callable[[dict], Dict[str, Any]]
 
 _EVALUATORS: dict[str, Evaluator] = {}
@@ -54,23 +56,6 @@ CORPUS_FIELDS = {
 
 #: the full corpus backend fan-out, in evaluation order
 CORPUS_BACKENDS = ("model", "sim", "mca")
-
-
-#: when True, the ``corpus`` kind degrades gracefully: one backend
-#: failing yields a partial result tagged with the backend error rather
-#: than failing the whole unit.  Set by the engine for each attempt
-#: iff ``error_policy != "fail_fast"``, so the default policy keeps
-#: exact historical semantics.
-_PARTIAL_RESULTS = False
-
-
-def set_partial_results(enabled: bool) -> None:
-    global _PARTIAL_RESULTS
-    _PARTIAL_RESULTS = bool(enabled)
-
-
-def partial_results_enabled() -> bool:
-    return _PARTIAL_RESULTS
 
 
 def evaluator(kind: str) -> Callable[[Evaluator], Evaluator]:
@@ -120,9 +105,7 @@ def _predict_phase(name: str):
     """Profiler phase around one backend prediction (no-op when off)."""
     import contextlib
 
-    from ..obs.prof import active_profiler
-
-    prof = active_profiler()
+    prof = current_context().profiler
     if prof is not None:
         return prof.phase(f"predict/{name}")
     return contextlib.nullcontext()
@@ -154,12 +137,16 @@ def _eval_corpus(p: dict) -> dict[str, Any]:
 
     out: dict[str, Any] = {}
     backend_errors: dict[str, str] = {}
+    # the engine sets partial_results for each attempt iff its
+    # error_policy is not fail_fast: one backend failing then yields a
+    # partial result tagged with the backend error
+    partial = current_context().partial_results
     for name in names:
         try:
             with _predict_phase(name):
                 r = get_backend(name).predict(block, **opts[name])
         except Exception as exc:
-            if not _PARTIAL_RESULTS:
+            if not partial:
                 raise
             backend_errors[name] = f"{type(exc).__name__}: {exc}"
             continue

@@ -57,6 +57,7 @@ from dataclasses import dataclass, field, replace
 from multiprocessing.connection import wait
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional, Sequence
 
+from ..context import RunContext, current_context, use_context
 from .cache import ResultCache
 from .cachekey import cache_key
 from .errors import (
@@ -69,7 +70,7 @@ from .errors import (
     WorkerCrashError,
     failure_payload,
 )
-from .evaluators import evaluate, partial_results_enabled, set_partial_results
+from .evaluators import evaluate
 from .units import UnitOutcome, WorkUnit
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -205,61 +206,39 @@ class UnitEvaluationError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _RunContext:
-    """The caller's state an attempt needs; it rides with every task.
-
-    :func:`_evaluate_task` installs it for one attempt, the same way
-    inline and in a worker.  It holds no deadline: the parent enforces
-    deadlines by killing the worker.
-    """
-
-    #: the caller's active fault plan (``None``: nothing is injected)
-    faults: Optional["FaultPlan"]
-    #: let the ``corpus`` kind degrade to a partial result
-    #: (``error_policy != "fail_fast"``)
-    partial_results: bool
-    #: profile the attempt into a fresh profiler and return its snapshot
-    profiling: bool
-
-
-def _evaluate_task(task: tuple[int, WorkUnit, int], ctx: _RunContext) -> Outcome:
+def _evaluate_task(task: tuple[int, WorkUnit, int], ctx: RunContext) -> Outcome:
     """One attempt at one unit under *ctx*; never raises.
+
+    *ctx* carries what the attempt needs of the caller's run: the fault
+    plan, ``partial_results`` and, when profiling, a fresh profiler.
+    The attempt installs those three fields with ``use_context``, the
+    same way inline and in a worker.  It holds no deadline: the parent
+    enforces deadlines by killing the worker.
 
     Returns ``(index, status, payload, seconds, profile)`` — status
     ``"ok"`` (payload is the result dict) or ``"err"`` (payload is an
     :func:`~.errors.failure_payload` dict).  Exceptions are flattened
     to plain data *before* they cross the pipe: an exception object
-    need not survive pickling.
-
-    With ``ctx.profiling`` on, the attempt runs under a **fresh**
-    :class:`~repro.obs.prof.PhaseProfiler` and its plain-dict snapshot
-    rides back as ``profile`` — the parent absorbs snapshots in
+    need not survive pickling.  ``profile`` is the plain-dict snapshot
+    of the attempt's profiler — the parent absorbs snapshots in
     submission order, so merged attribution does not depend on which
     worker ran what (and the deterministic simulated-cycle records are
     bit-identical to a serial run).
     """
     idx, unit, attempt = task
     t0 = time.perf_counter()
-    snap: Optional[dict] = None
-    partial = partial_results_enabled()
-    set_partial_results(ctx.partial_results)
     try:
-        if ctx.faults is not None:
-            ctx.faults.fire_worker_site(unit.label or unit.kind, attempt)
-        if ctx.profiling:
-            from ..obs.prof import PhaseProfiler, use_profiler
-
-            unit_prof = PhaseProfiler()
-            with use_profiler(unit_prof):
-                result = evaluate(unit.kind, unit.params)
-            snap = unit_prof.snapshot()
-        else:
+        with use_context(
+            faults=ctx.faults,
+            partial_results=ctx.partial_results,
+            profiler=ctx.profiler,
+        ):
+            if ctx.faults is not None:
+                ctx.faults.fire_worker_site(unit.label or unit.kind, attempt)
             result = evaluate(unit.kind, unit.params)
     except Exception as exc:
         return idx, "err", failure_payload(exc), time.perf_counter() - t0, None
-    finally:
-        set_partial_results(partial)
+    snap = None if ctx.profiler is None else ctx.profiler.snapshot()
     return idx, "ok", result, time.perf_counter() - t0, snap
 
 
@@ -279,23 +258,22 @@ def _worker_main(conn, parent_end) -> None:
     # shutdown is coordinated by the parent (finish batch, then
     # kill workers) — a tty Ctrl-C must not kill workers first
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    # ambient observers inherited from the parent would record into a
-    # copy nobody reads; an attempt's profile rides back with its result
+    # an inherited tracer or profiler would record into a copy nobody
+    # reads (an attempt's profile rides back with its result), and the
+    # inherited engine's workers are the parent's
     from ..lowering import clear_memo
-    from ..obs.prof import set_active_profiler
-    from ..obs.trace import set_active_tracer
 
-    set_active_profiler(None)
-    set_active_tracer(None)
-    while True:
-        # No per-kernel state between tasks: the parent coalesces equal
-        # keys, so the memo would not hit, and it would grow the RSS.
-        clear_memo()
-        try:
-            task, ctx = conn.recv()
-            conn.send(_evaluate_task(task, ctx))
-        except (EOFError, OSError):  # the parent is gone
-            return
+    with use_context(tracer=None, profiler=None, engine=None):
+        while True:
+            # No per-kernel state between tasks: the parent coalesces
+            # equal keys, so the memo would not hit, and it would grow
+            # the RSS.
+            clear_memo()
+            try:
+                task, ctx = conn.recv()
+                conn.send(_evaluate_task(task, ctx))
+            except (EOFError, OSError):  # the parent is gone
+                return
 
 
 def _fork_context() -> multiprocessing.context.BaseContext:
@@ -324,7 +302,7 @@ class _Worker:
         self.deadline = math.inf
 
     def send(
-        self, task: tuple[int, WorkUnit, int], ctx: _RunContext,
+        self, task: tuple[int, WorkUnit, int], ctx: RunContext,
         timeout: Optional[float],
     ) -> bool:
         """Hand *task* over; ``False`` if the worker died while idle."""
@@ -391,10 +369,11 @@ class _Workers:
         self.idle.append(_Worker())
 
     def dispatch(
-        self, tasks: Sequence[tuple[int, WorkUnit, int]], ctx: _RunContext,
-        timeout: Optional[float],
+        self, tasks: Sequence[tuple[int, WorkUnit, int]],
+        context: Callable[[], RunContext], timeout: Optional[float],
     ) -> Iterator[Outcome]:
-        """Run one round of attempts, yielding outcomes as they land.
+        """Run one round of attempts, yielding outcomes as they land;
+        each attempt is sent with its own ``context()``.
 
         A task whose worker dies with it yields a
         :class:`~.errors.WorkerCrashError` outcome; one that outlives
@@ -410,7 +389,7 @@ class _Workers:
             while queue or busy:
                 while queue and self.idle:
                     worker = self.idle.pop()
-                    if worker.send(queue[0], ctx, timeout):
+                    if worker.send(queue[0], context(), timeout):
                         queue.popleft()
                         busy.append(worker)
                     else:
@@ -506,11 +485,6 @@ class CorpusEngine:
         Optional hook called once per completed unit with a dict:
         ``{"unit", "index", "cached", "coalesced", "failed", "seconds",
         "completed", "total"}``.
-    tracer:
-        Optional :class:`repro.obs.Tracer`; when absent, the ambient
-        tracer (``repro.obs.use_tracer``) is consulted per batch.  Each
-        batch emits per-attempt spans on worker lanes (categories
-        ``unit``/``retry``/``failure``) plus cache hit/miss instants.
     error_policy:
         ``"fail_fast"`` (default — first failed unit raises
         :class:`UnitEvaluationError`), ``"collect"`` (failures become
@@ -536,9 +510,16 @@ class CorpusEngine:
     Within a batch, misses that share a content key (the cache key,
     computed even when no cache is configured) are evaluated once: the
     first such unit leads, the others receive a copy of its result or
-    its failure (:attr:`EngineMetrics.coalesced`).  Under an active
-    fault plan (:mod:`repro.faults`) every unit is evaluated on its
-    own, because the plan draws its faults per unit label.
+    its failure (:attr:`EngineMetrics.coalesced`).  Under a fault
+    plan (:mod:`repro.faults`) every unit is evaluated on its own,
+    because the plan draws its faults per unit label.
+
+    Each batch reads the run context (:mod:`repro.context`) once: with
+    a tracer it emits per-attempt spans on worker lanes (categories
+    ``unit``/``retry``/``failure``) plus cache hit/miss instants; with
+    a profiler it records the batch's phases and absorbs every
+    attempt's profile; its fault plan rides with every task; its
+    metrics registry receives the batch's :class:`EngineMetrics`.
     """
 
     def __init__(
@@ -546,7 +527,6 @@ class CorpusEngine:
         jobs: int = 1,
         cache_dir: Optional[str | os.PathLike] = None,
         progress: Optional[ProgressHook] = None,
-        tracer=None,
         error_policy: str = "fail_fast",
         max_retries: int = 2,
         retry_backoff: float = 0.05,
@@ -576,7 +556,6 @@ class CorpusEngine:
         self.jobs = max(1, int(jobs))
         self.cache = ResultCache(cache_dir) if cache_dir else None
         self.progress = progress
-        self.tracer = tracer
         self.error_policy = error_policy
         self.retry_policy = RetryPolicy(
             max_retries=max_retries, backoff=retry_backoff
@@ -618,16 +597,12 @@ class CorpusEngine:
         self._completed = 0
         batch_failures: list[UnitFailure] = []
 
-        tracer = self.tracer
-        if tracer is None:
-            from ..obs.trace import active_tracer
-
-            tracer = active_tracer()
+        ctx = current_context()
+        tracer = ctx.tracer
         tracing = tracer is not None
-        from ..obs.prof import active_profiler
-
-        prof = active_profiler()
+        prof = ctx.profiler
         profiling = prof is not None
+        plan = ctx.faults
         if tracing:
             from ..obs.trace import (
                 PID_ENGINE,
@@ -645,9 +620,7 @@ class CorpusEngine:
         model_digests: dict[str, str] = {}
         caching = self.cache is not None
         quarantining = self.error_policy == "quarantine"
-        from .. import faults
-
-        coalescing = faults.active_plan() is None
+        coalescing = plan is None
         corrupt0 = self.cache.stats.corrupt if caching else 0
         lookup_cm = (
             prof.phase("engine/cache_lookup")
@@ -710,7 +683,8 @@ class CorpusEngine:
             )
             with eval_cm:
                 res_map, fail_map = self._evaluate_pending(
-                    leaders, followers, metrics, attempts, len(units)
+                    leaders, followers, metrics, attempts, len(units),
+                    plan, profiling,
                 )
             # ``pending`` is in submission order; absorbing worker
             # profile snapshots in that fixed order keeps the merged
@@ -766,7 +740,7 @@ class CorpusEngine:
                                 "sim.cycles.total", 0.0
                             ),
                         )
-                    self._cache_put(unit, key, result, metrics)
+                    self._cache_put(unit, key, result, metrics, plan)
                 else:
                     failure = fail_map[i]
                     outcomes[i] = UnitOutcome(
@@ -846,7 +820,7 @@ class CorpusEngine:
 
         from ..obs.metrics import record_engine_metrics
 
-        record_engine_metrics(metrics)
+        record_engine_metrics(metrics, ctx.metrics)
         return results
 
     def map(
@@ -879,25 +853,30 @@ class CorpusEngine:
         metrics: EngineMetrics,
         attempts: list[AttemptRecord],
         total: int,
+        plan: Optional["FaultPlan"],
+        profiling: bool,
     ) -> tuple[dict[int, tuple[dict, float, Optional[dict]]], dict[int, UnitFailure]]:
         """Evaluate the distinct cache misses — inline or on the
         workers — with retries; ``followers`` only receive progress
-        events."""
-        from .. import faults
-        from ..obs.prof import active_profiler
+        events.  Every attempt carries the batch's fault plan, the
+        policy's ``partial_results`` and, when profiling, a fresh
+        profiler."""
+        from ..obs.prof import PhaseProfiler
 
-        ctx = _RunContext(
-            faults=faults.active_plan(),
-            partial_results=self.error_policy != "fail_fast",
-            profiling=active_profiler() is not None,
+        ctx = RunContext(
+            faults=plan, partial_results=self.error_policy != "fail_fast"
         )
+
+        def context() -> RunContext:
+            return replace(ctx, profiler=PhaseProfiler()) if profiling else ctx
+
         workers = self._workers
         if self.jobs == 1 and self.unit_timeout is None:
             def dispatch(tasks):
-                return (_evaluate_task(t, ctx) for t in tasks)
+                return (_evaluate_task(t, context()) for t in tasks)
         else:
             def dispatch(tasks):
-                return workers.dispatch(tasks, ctx, self.unit_timeout)
+                return workers.dispatch(tasks, context, self.unit_timeout)
         respawns = workers.respawns
         try:
             return self._attempt_rounds(
@@ -999,6 +978,7 @@ class CorpusEngine:
         key: Optional[str],
         result: dict[str, Any],
         metrics: EngineMetrics,
+        plan: Optional["FaultPlan"],
     ) -> None:
         """Write-back with graceful failure: a cache write that raises
         ``OSError`` is counted and logged once, never fatal — and a
@@ -1008,9 +988,6 @@ class CorpusEngine:
             return
         if isinstance(result, dict) and result.get("degraded"):
             return
-        from .. import faults
-
-        plan = faults.active_plan()
         label = unit.label or unit.kind
         try:
             if plan is not None:
@@ -1121,39 +1098,6 @@ class CorpusEngine:
                        coalesced=True)
 
 
-# ---------------------------------------------------------------------------
-# Ambient engine: the CLI installs one; library paths pick it up without
-# threading an engine argument through every render()/run() signature.
-# ---------------------------------------------------------------------------
-
-_DEFAULT_ENGINE: Optional[CorpusEngine] = None
-
-
-def get_default_engine() -> CorpusEngine:
-    """The ambient engine — a serial, cache-less one unless installed."""
-    global _DEFAULT_ENGINE
-    if _DEFAULT_ENGINE is None:
-        _DEFAULT_ENGINE = CorpusEngine(jobs=1)
-    return _DEFAULT_ENGINE
-
-
-def set_default_engine(engine: Optional[CorpusEngine]) -> None:
-    global _DEFAULT_ENGINE
-    _DEFAULT_ENGINE = engine
-
-
-@contextlib.contextmanager
-def use_engine(engine: CorpusEngine):
-    """Temporarily install *engine* as the ambient default."""
-    global _DEFAULT_ENGINE
-    previous = _DEFAULT_ENGINE
-    _DEFAULT_ENGINE = engine
-    try:
-        yield engine
-    finally:
-        _DEFAULT_ENGINE = previous
-
-
 def resolve_engine(
     engine: Optional[CorpusEngine] = None,
     jobs: Optional[int] = None,
@@ -1162,10 +1106,12 @@ def resolve_engine(
     """Pick the engine for a library call.
 
     Explicit ``engine`` wins; ``jobs``/``cache`` build a one-off engine;
-    otherwise the ambient default (serial unless the CLI installed one).
+    otherwise the run context's engine, or else a fresh serial engine
+    without a cache.
     """
     if engine is not None:
         return engine
     if jobs is not None or cache is not None:
         return CorpusEngine(jobs=jobs or 1, cache_dir=cache)
-    return get_default_engine()
+    installed = current_context().engine
+    return installed if installed is not None else CorpusEngine()

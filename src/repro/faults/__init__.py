@@ -29,23 +29,22 @@ cache.put   parent, before a cache write — raises ``OSError``
 cache.corrupt  parent, after a cache write — truncates the entry file
 ========== ============================================================
 
-Activation is ambient: ``with use_plan(plan): engine.run(units)``.
-The engine sends the active plan with every task, so injection works
+A plan is installed in the run context (:mod:`repro.context`):
+``with use_context(faults=plan): engine.run(units)``.  The engine reads
+it once per batch and sends it with every task, so injection works
 identically inline and in the engine's workers, at any ``jobs``.  With
-no active plan every hook is a no-op behind a single ``is None``
-check.
+no plan every hook is a no-op behind a single ``is None`` check.
 """
 
 from __future__ import annotations
 
-import contextlib
-import hashlib
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..engine.errors import PermanentError, TransientError
+from ..lowering.digests import sha256_u64
 
 #: exit status of an injected worker crash (distinctive in waitpid logs)
 CRASH_EXIT_CODE = 86
@@ -92,8 +91,7 @@ class FaultSpec:
 
 def _draw(seed: int, site: str, label: str, attempt: int) -> float:
     """Deterministic uniform [0, 1) draw for one potential fault event."""
-    blob = f"{seed}|{site}|{label}|{attempt}".encode()
-    return int.from_bytes(hashlib.sha256(blob).digest()[:8], "big") / 2**64
+    return sha256_u64(seed, site, label, attempt) / 2**64
 
 
 @dataclass
@@ -190,35 +188,6 @@ class FaultPlan:
         return self.spec_for("cache.corrupt", label) is not None
 
 
-# ---------------------------------------------------------------------------
-# Ambient plan — the engine reads it once per batch and sends it to its
-# workers with every task.
-# ---------------------------------------------------------------------------
-
-_PLAN: Optional[FaultPlan] = None
-
-
-def active_plan() -> Optional[FaultPlan]:
-    """The ambient fault plan, or ``None`` (the no-faults fast path)."""
-    return _PLAN
-
-
-def set_active_plan(plan: Optional[FaultPlan]) -> None:
-    global _PLAN
-    _PLAN = plan
-
-
-@contextlib.contextmanager
-def use_plan(plan: FaultPlan) -> Iterator[FaultPlan]:
-    """Temporarily install *plan* as the ambient fault plan."""
-    global _PLAN
-    previous = _PLAN
-    _PLAN = plan
-    try:
-        yield plan
-    finally:
-        _PLAN = previous
-
 
 __all__ = [
     "CRASH_EXIT_CODE",
@@ -227,7 +196,4 @@ __all__ = [
     "FaultSpec",
     "InjectedFault",
     "InjectedPermanentFault",
-    "active_plan",
-    "set_active_plan",
-    "use_plan",
 ]

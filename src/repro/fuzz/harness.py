@@ -134,7 +134,7 @@ def run_differential(
 
     Requires at least two backends (one prediction cannot diverge).
     The engine resolves like every other sweep (explicit > jobs/cache >
-    ambient); under ``collect``/``quarantine`` policies, failed units
+    the run context's); under ``collect``/``quarantine`` policies, failed units
     surface on ``engine.failures`` and degraded units (some backends
     errored) are listed by label on the result.
     """

@@ -4,8 +4,9 @@ Every fuzzed kernel must be a *pure function* of ``(seed, persona,
 mutation-vector)`` — across interpreter versions, operating systems,
 and worker counts.  ``random.Random`` makes no cross-version stream
 guarantees for all of its methods, so the fuzzer draws from SHA-256
-instead, the same primitive the fault-injection harness uses
-(:mod:`repro.faults`): a :class:`SeedStream` is keyed by an arbitrary
+instead, through the same :func:`~repro.lowering.digests.sha256_u64`
+as the fault-injection harness (:mod:`repro.faults`): a
+:class:`SeedStream` is keyed by an arbitrary
 tuple of parts and yields a reproducible sequence of integers in
 ``[0, 2**64)``, from which the usual ``randint``/``choice``/``shuffle``
 conveniences are derived.
@@ -16,8 +17,9 @@ distinct key parts produce statistically independent ones.
 
 from __future__ import annotations
 
-import hashlib
 from typing import MutableSequence, Sequence, TypeVar
+
+from ..lowering.digests import sha256_u64
 
 T = TypeVar("T")
 
@@ -36,9 +38,9 @@ class SeedStream:
 
     def u64(self) -> int:
         """The next raw draw in ``[0, 2**64)``."""
-        blob = f"{self._key}|{self._n}".encode()
+        n = self._n
         self._n += 1
-        return int.from_bytes(hashlib.sha256(blob).digest()[:8], "big")
+        return sha256_u64(self._key, n)
 
     def random(self) -> float:
         """The next draw as a float in ``[0, 1)``."""

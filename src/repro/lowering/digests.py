@@ -56,6 +56,14 @@ def sha256_text(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def sha256_u64(*parts: object) -> int:
+    """The first 8 bytes (big-endian) of the SHA-256 of the ``|``-joined
+    parts: a uniform draw in ``[0, 2**64)`` that is the same on every
+    platform (fault-injection draws, the fuzzer's seed streams)."""
+    blob = "|".join(map(str, parts)).encode()
+    return int.from_bytes(hashlib.sha256(blob).digest()[:8], "big")
+
+
 def assembly_digest(asm: str) -> str:
     """Digest of canonicalized assembly text."""
     return sha256_text(canonicalize_assembly(asm))

@@ -20,9 +20,9 @@ machine model)`` pair: results are memoized in-process, keyed by the
 canonical assembly digest × the machine-model digest (the same
 identities the engine's on-disk cache uses).  Prediction backends
 (:mod:`repro.backends`) consume the resulting :class:`LoweredBlock`;
-hit/miss counters are published to the ambient
-:class:`~repro.obs.metrics.MetricsRegistry` and parse/resolve work is
-recorded as tracer spans.
+hit/miss counters are published to the run context's
+:class:`~repro.obs.metrics.MetricsRegistry` (:mod:`repro.context`) and
+parse/resolve work is recorded as tracer spans.
 
 The memo assumes machine models are immutable after construction
 (what-if studies build new instances via ``dataclasses.replace``); a
@@ -36,6 +36,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterator, Union
 
+from ..context import current_context
 from ..isa import parse_kernel
 from ..isa.idioms import is_zero_idiom
 from ..isa.instruction import Instruction
@@ -115,11 +116,9 @@ def normalize_instructions(
 
 
 def _lower_uncached(
-    source: str, model: MachineModel, asm_digest: str, model_digest: str
+    source: str, model: MachineModel, asm_digest: str, model_digest: str,
+    prof,
 ) -> LoweredBlock:
-    from ..obs.prof import active_profiler
-
-    prof = active_profiler()
     if prof is not None:
         # the profiler mirrors the pipeline's published stage names:
         # parse -> normalize -> resolve (docs/observability.md)
@@ -156,13 +155,14 @@ def lower(
     ``memo=False`` the pipeline runs unconditionally and the result is
     not retained (useful for models mutated under test).
     """
-    from ..obs.metrics import get_registry
-    from ..obs.trace import PID_LOWER, TID_LOWER, active_tracer
+    from ..obs.trace import PID_LOWER, TID_LOWER
 
     model = coerce_model(arch)
     key = (assembly_digest(source), cached_model_digest(model))
 
-    reg = get_registry()
+    ctx = current_context()
+    reg = ctx.metrics
+    tracer = ctx.tracer
     reg.counter("lowering.requests", "lower() calls").inc()
 
     if memo:
@@ -172,7 +172,6 @@ def lower(
             reg.counter(
                 "lowering.memo_hits", "blocks served from the lowering memo"
             ).inc()
-            tracer = active_tracer()
             if tracer is not None:
                 tracer.process(PID_LOWER, "lowering")
                 tracer.lane(PID_LOWER, TID_LOWER, "lower")
@@ -188,15 +187,12 @@ def lower(
     reg.counter(
         "lowering.memo_misses", "blocks parsed and resolved from scratch"
     ).inc()
-    from ..obs.prof import active_profiler
-
-    prof = active_profiler()
+    prof = ctx.profiler
     prof_cm = (
         prof.phase("lower")
         if prof is not None
         else contextlib.nullcontext()
     )
-    tracer = active_tracer()
     if tracer is not None:
         tracer.process(PID_LOWER, "lowering")
         tracer.lane(PID_LOWER, TID_LOWER, "lower")
@@ -207,10 +203,10 @@ def lower(
             cat="lowering",
             args={"model": model.name},
         ):
-            block = _lower_uncached(source, model, *key)
+            block = _lower_uncached(source, model, *key, prof)
     else:
         with prof_cm:
-            block = _lower_uncached(source, model, *key)
+            block = _lower_uncached(source, model, *key, prof)
 
     if memo:
         _MEMO[key] = block
@@ -230,10 +226,8 @@ def memo_len() -> int:
 
 
 def memo_stats() -> dict[str, float]:
-    """Current lowering counters from the ambient metrics registry."""
-    from ..obs.metrics import get_registry
-
-    snap = get_registry().snapshot()
+    """Current lowering counters from the run context's metrics registry."""
+    snap = current_context().metrics.snapshot()
 
     def val(name: str) -> float:
         return snap.get(name, {}).get("value", 0.0)

@@ -27,7 +27,12 @@ reproduction the same property at runtime, in three layers:
   CI gate).
 
 :mod:`.progress` additionally renders the engine's progress hook as a
-stderr TTY progress bar.  See ``docs/observability.md``.
+stderr TTY progress bar.
+
+A run attaches its tracer, profiler and metrics registry through one
+run context: ``with use_context(tracer=t, profiler=p): ...``
+(:mod:`repro.context`); readers call ``current_context()``.  See
+``docs/observability.md``.
 """
 
 from .metrics import (
@@ -36,18 +41,10 @@ from .metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    get_registry,
     record_engine_metrics,
     record_stall_cycles,
-    set_registry,
-    use_registry,
 )
-from .prof import (
-    PhaseProfiler,
-    active_profiler,
-    set_active_profiler,
-    use_profiler,
-)
+from .prof import PhaseProfiler
 from .progress import ProgressBar, is_tty
 from .report import (
     Finding,
@@ -64,9 +61,6 @@ from .trace import (
     PID_SERVE,
     PID_SIM,
     Tracer,
-    active_tracer,
-    set_active_tracer,
-    use_tracer,
 )
 
 __all__ = [
@@ -83,22 +77,13 @@ __all__ = [
     "PhaseProfiler",
     "ProgressBar",
     "Tracer",
-    "active_profiler",
-    "active_tracer",
     "benchmark_stats",
     "build_manifest",
     "diff_manifests",
-    "get_registry",
     "is_tty",
     "jsonable",
     "load_manifest",
     "record_engine_metrics",
     "record_stall_cycles",
-    "set_active_profiler",
-    "set_active_tracer",
-    "set_registry",
-    "use_profiler",
-    "use_registry",
-    "use_tracer",
     "write_manifest",
 ]

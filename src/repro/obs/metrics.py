@@ -21,9 +21,10 @@ the registry is process-global.
 from __future__ import annotations
 
 import bisect
-import contextlib
 import json
-from typing import Any, Iterator, Optional, Sequence
+from typing import Any, Optional, Sequence
+
+from ..context import current_context
 
 #: default histogram bucket upper bounds — spans sub-millisecond unit
 #: evaluations through multi-minute sweeps
@@ -270,35 +271,9 @@ class MetricsRegistry:
 
 
 # ---------------------------------------------------------------------------
-# Ambient registry + adapters for the pre-existing ad-hoc metric sources
+# Adapters for the pre-existing ad-hoc metric sources; without an
+# explicit registry they record into the run context's
 # ---------------------------------------------------------------------------
-
-_REGISTRY: Optional[MetricsRegistry] = None
-
-
-def get_registry() -> MetricsRegistry:
-    """The ambient process-wide registry (created on first use)."""
-    global _REGISTRY
-    if _REGISTRY is None:
-        _REGISTRY = MetricsRegistry()
-    return _REGISTRY
-
-
-def set_registry(registry: Optional[MetricsRegistry]) -> None:
-    global _REGISTRY
-    _REGISTRY = registry
-
-
-@contextlib.contextmanager
-def use_registry(registry: MetricsRegistry) -> Iterator[MetricsRegistry]:
-    """Temporarily install *registry* as the ambient registry."""
-    global _REGISTRY
-    previous = _REGISTRY
-    _REGISTRY = registry
-    try:
-        yield registry
-    finally:
-        _REGISTRY = previous
 
 
 def record_engine_metrics(
@@ -306,7 +281,7 @@ def record_engine_metrics(
 ) -> None:
     """Absorb one :class:`~repro.engine.pool.EngineMetrics` batch."""
     # `registry or ...` would discard an *empty* registry (len() == 0)
-    reg = registry if registry is not None else get_registry()
+    reg = registry if registry is not None else current_context().metrics
     reg.counter("engine.units_total", "work units submitted").inc(
         m.total_units
     )
@@ -361,7 +336,7 @@ def record_stall_cycles(
     registry: Optional[MetricsRegistry] = None,
 ) -> None:
     """Absorb a simulator run's per-cause stall attribution."""
-    reg = registry if registry is not None else get_registry()
+    reg = registry if registry is not None else current_context().metrics
     for cause, cycles in stall_cycles.items():
         reg.counter(
             f"simulator.stall_cycles.{cause}",

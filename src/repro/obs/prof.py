@@ -22,16 +22,18 @@ One :class:`PhaseProfiler` collects four kinds of cost records:
 * **units** — one record per engine work unit (wall seconds + summed
   sim cycles), published by :class:`~repro.engine.pool.CorpusEngine`.
 
-Worker processes each build a fresh profiler per unit attempt
-(:func:`repro.engine.pool._evaluate_task`); its plain-dict
+Every unit attempt runs under a fresh profiler that rides with its
+task (:func:`repro.engine.pool._evaluate_task`); its plain-dict
 :meth:`snapshot` crosses the pickle boundary and the parent
 :meth:`absorb`\\ s the snapshots **in submission order**, so the merged
 attribution is independent of worker scheduling.
 
-Disabled profiling must cost (near) nothing.  As with tracing, "off"
-is ``None``, and call sites hoist one boolean out of their hot loops::
+Disabled profiling must cost (near) nothing.  A run installs a profiler
+in its run context (``use_context(profiler=p)``, :mod:`repro.context`);
+as with tracing, "off" is ``None``, and call sites hoist one boolean out
+of their hot loops::
 
-    prof = active_profiler()
+    prof = current_context().profiler
     profiling = prof is not None
     ...
     if profiling:
@@ -45,7 +47,7 @@ from __future__ import annotations
 import contextlib
 import json
 import time
-from typing import Any, Iterator, Optional
+from typing import Any, Iterator
 
 SCHEMA = "repro-profile/1"
 
@@ -309,33 +311,3 @@ class PhaseProfiler:
         with open(path, "w") as fh:
             fh.write(self.to_collapsed() + "\n")
 
-
-# ---------------------------------------------------------------------------
-# Ambient profiler: the CLI installs one; the engine, lowering pipeline
-# and simulator pick it up without threading a profiler through every
-# signature (same pattern as the ambient tracer/registry).
-# ---------------------------------------------------------------------------
-
-_ACTIVE: Optional[PhaseProfiler] = None
-
-
-def active_profiler() -> Optional[PhaseProfiler]:
-    """The ambient profiler, or ``None`` when profiling is off."""
-    return _ACTIVE
-
-
-def set_active_profiler(profiler: Optional[PhaseProfiler]) -> None:
-    global _ACTIVE
-    _ACTIVE = profiler
-
-
-@contextlib.contextmanager
-def use_profiler(profiler: PhaseProfiler) -> Iterator[PhaseProfiler]:
-    """Temporarily install *profiler* as the ambient profiler."""
-    global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = profiler
-    try:
-        yield profiler
-    finally:
-        _ACTIVE = previous

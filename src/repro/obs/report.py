@@ -142,7 +142,7 @@ def build_manifest(
         manifest["metrics"] = registry.snapshot()
         # The lowering section records *this run's* memo effectiveness,
         # so counters are deltas against the run-start snapshot when
-        # one is supplied (the ambient registry is process-cumulative).
+        # one is supplied (the process registry is cumulative).
         counts = (
             registry.delta(registry_since)
             if registry_since is not None

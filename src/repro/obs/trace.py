@@ -16,9 +16,12 @@ into a single file viewable in Perfetto (https://ui.perfetto.dev) or
 The two clock domains never share a ``pid``, so the mismatch in units
 is explicit rather than misleading.
 
-Disabled tracing must cost (near) nothing.  "Off" is ``None``, and
-call sites hoist a single boolean out of their hot loops::
+Disabled tracing must cost (near) nothing.  A run installs a tracer in
+its run context (``use_context(tracer=t)``, :mod:`repro.context`);
+"off" is ``None``, and call sites hoist a single boolean out of their
+hot loops::
 
+    tracer = current_context().tracer
     tracing = tracer is not None
     ...
     if tracing:
@@ -221,32 +224,3 @@ class Tracer:
         with open(path, "w") as fh:
             json.dump(self.to_chrome(other_data), fh, indent=1)
 
-
-# ---------------------------------------------------------------------------
-# Ambient tracer: the CLI installs one; the engine and other library
-# paths pick it up without threading a tracer through every signature.
-# ---------------------------------------------------------------------------
-
-_ACTIVE: Optional[Tracer] = None
-
-
-def active_tracer() -> Optional[Tracer]:
-    """The ambient tracer, or ``None`` when tracing is off (default)."""
-    return _ACTIVE
-
-
-def set_active_tracer(tracer: Optional[Tracer]) -> None:
-    global _ACTIVE
-    _ACTIVE = tracer
-
-
-@contextlib.contextmanager
-def use_tracer(tracer: Tracer) -> Iterator[Tracer]:
-    """Temporarily install *tracer* as the ambient tracer."""
-    global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = tracer
-    try:
-        yield tracer
-    finally:
-        _ACTIVE = previous

@@ -44,14 +44,10 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Any, Optional
 
+from ..context import current_context
 from ..engine.pool import CorpusEngine
-from ..obs.metrics import LATENCY_BUCKETS, MetricsRegistry, get_registry
-from ..obs.trace import (
-    PID_SERVE,
-    TID_SERVE_DISPATCH,
-    TID_SERVE_SLOT_BASE,
-    active_tracer,
-)
+from ..obs.metrics import LATENCY_BUCKETS, MetricsRegistry
+from ..obs.trace import PID_SERVE, TID_SERVE_DISPATCH, TID_SERVE_SLOT_BASE
 from .admission import AdmissionQueue, Ticket
 from .breaker import BreakerBoard
 from .protocol import (
@@ -141,7 +137,9 @@ class ReproServer:
         self.breakers = BreakerBoard(
             threshold=cfg.breaker_threshold, cooldown=cfg.breaker_cooldown
         )
-        self.registry = registry if registry is not None else get_registry()
+        self.registry = (
+            registry if registry is not None else current_context().metrics
+        )
         self._registry_at_start = self.registry.snapshot()
         # engine.run() is not thread-safe: one executor thread
         # serializes batches while the loop stays responsive
@@ -670,7 +668,7 @@ class ReproServer:
         self._batches += 1
         self._m_batches.inc()
 
-        tracer = active_tracer()
+        tracer = current_context().tracer
         tracing = tracer is not None
         if tracing:
             tracer.serve_lanes(self.queue.batch_max)

@@ -50,6 +50,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Optional
 
+from ..context import current_context
 from ..machine import MachineModel
 from .plan import UopPlan
 
@@ -142,7 +143,6 @@ class CycleEngine:
         *,
         tracer=None,
         collect_stalls: bool = False,
-        profiler=None,
     ) -> SimulationResult:
         """Measure ``plan``: :meth:`replay` it and publish the profile.
 
@@ -151,19 +151,14 @@ class CycleEngine:
         frontend lane, µop slices on per-port lanes, retire instants,
         and cause-attributed stall events.  ``collect_stalls`` fills
         :attr:`SimulationResult.stall_cycles` without tracing.
-        ``profiler`` (a :class:`repro.obs.prof.PhaseProfiler`; when
-        ``None`` the ambient one is consulted) receives deterministic
-        sub-phase cycle attribution — frontend dispatch, ROB
-        backpressure, issue/port waits, retire — plus per-mnemonic µop
-        cycles, per-port occupancy, and ROB/scheduler-window
-        accounting.  All three default off and then cost nothing: the
-        hot loop only tests hoisted booleans.
+        The run context's profiler (:mod:`repro.context`), when one is
+        installed, receives deterministic sub-phase cycle attribution —
+        frontend dispatch, ROB backpressure, issue/port waits, retire —
+        plus per-mnemonic µop cycles, per-port occupancy, and
+        ROB/scheduler-window accounting.  All three default off and then
+        cost nothing: the hot loop only tests hoisted booleans.
         """
-        prof = profiler
-        if prof is None:
-            from ..obs.prof import active_profiler
-
-            prof = active_profiler()
+        prof = current_context().profiler
         keep_stalls = collect_stalls or tracer is not None
         wall0 = time.perf_counter()
         cpu0 = time.process_time()

@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from repro.context import current_context, use_context
 from repro.engine import (
     CorpusEngine,
     ResultCache,
@@ -18,11 +19,9 @@ from repro.engine import (
     WorkUnit,
     cache_key,
     canonicalize_assembly,
-    get_default_engine,
     known_kinds,
     machine_model_digest,
     resolve_engine,
-    use_engine,
 )
 
 ASM_X86 = """
@@ -204,15 +203,16 @@ class TestEngineRun:
 
 class TestAmbientEngine:
     def test_default_is_serial_and_cacheless(self):
-        eng = get_default_engine()
+        assert current_context().engine is None
+        eng = resolve_engine()
         assert eng.jobs == 1 and eng.cache is None
+        assert resolve_engine() is not eng  # a fresh one per call
 
     def test_use_engine_installs_and_restores(self, tmp_path):
         inner = CorpusEngine(jobs=2, cache_dir=tmp_path)
-        before = get_default_engine()
-        with use_engine(inner):
+        with use_context(engine=inner):
             assert resolve_engine() is inner
-        assert get_default_engine() is before
+        assert current_context().engine is None
 
     def test_resolve_explicit_wins(self, tmp_path):
         explicit = CorpusEngine(jobs=3)

@@ -23,8 +23,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import faults
 from repro.bench import fig3
+from repro.context import use_context
 from repro.engine import CorpusEngine, WorkUnit
 from repro.engine.evaluators import evaluator
 from repro.faults import FaultPlan, FaultSpec
@@ -100,7 +100,7 @@ class TestFaultRateSweep:
     def test_survivors_bit_identical_to_clean_serial(self):
         units = _units(self.N)
         clean = CorpusEngine(jobs=1).run(units)
-        with faults.use_plan(self._plan()):
+        with use_context(faults=self._plan()):
             eng = CorpusEngine(
                 jobs=4, error_policy="collect", retry_backoff=0.001
             )
@@ -119,7 +119,7 @@ class TestFaultRateSweep:
 
     def test_structured_failures_with_attempt_counts(self):
         units = _units(self.N)
-        with faults.use_plan(self._plan()):
+        with use_context(faults=self._plan()):
             eng = CorpusEngine(
                 jobs=4, error_policy="collect", max_retries=2,
                 retry_backoff=0.001,
@@ -144,7 +144,7 @@ class TestFaultRateSweep:
         )
         units = _units(self.N)
         clean = CorpusEngine(jobs=1).run(units)
-        with faults.use_plan(plan):
+        with use_context(faults=plan):
             eng = CorpusEngine(
                 jobs=4, error_policy="collect", retry_backoff=0.001
             )
@@ -169,7 +169,7 @@ class TestFaultRateSweep:
             [FaultSpec(site="evaluate", rate=0.25, error_type="permanent")],
             seed=7,
         )
-        with faults.use_plan(plan):
+        with use_context(faults=plan):
             eng = CorpusEngine(
                 jobs=4, error_policy="collect", retry_backoff=0.001
             )
@@ -191,7 +191,7 @@ class TestWorkerKill:
         )
         units = _units(10)
         clean = CorpusEngine(jobs=1).run(units)
-        with faults.use_plan(plan):
+        with use_context(faults=plan):
             eng = CorpusEngine(
                 jobs=4, error_policy="collect", retry_backoff=0.001
             )
@@ -219,7 +219,7 @@ class TestWorkerKill:
     def test_kill_without_retry_budget_reports_crash(self):
         plan = FaultPlan([FaultSpec(site="exit", match="w2")])
         units = _units(8)
-        with faults.use_plan(plan):
+        with use_context(faults=plan):
             eng = CorpusEngine(
                 jobs=4, error_policy="collect", max_retries=0
             )
@@ -235,7 +235,7 @@ class TestWorkerKill:
         from repro.engine import UnitEvaluationError
 
         plan = FaultPlan([FaultSpec(site="exit", match="w1")])
-        with faults.use_plan(plan):
+        with use_context(faults=plan):
             eng = CorpusEngine(jobs=4, max_retries=0)
             with pytest.raises(UnitEvaluationError, match="WorkerCrashError"):
                 eng.run(_units(6))
@@ -262,14 +262,14 @@ class TestWorkerKill:
         # with jobs > 1 even a single-miss batch runs in a worker, so an
         # exit fault is one structured failure, not a dead host
         plan = FaultPlan([FaultSpec(site="exit", match="w0")])
-        with faults.use_plan(plan):
+        with use_context(faults=plan):
             eng = CorpusEngine(jobs=2, error_policy="collect", max_retries=0)
             out = eng.run(_units(1))
         assert out == [None]
         (f,) = eng.failures
         assert f.error_class == "WorkerCrashError"
         # and the engine keeps working afterwards
-        with faults.use_plan(FaultPlan()):
+        with use_context(faults=FaultPlan()):
             assert eng.run(_units(1)) == CorpusEngine(jobs=1).run(_units(1))
 
     def test_crash_fails_only_the_victim(self):
@@ -280,7 +280,7 @@ class TestWorkerKill:
             WorkUnit.make("chaos_sleep", label="bystander", seconds=3.0),
             WorkUnit.make("chaos_work", label="victim", x=1),
         ]
-        with faults.use_plan(plan):
+        with use_context(faults=plan):
             eng = CorpusEngine(jobs=2, error_policy="collect", max_retries=0)
             out = eng.run(units)
         assert out[0] == {"slept": 3.0}
@@ -295,7 +295,7 @@ class TestHangTimeout:
             [FaultSpec(site="hang", match="w4", hang_seconds=60.0)]
         )
         units = _units(8)
-        with faults.use_plan(plan):
+        with use_context(faults=plan):
             eng = CorpusEngine(
                 jobs=4, error_policy="collect", max_retries=0,
                 unit_timeout=0.3,
@@ -316,7 +316,7 @@ class TestHangTimeout:
         )
         units = _units(8)
         clean = CorpusEngine(jobs=1).run(units)
-        with faults.use_plan(plan):
+        with use_context(faults=plan):
             eng = CorpusEngine(
                 jobs=4, error_policy="collect", retry_backoff=0.001,
                 unit_timeout=0.3,
@@ -329,7 +329,7 @@ class TestHangTimeout:
         plan = FaultPlan(
             [FaultSpec(site="hang", match="w1", hang_seconds=60.0)]
         )
-        with faults.use_plan(plan):
+        with use_context(faults=plan):
             eng = CorpusEngine(
                 jobs=1, error_policy="collect", max_retries=0,
                 unit_timeout=0.3,
@@ -346,7 +346,7 @@ class TestHangTimeout:
             [FaultSpec(site="hang", match="w1", hang_seconds=4.0)]
         )
         box = {}
-        with faults.use_plan(plan):
+        with use_context(faults=plan):
             eng = CorpusEngine(
                 jobs=1, error_policy="collect", max_retries=0,
                 unit_timeout=0.3,
@@ -423,7 +423,7 @@ class TestCacheFaults:
     def test_write_failures_absorbed_at_jobs_4(self, tmp_path):
         plan = FaultPlan([FaultSpec(site="cache.put", match="w2")])
         units = _units(8)
-        with faults.use_plan(plan):
+        with use_context(faults=plan):
             eng = CorpusEngine(jobs=4, cache_dir=tmp_path / "c")
             out = eng.run(units)
         assert out == CorpusEngine(jobs=1).run(units)
@@ -433,7 +433,7 @@ class TestCacheFaults:
     def test_corrupt_entry_quarantined_and_recomputed(self, tmp_path):
         plan = FaultPlan([FaultSpec(site="cache.corrupt", match="w5")])
         units = _units(8)
-        with faults.use_plan(plan):
+        with use_context(faults=plan):
             CorpusEngine(jobs=1, cache_dir=tmp_path / "c").run(units)
         eng = CorpusEngine(jobs=1, cache_dir=tmp_path / "c")
         out = eng.run(units)
@@ -461,7 +461,7 @@ class TestScheduleInvariants:
             seed=seed,
         )
         units = _units(n)
-        with faults.use_plan(plan):
+        with use_context(faults=plan):
             eng = CorpusEngine(
                 jobs=1, error_policy="collect", max_retries=1,
                 retry_backoff=0.0,
@@ -490,7 +490,7 @@ class TestScheduleInvariants:
         units = _units(10)
 
         def run_once():
-            with faults.use_plan(FaultPlan([spec], seed=seed)):
+            with use_context(faults=FaultPlan([spec], seed=seed)):
                 eng = CorpusEngine(
                     jobs=1, error_policy="collect", retry_backoff=0.0
                 )

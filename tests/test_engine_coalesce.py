@@ -12,13 +12,13 @@ import os
 
 import pytest
 
-from repro import faults
 from repro.bench.fig3 import corpus_units
+from repro.context import use_context
 from repro.engine import CorpusEngine, UnitEvaluationError, WorkUnit, cache_key
 from repro.engine.evaluators import evaluate, evaluator
 from repro.faults import FaultPlan, FaultSpec
 from repro.kernels import enumerate_corpus
-from repro.obs.metrics import MetricsRegistry, use_registry
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 
 # -- module-local evaluator kinds (registry is global; unique names) ----
@@ -168,7 +168,7 @@ class TestFailures:
             [FaultSpec(site="evaluate", match="u1", error_type="permanent")],
             seed=1,
         )
-        with faults.use_plan(plan):
+        with use_context(faults=plan):
             eng = CorpusEngine(jobs=1, error_policy="collect")
             out = eng.run(units)
         assert len(_evaluations(log)) == 3  # u1 faulted before evaluating
@@ -189,7 +189,7 @@ class TestReporting:
     def test_metrics_registry_and_summary(self, tmp_path):
         reg = MetricsRegistry()
         eng = CorpusEngine(jobs=1)
-        with use_registry(reg):
+        with use_context(metrics=reg):
             eng.run(_units(tmp_path / "l", XS))
         snap = reg.snapshot()
         assert snap["engine.units_coalesced"]["value"] == 3
@@ -199,8 +199,9 @@ class TestReporting:
 
     def test_tracer_annotates_coalesced_units(self, tmp_path):
         tracer = Tracer()
-        eng = CorpusEngine(jobs=1, tracer=tracer)
-        eng.run(_units(tmp_path / "l", XS))
+        eng = CorpusEngine(jobs=1)
+        with use_context(tracer=tracer):
+            eng.run(_units(tmp_path / "l", XS))
         spans = [e for e in tracer.events if e.get("cat") == "unit"]
         marks = [
             e for e in tracer.events

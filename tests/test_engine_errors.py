@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from repro.context import use_context
 from repro.engine import (
     ERROR_POLICIES,
     CorpusEngine,
@@ -361,20 +362,13 @@ class TestDegradedCorpus:
             for name, fn in originals.items():
                 base._BACKEND_CLASSES[name].predict = fn
 
-    def test_flag_restored_after_serial_run(self):
-        from repro.engine.evaluators import partial_results_enabled
-
-        e = CorpusEngine(jobs=1, error_policy="collect", retry_backoff=0.0)
-        e.run(_units("errtest_double", 1))
-        assert partial_results_enabled() is False
-
 
 class TestFailureObservability:
     def test_metrics_counters_absorbed(self):
-        from repro.obs.metrics import MetricsRegistry, use_registry
+        from repro.obs.metrics import MetricsRegistry
 
         reg = MetricsRegistry()
-        with use_registry(reg):
+        with use_context(metrics=reg):
             e = CorpusEngine(
                 jobs=1, error_policy="collect", retry_backoff=0.0
             )
@@ -384,10 +378,10 @@ class TestFailureObservability:
         assert "engine.unit_retries" not in snap  # nothing retried
 
     def test_healthy_runs_register_no_failure_counters(self):
-        from repro.obs.metrics import MetricsRegistry, use_registry
+        from repro.obs.metrics import MetricsRegistry
 
         reg = MetricsRegistry()
-        with use_registry(reg):
+        with use_context(metrics=reg):
             CorpusEngine(jobs=1).run(_units("errtest_double", 2))
         assert "engine.units_failed" not in reg.snapshot()
 
@@ -397,9 +391,9 @@ class TestFailureObservability:
         t = Tracer()
         e = CorpusEngine(
             jobs=1, error_policy="collect", max_retries=1, retry_backoff=0.0,
-            tracer=t,
         )
-        e.run(_units("errtest_flaky", 1) + _units("errtest_double", 2)[1:])
+        with use_context(tracer=t):
+            e.run(_units("errtest_flaky", 1) + _units("errtest_double", 2)[1:])
         cats = [ev.get("cat") for ev in t.events]
         assert "retry" in cats and "failure" in cats and "unit" in cats
         retry_span = next(ev for ev in t.events if ev.get("cat") == "retry")
@@ -472,15 +466,20 @@ class TestBenchCliErrorPolicy:
         assert captured["max_retries"] == 5
         assert captured["unit_timeout"] == 30.0
 
-    def test_bad_flags_rejected(self):
+    @pytest.mark.parametrize(
+        "main, args",
+        [("bench_main", ["fig2"]), ("fuzz_main", ["--count", "1"])],
+        ids=["bench", "fuzz"],
+    )
+    def test_bad_flags_rejected(self, main, args, capsys):
         from repro import cli
 
-        with pytest.raises(SystemExit):
-            cli.bench_main(["fig2", "--error-policy", "bogus"])
-        with pytest.raises(SystemExit):
-            cli.bench_main(["fig2", "--max-retries", "-1"])
-        with pytest.raises(SystemExit):
-            cli.bench_main(["fig2", "--unit-timeout", "0"])
+        for bad in (["--error-policy", "bogus"], ["--max-retries", "-1"],
+                    ["--unit-timeout", "0"], ["--jobs", "0"]):
+            with pytest.raises(SystemExit) as exc:
+                getattr(cli, main)([*args, *bad])
+            assert exc.value.code == 2, bad
+        assert "generated" not in capsys.readouterr().out
 
     def test_collect_run_with_failures_exits_nonzero(self, monkeypatch, capsys):
         # a fake experiment whose corpus unit fails under collect

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import faults
+from repro.context import current_context, use_context
 from repro.faults import (
     CRASH_EXIT_CODE,
     FAULT_SITES,
@@ -173,19 +173,19 @@ class TestFiring:
 
 class TestAmbientPlan:
     def test_use_plan_installs_and_restores(self):
-        assert faults.active_plan() is None
+        assert current_context().faults is None
         plan = FaultPlan([FaultSpec(site="evaluate")])
-        with faults.use_plan(plan) as p:
-            assert faults.active_plan() is p is plan
-        assert faults.active_plan() is None
+        with use_context(faults=plan) as ctx:
+            assert current_context().faults is ctx.faults is plan
+        assert current_context().faults is None
 
     def test_nesting_restores_outer(self):
         outer = FaultPlan([], seed=1)
         inner = FaultPlan([], seed=2)
-        with faults.use_plan(outer):
-            with faults.use_plan(inner):
-                assert faults.active_plan() is inner
-            assert faults.active_plan() is outer
+        with use_context(faults=outer):
+            with use_context(faults=inner):
+                assert current_context().faults is inner
+            assert current_context().faults is outer
 
     def test_plans_are_picklable(self):
         # plans cross the fork/pickle boundary via the pool initializer

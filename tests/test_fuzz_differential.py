@@ -9,7 +9,7 @@ on retry.  Marked ``fuzz``: part of the tier-1 suite, excluded from the
 
 import pytest
 
-from repro import faults
+from repro.context import use_context
 from repro.engine import CorpusEngine
 from repro.faults import FaultPlan, FaultSpec
 from repro.fuzz import (
@@ -59,9 +59,9 @@ class TestDifferentialDeterminism:
             if plan.would_fault("evaluate", u)
         ]
         assert faulted, "the plan must actually fire at this rate"
-        with faults.use_plan(plan):
+        with use_context(faults=plan):
             chaotic_serial = _sweep(corpus, jobs=1)
-        with faults.use_plan(plan):
+        with use_context(faults=plan):
             chaotic_parallel = _sweep(corpus, jobs=4)
         assert manifest_digest(chaotic_serial) == manifest_digest(clean)
         assert manifest_digest(chaotic_parallel) == manifest_digest(clean)
@@ -73,7 +73,7 @@ class TestDifferentialDeterminism:
         )
         eng = CorpusEngine(jobs=1, error_policy="collect",
                            retry_backoff=0.001)
-        with faults.use_plan(plan):
+        with use_context(faults=plan):
             run_differential(
                 corpus[:50], seed=SEED, iterations=ITERATIONS, engine=eng
             )

@@ -9,6 +9,7 @@ the metrics counters.
 
 import pytest
 
+from repro.context import current_context
 from repro.lowering import (
     LoweredBlock,
     assembly_digest,
@@ -20,7 +21,6 @@ from repro.lowering import (
     memo_stats,
 )
 from repro.machine import get_machine_model
-from repro.obs.metrics import get_registry
 
 ASM = """
 # compiler banner
@@ -38,7 +38,7 @@ def fresh_memo():
 
 
 def _counter_delta(before: dict, name: str) -> float:
-    snap = get_registry().snapshot()
+    snap = current_context().metrics.snapshot()
     return snap.get(name, {}).get("value", 0.0) - before.get(name, {}).get(
         "value", 0.0
     )
@@ -65,7 +65,7 @@ class TestLower:
         assert by_name is by_alias is by_model  # one memo slot
 
     def test_memo_hit_returns_same_object(self):
-        before = get_registry().snapshot()
+        before = current_context().metrics.snapshot()
         a = lower(ASM, "zen4")
         b = lower(ASM, "zen4")
         assert a is b
@@ -172,7 +172,7 @@ class TestCorpusLowersOnce:
         }
         assert len(unique_pairs) < len(units)  # dedup must be observable
 
-        before = get_registry().snapshot()
+        before = current_context().metrics.snapshot()
         engine = CorpusEngine(jobs=1)
         engine.run(units)
         # units sharing a cache key are evaluated once by the engine, so
@@ -188,7 +188,7 @@ class TestCorpusLowersOnce:
         )
 
         # and a repeat sweep is all hits
-        before = get_registry().snapshot()
+        before = current_context().metrics.snapshot()
         for u in units:
             evaluate(u.kind, u.params)
         assert _counter_delta(before, "lowering.memo_misses") == 0

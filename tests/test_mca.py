@@ -6,12 +6,13 @@ import tracemalloc
 import pytest
 
 from repro.backends.builtin import MCABackend
+from repro.context import use_context
 from repro.isa import parse_kernel
 from repro.lowering import lower
 from repro.machine import get_machine_model
 from repro.machine.model import MachineModel
 from repro.mca import MCASchedData, MCASimulator, mca_predict
-from repro.obs.prof import PhaseProfiler, use_profiler
+from repro.obs.prof import PhaseProfiler
 from repro.simulator.engine import CycleEngine
 from repro.simulator.plan import build_uop_plan
 
@@ -159,7 +160,7 @@ class TestMCASimulation:
         measurement: no cycles, counters or phases of its own."""
         prof = PhaseProfiler()
         block = lower(self.TRIAD, "spr")
-        with use_profiler(prof):
+        with use_context(profiler=prof):
             for noalias in (True, False):
                 MCABackend().predict(block, assume_noalias=noalias)
         snap = prof.snapshot()

@@ -5,13 +5,12 @@ import json
 
 import pytest
 
+from repro.context import current_context, use_context
 from repro.engine import CorpusEngine, EngineMetrics, WorkUnit
 from repro.obs.metrics import (
     MetricsRegistry,
-    get_registry,
     record_engine_metrics,
     record_stall_cycles,
-    use_registry,
 )
 from repro.simulator import simulate_kernel
 
@@ -187,11 +186,12 @@ class TestRegistry:
 
 class TestAmbientRegistry:
     def test_use_registry_scopes(self):
-        outer = get_registry()
+        outer = current_context().metrics
+        assert outer is not None
         fresh = MetricsRegistry()
-        with use_registry(fresh):
-            assert get_registry() is fresh
-        assert get_registry() is outer
+        with use_context(metrics=fresh):
+            assert current_context().metrics is fresh
+        assert current_context().metrics is outer
 
 
 class TestAdapters:
@@ -212,7 +212,7 @@ class TestAdapters:
 
     def test_record_stall_cycles(self):
         r = MetricsRegistry()
-        with use_registry(r):
+        with use_context(metrics=r):
             record_stall_cycles({"rob": 3.0, "port": 1.5})
         snap = r.snapshot()
         assert snap["simulator.stall_cycles.rob"]["value"] == 3.0
@@ -224,7 +224,7 @@ class TestAdapters:
             "simulate", label="k", uarch="zen4", assembly=KERNEL,
             iterations=5, warmup=2,
         )
-        with use_registry(fresh):
+        with use_context(metrics=fresh):
             CorpusEngine(jobs=1).run([unit])
         snap = fresh.snapshot()
         assert snap["engine.units_total"]["value"] == 1

@@ -7,15 +7,11 @@ import json
 import pytest
 
 from repro.bench.fig3 import corpus_units
-from repro.engine import CorpusEngine, cache_key, use_engine
+from repro.context import current_context, use_context
+from repro.engine import CorpusEngine, cache_key
 from repro.kernels import enumerate_corpus
 from repro.lowering import lower
-from repro.obs.prof import (
-    PhaseProfiler,
-    active_profiler,
-    set_active_profiler,
-    use_profiler,
-)
+from repro.obs.prof import PhaseProfiler
 from repro.simulator.engine import CycleEngine
 from repro.simulator.plan import plan_for_block
 
@@ -113,21 +109,12 @@ class TestSnapshotAbsorb:
 
 class TestAmbientProfiler:
     def test_use_profiler_installs_and_restores(self):
-        assert active_profiler() is None
+        assert current_context().profiler is None
         p = PhaseProfiler()
-        with use_profiler(p) as got:
-            assert got is p
-            assert active_profiler() is p
-        assert active_profiler() is None
-
-    def test_set_active_profiler(self):
-        p = PhaseProfiler()
-        set_active_profiler(p)
-        try:
-            assert active_profiler() is p
-        finally:
-            set_active_profiler(None)
-        assert active_profiler() is None
+        with use_context(profiler=p) as got:
+            assert got.profiler is p
+            assert current_context().profiler is p
+        assert current_context().profiler is None
 
 
 KERNEL = """
@@ -146,7 +133,7 @@ class TestSimulatorProfiling:
         plan = plan_for_block(lower(KERNEL, "zen4"))
         base = CycleEngine().run(plan, iterations=80)
         prof = PhaseProfiler()
-        with use_profiler(prof):
+        with use_context(profiler=prof):
             probed = CycleEngine().run(plan, iterations=80)
         # bit-identical prediction, and profiling alone must not start
         # publishing stall_cycles (that would change cached payloads)
@@ -159,7 +146,8 @@ class TestSimulatorProfiling:
         snaps = []
         for _ in range(2):
             prof = PhaseProfiler()
-            result = CycleEngine().run(plan, iterations=80, profiler=prof)
+            with use_context(profiler=prof):
+                result = CycleEngine().run(plan, iterations=80)
             assert prof.counters["sim.cycles.total"] == result.total_cycles
             assert prof.counters["sim.instructions"] > 0
             # called outside any phase, attribution keys are top-level;
@@ -173,14 +161,6 @@ class TestSimulatorProfiling:
                 st[1] = st[2] = 0.0
             snaps.append(snap)
         assert snaps[0] == snaps[1]
-
-    def test_explicit_profiler_overrides_ambient(self):
-        plan = plan_for_block(lower(KERNEL, "zen4"))
-        ambient, explicit = PhaseProfiler(), PhaseProfiler()
-        with use_profiler(ambient):
-            CycleEngine().run(plan, iterations=10, profiler=explicit)
-        assert explicit.counters.get("sim.cycles.total", 0) > 0
-        assert ambient.counters == {}
 
 
 def _strip_timing(prof: PhaseProfiler) -> dict:
@@ -204,7 +184,7 @@ class TestEngineAttribution:
         units = corpus_units(corpus, iterations=30)
         prof = PhaseProfiler()
         engine = CorpusEngine(jobs=jobs)
-        with use_profiler(prof), use_engine(engine):
+        with use_context(profiler=prof):
             results = engine.run(units)
         return results, prof
 
@@ -229,6 +209,6 @@ class TestEngineAttribution:
         corpus = enumerate_corpus()[:2]
         units = corpus_units(corpus, iterations=10)
         engine = CorpusEngine(jobs=1)
-        assert active_profiler() is None
+        assert current_context().profiler is None
         results = engine.run(units)
         assert all(r is not None for r in results)

@@ -7,6 +7,7 @@ import pathlib
 
 import pytest
 
+from repro.context import current_context, use_context
 from repro.engine import CorpusEngine, WorkUnit
 from repro.obs.trace import (
     PID_ENGINE,
@@ -14,8 +15,6 @@ from repro.obs.trace import (
     TID_FRONTEND,
     TID_RETIRE,
     Tracer,
-    active_tracer,
-    use_tracer,
 )
 from repro.simulator import simulate_kernel
 
@@ -157,7 +156,7 @@ class TestDisabledPath:
         assert plain.total_cycles == traced.total_cycles
 
     def test_ambient_tracer_default_off(self):
-        assert active_tracer() is None
+        assert current_context().tracer is None
 
 
 class TestGoldenTrace:
@@ -196,8 +195,9 @@ class TestEngineTrace:
 
     def test_unit_spans_and_batch_span(self, tmp_path):
         tracer = Tracer()
-        engine = CorpusEngine(jobs=1, tracer=tracer)
-        engine.run(self.units())
+        engine = CorpusEngine(jobs=1)
+        with use_context(tracer=tracer):
+            engine.run(self.units())
         spans = [e for e in tracer.events if e.get("cat") == "unit"]
         assert len(spans) == 3
         assert {e["name"] for e in spans} == {"k0", "k1", "k2"}
@@ -208,11 +208,10 @@ class TestEngineTrace:
 
     def test_cache_hits_annotated(self, tmp_path):
         tracer = Tracer()
-        engine = CorpusEngine(
-            jobs=1, cache_dir=tmp_path / "cache", tracer=tracer
-        )
-        engine.run(self.units())
-        engine.run(self.units())  # warm: every unit is a hit
+        engine = CorpusEngine(jobs=1, cache_dir=tmp_path / "cache")
+        with use_context(tracer=tracer):
+            engine.run(self.units())
+            engine.run(self.units())  # warm: every unit is a hit
         hits = [e for e in tracer.events if e.get("cat") == "cache"]
         assert len(hits) == 3
         assert all(e["name"].startswith("cache-hit:") for e in hits)
@@ -220,7 +219,7 @@ class TestEngineTrace:
     def test_ambient_tracer_picked_up(self):
         tracer = Tracer()
         engine = CorpusEngine(jobs=1)
-        with use_tracer(tracer):
+        with use_context(tracer=tracer):
             engine.run(self.units()[:1])
         assert any(e.get("cat") == "unit" for e in tracer.events)
         # outside the context the ambient tracer is gone

@@ -10,9 +10,10 @@ worker SIGKILL mid-request is one structured 500 and the next request
 succeeds after respawn; a hung unit converts to a 504 at the unit
 deadline; SIGTERM during load drains in-flight work and exits 0.
 
-Fault activation is ambient (a module-level plan), so ``use_plan`` in
-the test is visible to the daemon's engine executor thread, which
-sends it to the engine's workers with every task.
+The run context is a module global, not a ``ContextVar``, so a plan
+installed with ``use_context(faults=...)`` on the test thread is visible
+to the daemon's engine executor thread, which sends it to the engine's
+workers with every task.
 """
 
 import http.client
@@ -26,7 +27,7 @@ import time
 
 import pytest
 
-from repro import faults
+from repro.context import use_context
 from repro.engine import CorpusEngine
 from repro.faults import FaultPlan, FaultSpec
 from repro.obs.metrics import MetricsRegistry
@@ -104,7 +105,7 @@ class TestAcceptanceLoad:
         )
         # 500 requests cycling through the 60 unique kernels
         reqs = [payloads[i % self.UNIQUE] for i in range(self.TOTAL)]
-        with faults.use_plan(plan):
+        with use_context(faults=plan):
             with ServerThread(cfg, registry=MetricsRegistry()) as st:
                 responses = run_load(st.port, reqs, concurrency=16)
                 # the daemon survived: liveness green, stats coherent
@@ -174,7 +175,7 @@ class TestTargetedFaults:
             port=0, jobs=2, cache_dir=str(tmp_path / "cache"),
             max_retries=0, request_timeout=60.0, drain_deadline=10.0,
         )
-        with faults.use_plan(plan):
+        with use_context(faults=plan):
             with ServerThread(cfg, registry=MetricsRegistry()) as st:
                 status, body = _post(st.port, doomed)
                 assert status == 500
@@ -199,7 +200,7 @@ class TestTargetedFaults:
             port=0, jobs=jobs, cache_dir=str(tmp_path / "cache"),
             unit_timeout=0.5, max_retries=0, request_timeout=60.0,
         )
-        with faults.use_plan(plan):
+        with use_context(faults=plan):
             with ServerThread(cfg, registry=MetricsRegistry()) as st:
                 t0 = time.monotonic()
                 status, body = _post(st.port, stuck)

@@ -6,8 +6,8 @@ import json
 
 import pytest
 
-from repro import faults
 from repro.cli import bench_main, serve_bench_main, serve_main
+from repro.context import use_context
 from repro.engine import CorpusEngine
 from repro.faults import FaultPlan, FaultSpec
 from repro.serve.protocol import parse_analyze_request
@@ -25,7 +25,7 @@ def _poison_cache(cache_dir) -> None:
                    error_type="permanent")],
         seed=3,
     )
-    with faults.use_plan(plan):
+    with use_context(faults=plan):
         eng = CorpusEngine(
             jobs=1, cache_dir=str(cache_dir),
             error_policy="quarantine", max_retries=0,
