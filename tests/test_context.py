@@ -94,7 +94,8 @@ class TestUseContext:
                 target=lambda: seen.append(current_context().faults)
             )
             t.start()
-            t.join()
+            t.join(timeout=10)
+        assert not t.is_alive()
         assert len(seen) == 1 and seen[0] is plan
 
 
