@@ -1,8 +1,8 @@
 """Core behavior of the corpus execution engine.
 
 Covers the work-unit model, the on-disk content-addressed cache, the
-serial/parallel executor, metrics, progress hooks, and the ambient
-engine used by the CLI.  The differential serial-vs-parallel gate and
+serial/parallel executor, metrics, progress hooks, and the engine the
+CLI installs in the run context.  The differential serial-vs-parallel gate and
 the cache-key properties have dedicated modules
 (``test_engine_differential``, ``test_engine_cachekey``).
 """

@@ -5,8 +5,9 @@ Two contracts:
 * a sub-benchmark raising inside the experiment loop must surface as a
   **nonzero exit code** (previously ``repro-bench`` exited 0 and CI
   pipelines silently passed),
-* ``--jobs N --cache DIR`` installs an ambient engine every experiment
-  submits through, with a metrics summary line at the end.
+* ``--jobs N --cache DIR`` installs, in the run context, the engine
+  every experiment submits through, with a metrics summary line at the
+  end.
 """
 
 import pytest

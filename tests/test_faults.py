@@ -188,7 +188,7 @@ class TestAmbientPlan:
             assert current_context().faults is outer
 
     def test_plans_are_picklable(self):
-        # plans cross the fork/pickle boundary via the pool initializer
+        # a plan crosses the pickle boundary with every task
         import pickle
 
         plan = FaultPlan(

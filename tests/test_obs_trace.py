@@ -222,6 +222,6 @@ class TestEngineTrace:
         with use_context(tracer=tracer):
             engine.run(self.units()[:1])
         assert any(e.get("cat") == "unit" for e in tracer.events)
-        # outside the context the ambient tracer is gone
+        # outside use_context the tracer is gone
         engine.run(self.units()[:1])
         assert sum(1 for e in tracer.events if e.get("cat") == "unit") == 1
