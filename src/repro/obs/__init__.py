@@ -42,7 +42,6 @@ from .metrics import (
     Histogram,
     MetricsRegistry,
     record_engine_metrics,
-    record_stall_cycles,
 )
 from .prof import PhaseProfiler
 from .progress import ProgressBar, is_tty
@@ -84,6 +83,5 @@ __all__ = [
     "jsonable",
     "load_manifest",
     "record_engine_metrics",
-    "record_stall_cycles",
     "write_manifest",
 ]

@@ -2,7 +2,7 @@
 
 One :class:`MetricsRegistry` absorbs the numbers every layer used to
 report ad hoc — the engine's :class:`~repro.engine.pool.EngineMetrics`,
-the simulator's stall counters, benchmark wall times — behind a single
+the serving daemon's counters, benchmark wall times — behind a single
 API with two exporters (aligned text and JSON).
 
 Naming convention (see ``docs/observability.md``): dotted lowercase
@@ -11,7 +11,6 @@ paths, ``<layer>.<subject>[_<unit>]``::
     engine.units_total        counter    work units submitted
     engine.cache_hits         counter    resolved from the result cache
     engine.unit_seconds       histogram  per-unit evaluation time
-    simulator.stall_cycles.*  counter    per-cause stall attribution
 
 Snapshots are plain dicts; :meth:`MetricsRegistry.delta` subtracts an
 earlier snapshot so callers can report "what this run added" even when
@@ -329,16 +328,3 @@ def record_engine_metrics(
     h = reg.histogram("engine.unit_seconds", "per-unit evaluation time")
     for s in m.unit_seconds:
         h.observe(s)
-
-
-def record_stall_cycles(
-    stall_cycles: dict[str, float],
-    registry: Optional[MetricsRegistry] = None,
-) -> None:
-    """Absorb a simulator run's per-cause stall attribution."""
-    reg = registry if registry is not None else current_context().metrics
-    for cause, cycles in stall_cycles.items():
-        reg.counter(
-            f"simulator.stall_cycles.{cause}",
-            "cycles lost to this stall cause",
-        ).inc(cycles)

@@ -1,5 +1,5 @@
 """Metrics registry: counter/gauge/histogram semantics, snapshot/delta,
-exporters, and the adapters that absorb engine + simulator counters."""
+exporters, the engine adapter, and the simulator's stall attribution."""
 
 import json
 
@@ -10,7 +10,6 @@ from repro.engine import CorpusEngine, EngineMetrics, WorkUnit
 from repro.obs.metrics import (
     MetricsRegistry,
     record_engine_metrics,
-    record_stall_cycles,
 )
 from repro.simulator import simulate_kernel
 
@@ -209,14 +208,6 @@ class TestAdapters:
         assert snap["engine.units_evaluated"]["value"] == 6
         assert snap["engine.jobs"]["value"] == 2
         assert snap["engine.unit_seconds"]["count"] == 6
-
-    def test_record_stall_cycles(self):
-        r = MetricsRegistry()
-        with use_context(metrics=r):
-            record_stall_cycles({"rob": 3.0, "port": 1.5})
-        snap = r.snapshot()
-        assert snap["simulator.stall_cycles.rob"]["value"] == 3.0
-        assert snap["simulator.stall_cycles.port"]["value"] == 1.5
 
     def test_engine_run_publishes_to_ambient_registry(self):
         fresh = MetricsRegistry()
