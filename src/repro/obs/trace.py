@@ -59,11 +59,14 @@ TID_ENGINE_CONTROL = 0
 #: first worker lane; worker *i* maps to tid 1+i
 TID_WORKER_BASE = 1
 
-#: serving lanes: the dispatcher's batch spans, then one request lane
-#: per batch slot (slot *i* maps to tid 1+i) — batches are serialized,
-#: so slot occupancy is disjoint per lane by construction
+#: serving lanes: the dispatcher's batch spans, the requests answered
+#: from the cache on the event loop, then one request lane per batch
+#: slot (slot *i* maps to tid 2+i) — the loop answers one hit at a
+#: time and batches are serialized, so each lane's spans are disjoint
+#: by construction
 TID_SERVE_DISPATCH = 0
-TID_SERVE_SLOT_BASE = 1
+TID_SERVE_LOOP = 1
+TID_SERVE_SLOT_BASE = 2
 
 
 class Tracer:
@@ -112,9 +115,11 @@ class Tracer:
             self.lane(PID_ENGINE, TID_WORKER_BASE + i, f"worker {i}")
 
     def serve_lanes(self, batch_max: int) -> None:
-        """Register the serving daemon's dispatcher + slot lanes."""
+        """Register the serving daemon's dispatcher, loop-hit and slot
+        lanes."""
         self.process(PID_SERVE, "serving daemon (wall clock)")
         self.lane(PID_SERVE, TID_SERVE_DISPATCH, "dispatcher")
+        self.lane(PID_SERVE, TID_SERVE_LOOP, "cache hits (event loop)")
         for i in range(batch_max):
             self.lane(PID_SERVE, TID_SERVE_SLOT_BASE + i, f"slot {i}")
 

@@ -7,8 +7,10 @@ not a web framework).  Every ``POST /v1/analyze`` body becomes one
 engine work unit, so serving inherits the platform's robustness
 machinery wholesale:
 
-* the **content-addressed result cache** answers repeat requests
-  without touching a worker (the hot path under real traffic);
+* the **content-addressed result cache** answers repeat requests on
+  the event loop, before admission: a hit never queues, never waits
+  for the engine, and never touches a worker (the hot path under real
+  traffic);
 * the **bounded admission queue** (:mod:`.admission`) refuses overload
   with 429 + ``Retry-After`` instead of buffering it;
 * **per-request deadlines** shed work whose client has stopped caring
@@ -21,15 +23,25 @@ machinery wholesale:
 * **SIGTERM/SIGINT drain**: stop admitting, finish in-flight work up
   to a drain deadline, flush a run-report manifest, exit 0.
 
-Threading model: the asyncio loop owns all daemon state.  Engine
-batches run on a single-thread executor (``CorpusEngine`` is not
-thread-safe; one thread serializes batches), and the engine sends
-every evaluation to its worker *processes* from there.  The engine
-enforces a unit deadline by killing the worker, so with a
-``unit_timeout`` (the default) the daemon process never evaluates a
-request itself, at any ``jobs``: a crash or a hang costs one worker and
-one structured 500 or 504.  Shutdown closes the engine on the executor
-thread, after the last batch.
+Threading model: the asyncio loop owns all daemon state.  It answers
+cache hits itself: it builds the request's cache key and reads the
+entry through the daemon's own :class:`~repro.engine.cache.ResultCache`
+on the engine's cache directory (entries are written atomically, so
+the loop never reads a torn one), and touches no ``CorpusEngine``
+state.  Misses are admitted, and engine batches run on a single-thread
+executor (``CorpusEngine`` is not thread-safe; one thread serializes
+batches), from which the engine sends every evaluation to its worker
+*processes*.  Workers fork from the executor thread while the loop
+runs, so the loop thread must import nothing once serving starts (a
+worker forked while it holds a module's import lock would inherit the
+lock held forever): :meth:`ReproServer.start` imports and digests
+every machine model, and imports the backend registry the cache key
+reads, before the listener opens.  The engine enforces a unit deadline
+by killing the worker, so with a ``unit_timeout`` (the default) the
+daemon process never evaluates a request itself, at any ``jobs``: a
+crash or a hang costs one worker and one structured 500 or 504.
+Shutdown closes the engine on the executor thread, after the last
+batch.
 """
 
 from __future__ import annotations
@@ -45,17 +57,28 @@ from dataclasses import asdict, dataclass
 from typing import Any, Optional
 
 from ..context import current_context
+from ..engine.cache import ResultCache
+from ..engine.cachekey import cache_key
 from ..engine.pool import CorpusEngine
+from ..lowering.digests import machine_model_digest
+from ..machine import available_models
 from ..obs.metrics import LATENCY_BUCKETS, MetricsRegistry
-from ..obs.trace import PID_SERVE, TID_SERVE_DISPATCH, TID_SERVE_SLOT_BASE
+from ..obs.trace import (
+    PID_SERVE,
+    TID_SERVE_DISPATCH,
+    TID_SERVE_LOOP,
+    TID_SERVE_SLOT_BASE,
+)
 from .admission import AdmissionQueue, Ticket
 from .breaker import BreakerBoard
 from .protocol import (
     MAX_BODY_BYTES,
     SCHEMA,
+    AnalyzeRequest,
     CircuitOpenError,
     DeadlineError,
     DrainingError,
+    QueueFullError,
     ServeError,
     ValidationError,
     failure_body,
@@ -131,6 +154,10 @@ class ReproServer:
             retry_backoff=cfg.retry_backoff,
             unit_timeout=cfg.unit_timeout,
         )
+        # the loop thread's own reader of the engine's cache (hits are
+        # answered before admission); the engine's is its thread's alone
+        self._cache = ResultCache(cfg.cache_dir) if cfg.cache_dir else None
+        self._model_digests: dict[str, str] = {}
         self.queue = AdmissionQueue(
             capacity=cfg.queue_capacity, batch_max=cfg.batch_max
         )
@@ -154,9 +181,23 @@ class ReproServer:
         self._drain_requested: Optional[asyncio.Event] = None
         self._started_monotonic = time.monotonic()
         self._batches = 0
+        # /stats request accounting (validated analyze requests):
+        # requests == loop hits + queue admitted + queue rejected
+        # + breaker refused
+        self._requests = 0
+        self._loop_hits = 0
+        self._breaker_refusals = 0
         self.port: Optional[int] = None  # actual port (for port=0)
 
         m = self.registry
+        self._m_requests = m.counter(
+            "serve.requests", "validated analyze requests (not draining)"
+        )
+        self._m_loop_hits = m.counter(
+            "serve.loop_hits",
+            "requests answered from the result cache on the event loop, "
+            "without admission",
+        )
         self._m_admitted = m.counter(
             "serve.admitted", "requests admitted to the queue"
         )
@@ -182,7 +223,9 @@ class ReproServer:
             "serve.responses_5xx", "service-error responses"
         )
         self._m_cache_hits = m.counter(
-            "serve.cache_hits", "responses answered from the result cache"
+            "serve.cache_hits",
+            "responses answered from the result cache (on the loop or "
+            "by the engine)",
         )
         self._m_batches = m.counter(
             "serve.batches", "engine batches dispatched"
@@ -192,7 +235,7 @@ class ReproServer:
         )
         self._m_latency = m.histogram(
             "serve.latency_seconds",
-            "end-to-end request latency (admission to response)",
+            "end-to-end request latency (validated request to response)",
             buckets=LATENCY_BUCKETS,
         )
 
@@ -201,8 +244,16 @@ class ReproServer:
     # ------------------------------------------------------------------
 
     async def start(self) -> None:
-        """Bind the listener and start the dispatcher task."""
+        """Import and digest every machine model, then bind the listener
+        and start the dispatcher task."""
         cfg = self.config
+        # what a request makes the loop thread import (its machine
+        # model, the cache key's backend registry), imported before an
+        # engine worker can fork: see the module docstring
+        from .. import backends  # noqa: F401
+
+        for name in available_models():
+            self._model_digests[name] = machine_model_digest(name)
         self._drain_requested = asyncio.Event()
         self._dispatcher = asyncio.get_running_loop().create_task(
             self._dispatch_loop(), name="repro-serve-dispatcher"
@@ -543,6 +594,12 @@ class ReproServer:
             "draining": self.draining,
             "queue": self.queue.snapshot(),
             "breakers": self.breakers.snapshot(),
+            "requests": {
+                "total": self._requests,
+                "cache_hits": self._loop_hits,
+                "admitted": self.queue.admitted,
+                "refused": self.queue.rejected + self._breaker_refusals,
+            },
             "batches": self._batches,
             "engine": {
                 "jobs": t.jobs,
@@ -582,10 +639,17 @@ class ReproServer:
             if timeout <= 0:
                 raise ValidationError("X-Timeout must be positive")
 
+        self._requests += 1
+        self._m_requests.inc()
+        hit = self._cached_answer(request)
+        if hit is not None:
+            return 200, {}, hit
+
         breaker = self.breakers.get(request.backend)
         probe = False
         if breaker.state != "closed":
             if not breaker.allow():
+                self._breaker_refusals += 1
                 self._m_breaker_refused.inc()
                 raise CircuitOpenError(
                     f"backend {request.backend!r} breaker is "
@@ -599,9 +663,11 @@ class ReproServer:
             ticket = self.queue.submit(
                 request, deadline=time.monotonic() + timeout
             )
-        except Exception:
+        except Exception as exc:
             if probe:
                 breaker.release_probe()
+            if isinstance(exc, QueueFullError):
+                self._m_rejected.inc()
             raise
         ticket.probe = probe  # type: ignore[attr-defined]
         self._m_admitted.inc()
@@ -625,6 +691,46 @@ class ReproServer:
         self._m_latency.observe(time.monotonic() - ticket.enqueued_at)
         self._count_status(status)
         return status, hdrs, payload
+
+    def _cached_answer(
+        self, request: AnalyzeRequest
+    ) -> Optional[dict[str, Any]]:
+        """The 200 body of a request whose result is in the cache, or
+        ``None`` (a miss, or no cache).  Runs on the loop thread: a hit
+        skips the breakers, the queue and the executor, because a cached
+        answer needs no backend.  A corrupt entry is moved aside by the
+        cache and reads as a miss, so the engine evaluates it afresh."""
+        if self._cache is None:
+            return None
+        t0 = time.monotonic()
+        tracer = current_context().tracer
+        if tracer is not None:
+            t0_us = tracer.now_us()
+        result = self._cache.get(
+            cache_key(request.to_unit(), self._model_digests)
+        )
+        if result is None:
+            return None
+        body = result_body(result, cached=True, seconds=0.0)
+        self._loop_hits += 1
+        self._m_loop_hits.inc()
+        self._m_cache_hits.inc()
+        self._m_latency.observe(time.monotonic() - t0)
+        self._count_status(200)
+        if tracer is not None:
+            tracer.serve_lanes(self.queue.batch_max)
+            tracer.complete(
+                f"req {request.label}", t0_us, tracer.now_us() - t0_us,
+                PID_SERVE, TID_SERVE_LOOP, cat="request",
+                args={
+                    "backend": request.backend,
+                    "arch": request.arch,
+                    "cached": True,
+                    "failed": False,
+                    "queue_wait_us": 0,
+                },
+            )
+        return body
 
     def _count_status(self, status: int) -> None:
         if status < 300:

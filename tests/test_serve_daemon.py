@@ -4,11 +4,18 @@ sockets (``ServerThread``) and at the handler layer (no sockets)."""
 import asyncio
 import http.client
 import json
+import os
 import socket
+import subprocess
+import sys
+import threading
 import time
+from pathlib import Path
 
 import pytest
 
+from repro.context import use_context
+from repro.faults import FaultPlan, FaultSpec
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.daemon import ReproServer, ServeConfig, ServerThread
 
@@ -231,6 +238,161 @@ class TestSocketLevel:
         assert serving["queue"]["admitted"] >= 1
         metrics = manifest["metrics"]
         assert metrics["serve.responses_2xx"]["value"] >= 1
+
+
+def _metric_values(st) -> dict[str, float]:
+    status, body = _get(st, "/metrics")
+    assert status == 200
+    values = {}
+    for line in body.decode().splitlines():
+        name, _, value = line.partition("  ")
+        if not value.strip().startswith("count="):
+            values[name.strip()] = float(value)
+    return values
+
+
+class TestCacheHitsOnTheLoop:
+    """A cached answer is read on the event loop, before admission: it
+    needs no backend, so it waits for no batch and no breaker."""
+
+    PRIMED = {"assembly": ASM, "arch": "gcs", "label": "primed"}
+    COLD = {"assembly": "fmul v1.2d, v2.2d, v3.2d\n", "arch": "gcs",
+            "label": "cold"}
+
+    def _primed_server(self, tmp_path, **cfg_kw) -> ServerThread:
+        st = ServerThread(
+            _cfg(cache_dir=str(tmp_path / "cache"), **cfg_kw),
+            registry=MetricsRegistry(),
+        )
+        st.start()
+        status, body = _post(st, self.PRIMED)
+        assert status == 200 and body["cached"] is False
+        self.primed_cpi = body["cycles_per_iteration"]
+        return st
+
+    def test_hit_is_answered_while_a_cold_batch_hangs(self, tmp_path):
+        plan = FaultPlan(
+            [FaultSpec(site="hang", rate=1.0, match="cold",
+                       hang_seconds=30.0)],
+            seed=1,
+        )
+        with use_context(faults=plan):
+            st = self._primed_server(tmp_path, unit_timeout=2.0,
+                                     max_retries=0)
+            try:
+                cold = {}
+                t = threading.Thread(
+                    target=lambda: cold.update(r=_post(st, self.COLD)),
+                    daemon=True,
+                )
+                t.start()
+                deadline = time.monotonic() + 10
+                while st.call(lambda srv: srv.stats()["batches"]) < 2:
+                    assert time.monotonic() < deadline, "cold never dispatched"
+                    time.sleep(0.01)
+                # the hung cold unit holds the dispatcher for 2 s; a hit
+                # that queued behind it would miss its 1 s deadline
+                status, body = _post(
+                    st, self.PRIMED, headers={"X-Timeout": "1"}
+                )
+                assert status == 200
+                assert body["cached"] is True
+                assert body["cycles_per_iteration"] == self.primed_cpi
+                t.join(timeout=30)
+                assert not t.is_alive()
+                assert cold["r"][0] == 504
+            finally:
+                st.stop()
+
+    def test_open_breaker_refuses_misses_but_not_hits(self, tmp_path):
+        st = self._primed_server(
+            tmp_path, breaker_threshold=1, breaker_cooldown=60.0
+        )
+        try:
+            st.call(lambda srv: srv.breakers.get("model").record_failure())
+            status, body = _post(st, self.COLD)
+            assert status == 503
+            assert body["error"]["code"] == "circuit-open"
+            status, body = _post(st, self.PRIMED)
+            assert status == 200
+            assert body["cached"] is True
+            assert body["cycles_per_iteration"] == self.primed_cpi
+        finally:
+            st.stop()
+
+    def test_corrupt_entry_is_moved_aside_and_evaluated(self, tmp_path):
+        st = self._primed_server(tmp_path)
+        try:
+            [entry] = (tmp_path / "cache").glob("??/*.json")
+            entry.write_text('{"truncated":')
+            status, body = _post(st, self.PRIMED)
+            assert status == 200
+            assert body["cached"] is False
+            assert body["cycles_per_iteration"] == self.primed_cpi
+            assert (tmp_path / "cache" / "corrupt" / entry.name).exists()
+            status, body = _post(st, self.PRIMED)
+            assert status == 200 and body["cached"] is True
+        finally:
+            st.stop()
+
+    def test_stats_and_metrics_count_every_request_once(self, tmp_path):
+        st = self._primed_server(
+            tmp_path, breaker_threshold=1, breaker_cooldown=60.0
+        )
+        try:
+            for _ in range(2):
+                assert _post(st, self.PRIMED)[0] == 200
+            st.call(lambda srv: srv.breakers.get("model").record_failure())
+            assert _post(st, self.COLD)[0] == 503
+            status, body = _get(st, "/stats")
+            assert status == 200
+            requests = json.loads(body)["requests"]
+            assert requests == {
+                "total": 4, "cache_hits": 2, "admitted": 1, "refused": 1,
+            }
+            m = _metric_values(st)
+            assert m["serve.requests"] == 4
+            assert m["serve.loop_hits"] == 2
+            assert m["serve.cache_hits"] == 2
+            assert (
+                m["serve.admitted"] + m["serve.loop_hits"]
+                + m["serve.rejected"] + m["serve.breaker_refused"]
+                == m["serve.requests"]
+            )
+            assert m["serve.responses_2xx"] == 3
+        finally:
+            st.stop()
+
+
+def test_start_imports_every_machine_model(tmp_path):
+    # An engine worker forked while the loop thread imports a module
+    # inherits that module's import lock held, and hangs on it; so
+    # start() must leave the loop nothing to import.  A fresh
+    # interpreter, because this one has imported every model already.
+    script = (
+        "import asyncio, sys\n"
+        "from repro.serve.daemon import ReproServer, ServeConfig\n"
+        "async def main():\n"
+        "    srv = ReproServer(ServeConfig(port=0))\n"
+        "    await srv.start()\n"
+        "    try:\n"
+        "        print(' '.join(sorted(m for m in sys.modules\n"
+        "                              if m.startswith('repro.'))))\n"
+        "    finally:\n"
+        "        await srv.shutdown()\n"
+        "asyncio.run(main())\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, cwd=tmp_path,
+        capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    loaded = set(out.stdout.split())
+    for module in ("repro.machine.golden_cove", "repro.machine.zen4",
+                   "repro.machine.neoverse_v2", "repro.backends"):
+        assert module in loaded, module
 
 
 def _drive(coro):
