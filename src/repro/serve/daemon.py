@@ -181,12 +181,9 @@ class ReproServer:
         self._drain_requested: Optional[asyncio.Event] = None
         self._started_monotonic = time.monotonic()
         self._batches = 0
-        # /stats request accounting (validated analyze requests):
-        # requests == loop hits + queue admitted + queue rejected
-        # + breaker refused
+        # validated analyze requests, for /stats: each is a loop hit,
+        # admitted, or refused (queue full, breaker open)
         self._requests = 0
-        self._loop_hits = 0
-        self._breaker_refusals = 0
         self.port: Optional[int] = None  # actual port (for port=0)
 
         m = self.registry
@@ -586,6 +583,7 @@ class ReproServer:
 
     def stats(self) -> dict[str, Any]:
         t = self.engine.totals
+        breakers = self.breakers.snapshot()
         return {
             "schema": SCHEMA,
             "uptime_seconds": round(
@@ -593,12 +591,15 @@ class ReproServer:
             ),
             "draining": self.draining,
             "queue": self.queue.snapshot(),
-            "breakers": self.breakers.snapshot(),
+            "breakers": breakers,
             "requests": {
                 "total": self._requests,
-                "cache_hits": self._loop_hits,
+                "cache_hits": (
+                    0 if self._cache is None else self._cache.stats.hits
+                ),
                 "admitted": self.queue.admitted,
-                "refused": self.queue.rejected + self._breaker_refusals,
+                "refused": self.queue.rejected
+                + sum(b["refusals"] for b in breakers.values()),
             },
             "batches": self._batches,
             "engine": {
@@ -649,7 +650,6 @@ class ReproServer:
         probe = False
         if breaker.state != "closed":
             if not breaker.allow():
-                self._breaker_refusals += 1
                 self._m_breaker_refused.inc()
                 raise CircuitOpenError(
                     f"backend {request.backend!r} breaker is "
@@ -712,7 +712,6 @@ class ReproServer:
         if result is None:
             return None
         body = result_body(result, cached=True, seconds=0.0)
-        self._loop_hits += 1
         self._m_loop_hits.inc()
         self._m_cache_hits.inc()
         self._m_latency.observe(time.monotonic() - t0)
