@@ -29,7 +29,8 @@ track (the paper's two documented over-prediction cases):
 Stage two of the staged simulator pipeline.  The engine owns only the
 *dynamic* state — port timelines, divider/special availability,
 register and memory readiness, the reorder buffer — and walks the
-plan's precomputed tables iteration by iteration.  It is the only copy
+plan's precomputed tables, compiled once per replay into records over
+small integers, iteration by iteration.  It is the only copy
 of the out-of-order step: a measurement is :meth:`CycleEngine.run`
 over a :func:`~repro.simulator.plan.build_uop_plan` plan, and the MCA
 baseline is :meth:`CycleEngine.replay` over the plan
@@ -43,11 +44,11 @@ deterministic cycle attribution.
 
 from __future__ import annotations
 
+import math
 import time
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Optional
 
 from ..context import current_context
@@ -90,10 +91,6 @@ class SimulationResult:
         return self.instructions_retired / self.total_cycles
 
 
-#: sort key of a ``[start, end)`` gap: its end
-_gap_end = itemgetter(1)
-
-
 class _PortIssueUnit:
     """Port availability with gap backfill.
 
@@ -103,32 +100,121 @@ class _PortIssueUnit:
     with explicit gaps; :meth:`CycleEngine.replay` issues a µop into
     the earliest gap (or at the tail) no earlier than its ready time.
 
-    Each port's gaps are disjoint ``(start, end)`` tuples sorted by end
-    (appended at the tail, split in place, pruned from the front), so
-    the first-fit search bisects to the first gap ending no earlier
-    than ``ready + dur`` — no gap before it can hold the µop.
-    :meth:`advance` drops gaps that end more than ``window`` cycles
-    before the dispatch clock.  Every later µop is ready no earlier
-    than that clock, so a dropped gap could never be filled: the
-    window bounds the gap lists, it never changes a placement.
+    The state is held per port position (the index into ``ports``):
+    ``tails`` ends each busy timeline, and ``gap_starts`` /
+    ``gap_ends`` hold each port's disjoint ``[start, end)`` gaps as two
+    index-aligned columns sorted by end (appended at the tail, split
+    in place, pruned from the front), so the first-fit search bisects
+    the ends to the first gap ending no earlier than ``ready + dur`` —
+    no gap before it can hold the µop.  Once per iteration the engine
+    drops gaps that end more than the plan's ``scheduler_window``
+    cycles before the dispatch clock.  Every later µop is ready no
+    earlier than that clock, so a dropped gap could never be filled:
+    the window bounds the gap lists, it never changes a placement.
+    :attr:`tail` and :attr:`gaps` read the same state by port name.
     """
 
-    #: gaps shorter than the smallest µop occupancy can never be filled
+    #: gaps shorter than this are not stored.  A gap ``(g0, g1)`` is
+    #: also stored only if ``g0 + shortest[port] <= g1``, where
+    #: ``shortest`` is the least occupancy of any µop that may issue on
+    #: the port (see :func:`_compile`).  A µop of occupancy ``d``
+    #: starts at some ``s >= g0`` and fits only if ``s + d <= g1``;
+    #: rounding is monotone, so ``s + d >= g0 + shortest``, and a gap
+    #: that fails the test (the same float addition as the fit test)
+    #: can never be filled.  Neither rule moves a placement.
     GAP_MIN = 0.5
 
-    def __init__(self, ports, window: float = 128.0):
-        self.tail = {p: 0.0 for p in ports}
-        self.gaps: dict[str, list[tuple[float, float]]] = {p: [] for p in ports}
-        self.window = window
+    def __init__(self, ports):
+        self.ports = tuple(ports)
+        self.tails = [0.0] * len(self.ports)
+        self.gap_starts: list[list[float]] = [[] for _ in self.ports]
+        self.gap_ends: list[list[float]] = [[] for _ in self.ports]
 
-    def advance(self, now: float) -> None:
-        """Prune gaps ending more than ``window`` before dispatch clock ``now``."""
-        horizon = now - self.window
-        if horizon <= 0:
-            return
-        for gaps in self.gaps.values():
-            if gaps and gaps[0][1] < horizon:
-                del gaps[:bisect_left(gaps, horizon, key=_gap_end)]
+    @property
+    def tail(self) -> dict[str, float]:
+        """Each port's busy-timeline end, by port name."""
+        return dict(zip(self.ports, self.tails))
+
+    @property
+    def gaps(self) -> dict[str, list[tuple[float, float]]]:
+        """Each port's stored gaps, by port name."""
+        return {
+            p: list(zip(starts, ends))
+            for p, starts, ends in zip(self.ports, self.gap_starts, self.gap_ends)
+        }
+
+
+def _compile(plan: UopPlan) -> tuple[list[tuple], int, int, list[float]]:
+    """The plan's per-instruction tables as one record per instruction.
+
+    Each record indexes small integers instead of names: µop candidate
+    ports by position in ``plan.ports``, and register roots and memory
+    keys by id in one readiness table laid out as registers, then
+    loop-invariant keys, then loop-variant keys.  A loop-variant key
+    aliases only within an iteration, so the engine resets its part of
+    the table at each iteration.  A record is ``(step, reads, uops,
+    divider, special, is_branch, latency, load_latency, writes,
+    reg_reads)``: ``reads`` and ``writes`` hold table ids, ``reg_reads``
+    the register ids alone (for stall attribution), ``uops`` holds
+    ``(positions, cycles, dur)`` and ``special`` is ``None`` or
+    ``(special-op id, reciprocal throughput)``.
+
+    Returns ``(records, table_size, variant_lo, shortest)``, where the
+    loop-variant keys take ids ``variant_lo`` and up, and ``shortest``
+    is each port's least positive µop occupancy (``inf`` for a port no
+    µop may use).
+    """
+    port_at = {p: k for k, p in enumerate(plan.ports)}
+    regs: dict[str, int] = {}
+    invariant: dict[tuple, int] = {}
+    variant: dict[tuple, int] = {}
+    for j in range(plan.n_body):
+        for root in (*plan.reads[j], *plan.writes[j]):
+            regs.setdefault(root, len(regs))
+        for key, loop_variant in (*plan.mem_reads_of[j], *plan.mem_writes_of[j]):
+            ids = variant if loop_variant else invariant
+            ids.setdefault(key, len(ids))
+    invariant_lo = len(regs)
+    variant_lo = invariant_lo + len(invariant)
+
+    def mem_ids(keys) -> tuple[int, ...]:
+        return tuple(
+            variant_lo + variant[key] if loop_variant
+            else invariant_lo + invariant[key]
+            for key, loop_variant in keys
+        )
+
+    shortest = [math.inf] * len(plan.ports)
+    specials: dict[str, int] = {}
+    records = []
+    for j in range(plan.n_body):
+        uops = []
+        for ports, cycles, dur in plan.uop_plans[j]:
+            positions = tuple(port_at[p] for p in ports)
+            if dur > 0:
+                for k in positions:
+                    if dur < shortest[k]:
+                        shortest[k] = dur
+            uops.append((positions, cycles, dur))
+        special = plan.special_of[j]
+        if special is not None:
+            mnemonic = plan.mnemonic_of[j]
+            special = (specials.setdefault(mnemonic, len(specials)), special)
+        reg_reads = tuple(regs[root] for root in plan.reads[j])
+        records.append((
+            plan.step_of[j],
+            reg_reads + mem_ids(plan.mem_reads_of[j]),
+            tuple(uops),
+            plan.divider_occ[j],
+            special,
+            plan.is_branch_of[j],
+            plan.eff_latency[j],
+            plan.load_lat[j],
+            tuple(regs[root] for root in plan.writes[j])
+            + mem_ids(plan.mem_writes_of[j]),
+            reg_reads,
+        ))
+    return records, variant_lo + len(variant), variant_lo, shortest
 
 
 class CycleEngine:
@@ -201,23 +287,36 @@ class CycleEngine:
         ``rob_size == 0`` has no reorder buffer: nothing is kept per
         dynamic instruction and dispatch never waits on retirement.
 
+        The plan is first compiled (:func:`_compile`, once per replay)
+        into one record per instruction over port positions and
+        register / memory-key ids, so the loop indexes lists instead of
+        hashing names.  Port placement stores only gaps that some µop
+        of the port could fill (:attr:`_PortIssueUnit.GAP_MIN`), takes
+        a candidate port that is free at the ready time at once, and
+        stops searching a later candidate's gaps at the first gap that
+        starts no earlier than the best start found so far.  None of
+        this moves a placement.
+
         Publishes nothing; returns the result and the final port
         timelines.
         """
         if iterations < 1:
             raise ValueError("need at least one measured iteration")
 
-        n_body = plan.n_body
         total_iters = warmup + iterations
+        records, table_size, variant_lo, shortest = _compile(plan)
 
-        issue_unit = _PortIssueUnit(plan.ports, window=plan.scheduler_window)
-        port_tail = issue_unit.tail
-        port_gaps = issue_unit.gaps
-        port_busy: dict[str, float] = {p: 0.0 for p in plan.ports}
+        issue_unit = _PortIssueUnit(plan.ports)
+        port_tail = issue_unit.tails
+        gap_starts = issue_unit.gap_starts
+        gap_ends = issue_unit.gap_ends
+        port_busy = [0.0] * len(plan.ports)
         divider_free = 0.0
-        special_free: dict[str, float] = {}
-        reg_ready: dict[str, float] = {}
-        mem_ready: dict[tuple, float] = {}
+        special_free = [0.0] * plan.n_body  # special-op ids < n_body
+        # register and memory readiness by table id; the loop-variant
+        # keys' slice is reset at each iteration
+        ready_at = [0.0] * table_size
+        variant_reset = ready_at[variant_lo:]
         last_branch = -1e9
 
         frontend_time = 0.0
@@ -227,20 +326,7 @@ class CycleEngine:
         rob_full = plan.rob_size or -1
         retire_time_prev = 0.0
         retire_step = plan.retire_step
-
-        # hoisted plan tables (locals are faster than attribute loads)
-        step_of = plan.step_of
-        uop_plans = plan.uop_plans
-        divider_occ = plan.divider_occ
-        eff_latency = plan.eff_latency
-        load_lat = plan.load_lat
-        is_branch_of = plan.is_branch_of
-        special_of = plan.special_of
         mnemonic_of = plan.mnemonic_of
-        reads = plan.reads
-        writes = plan.writes
-        mem_reads_of = plan.mem_reads_of
-        mem_writes_of = plan.mem_writes_of
 
         # Observability is opt-in and hoisted: with all flags off the
         # loop below pays only local boolean tests per instruction.
@@ -261,21 +347,27 @@ class CycleEngine:
                 TID_STALL,
             )
 
-            port_tid = tracer.sim_lanes(plan.ports)
+            lanes = tracer.sim_lanes(plan.ports)
+            port_tid = [lanes[p] for p in plan.ports]
 
         # hoisted bound methods / scalars of the cycle loop
-        advance = issue_unit.advance
         rob_append = rob_retire.append
         tb_interval = plan.config.taken_branch_interval
         gap_min = _PortIssueUnit.GAP_MIN
+        window = plan.scheduler_window
+        inf = math.inf
 
         mark_cycle = 0.0
         trace: list[TraceEvent] = []
         for it in range(total_iters):
             record = it < trace_iterations
-            for j in range(n_body):
+            if variant_reset:
+                ready_at[variant_lo:] = variant_reset
+            for j, (
+                step, reads, uops, divider, special, is_branch, latency,
+                load_latency, writes, reg_reads,
+            ) in enumerate(records):
                 # -- frontend: in-order dispatch
-                step = step_of[j]
                 if step:
                     frontend_time += step
                 dispatch = frontend_time
@@ -296,24 +388,20 @@ class CycleEngine:
                                 )
                         dispatch = frontend_time = head
 
-                # -- operand readiness
+                # -- operand readiness (registers, then memory keys)
                 ready = dispatch
-                for root in reads[j]:
-                    r = reg_ready.get(root, 0.0)
+                for r in reads:
+                    r = ready_at[r]
                     if r > ready:
                         ready = r
-                for key, variant in mem_reads_of[j]:
-                    m = mem_ready.get((key, it) if variant else key, 0.0)
-                    if m > ready:
-                        ready = m
                 if collect and ready > dispatch:
                     # attribute the wait: register bound first, any rest
                     # is memory (store-forwarding) dependences
                     reg_t = dispatch
-                    for root in reads[j]:
-                        rr = reg_ready.get(root, 0.0)
-                        if rr > reg_t:
-                            reg_t = rr
+                    for r in reg_reads:
+                        r = ready_at[r]
+                        if r > reg_t:
+                            reg_t = r
                     if reg_t > dispatch:
                         stalls["dependency.reg"] += reg_t - dispatch
                     if ready > reg_t:
@@ -333,48 +421,72 @@ class CycleEngine:
                 # (or at the tail) no earlier than its ready time, on
                 # the candidate port where that start is earliest.
                 finish_exec = ready
-                for ports, cycles, dur in uop_plans[j]:
+                for cands, cycles, dur in uops:
                     if dur <= 0:
-                        port_busy[ports[0]] += cycles
+                        port_busy[cands[0]] += cycles
                         continue
-                    start = None
-                    for cand in ports:
+                    fit_end = ready + dur
+                    start = inf
+                    for cand in cands:
                         tail = port_tail[cand]
-                        gi = None
-                        if ready >= tail:
-                            s = ready
-                        else:
-                            s = tail
-                            # a gap ending before ready + dur cannot fit
-                            glist = port_gaps[cand]
+                        if tail <= ready:
+                            # no start is earlier than ready
+                            start, gap_idx, pt = ready, -1, cand
+                            break
+                        s = tail
+                        gi = -1
+                        ends = gap_ends[cand]
+                        # gaps are sorted by end, and one ending before
+                        # ready + dur cannot hold the µop
+                        if ends and ends[-1] >= fit_end:
+                            starts = gap_starts[cand]
                             for gidx in range(
-                                bisect_left(glist, ready + dur, key=_gap_end),
-                                len(glist),
+                                bisect_left(ends, fit_end), len(ends)
                             ):
-                                g0, g1 = glist[gidx]
+                                g0 = starts[gidx]
+                                if g0 >= start:
+                                    # neither this gap, a later one nor
+                                    # the tail beats an earlier port
+                                    break
                                 st = g0 if g0 > ready else ready
-                                if st + dur <= g1:
+                                if st + dur <= ends[gidx]:
                                     s = st
                                     gi = gidx
                                     break
-                        if start is None or s < start:
+                        if s < start:
                             start, gap_idx, pt = s, gi, cand
                             if s <= ready:
                                 break
-                    if gap_idx is None:
+                    # a new gap is stored only if some µop of the port
+                    # could fill it (see _PortIssueUnit.GAP_MIN)
+                    end = start + dur
+                    if gap_idx < 0:
                         tail = port_tail[pt]
-                        if start - tail >= gap_min:
-                            port_gaps[pt].append((tail, start))
-                        port_tail[pt] = start + dur
+                        if (
+                            start - tail >= gap_min
+                            and tail + shortest[pt] <= start
+                        ):
+                            gap_starts[pt].append(tail)
+                            gap_ends[pt].append(start)
+                        port_tail[pt] = end
                     else:
-                        glist = port_gaps[pt]
-                        g0, g1 = glist[gap_idx]
-                        repl = []
-                        if start - g0 >= gap_min:
-                            repl.append((g0, start))
-                        if g1 - (start + dur) >= gap_min:
-                            repl.append((start + dur, g1))
-                        glist[gap_idx:gap_idx + 1] = repl
+                        starts = gap_starts[pt]
+                        ends = gap_ends[pt]
+                        g0 = starts[gap_idx]
+                        g1 = ends[gap_idx]
+                        fill = shortest[pt]
+                        front = start - g0 >= gap_min and g0 + fill <= start
+                        back = g1 - end >= gap_min and end + fill <= g1
+                        if front:
+                            ends[gap_idx] = start
+                            if back:
+                                starts.insert(gap_idx + 1, end)
+                                ends.insert(gap_idx + 1, g1)
+                        elif back:
+                            starts[gap_idx] = end
+                        else:
+                            del starts[gap_idx]
+                            del ends[gap_idx]
                     port_busy[pt] += cycles
                     if start > finish_exec:
                         finish_exec = start
@@ -393,7 +505,6 @@ class CycleEngine:
                             args={"cycles": finish_exec - ready, "i": j},
                         )
 
-                divider = divider_occ[j]
                 if divider:
                     start = divider_free if divider_free > ready else ready
                     if collect and start > ready:
@@ -408,19 +519,18 @@ class CycleEngine:
                     if start > finish_exec:
                         finish_exec = start
 
-                throughput = special_of[j]
-                if throughput is not None:
-                    key2 = mnemonic_of[j]
-                    start = special_free.get(key2, 0.0)
+                if special is not None:
+                    sid, throughput = special
+                    start = special_free[sid]
                     if start < ready:
                         start = ready
                     elif collect and start > ready:
                         stalls["special"] += start - ready
-                    special_free[key2] = start + throughput
+                    special_free[sid] = start + throughput
                     if start > finish_exec:
                         finish_exec = start
 
-                if is_branch_of[j]:
+                if is_branch:
                     start = last_branch + tb_interval
                     if start > finish_exec:
                         if collect:
@@ -430,9 +540,9 @@ class CycleEngine:
                     last_branch = start
                     finish_exec = start
 
-                complete = finish_exec + eff_latency[j]
-                if load_lat[j] is not None:
-                    complete += load_lat[j]
+                complete = finish_exec + latency
+                if load_latency is not None:
+                    complete += load_latency
 
                 # -- retire in order
                 retire = retire_time_prev + retire_step
@@ -473,14 +583,19 @@ class CycleEngine:
                     )
 
                 # -- architectural effects
-                for root in writes[j]:
-                    reg_ready[root] = complete
-                for key, variant in mem_writes_of[j]:
-                    mem_ready[(key, it) if variant else key] = complete
+                for w in writes:
+                    ready_at[w] = complete
 
-            # every later µop is ready no earlier than the dispatch
-            # clock, so one prune per iteration suffices
-            advance(frontend_time)
+            # prune gaps no later µop can fill: every later µop is ready
+            # no earlier than the dispatch clock, so one prune per
+            # iteration suffices
+            horizon = frontend_time - window
+            if horizon > 0:
+                for starts, ends in zip(gap_starts, gap_ends):
+                    if ends and ends[0] < horizon:
+                        k = bisect_left(ends, horizon)
+                        del starts[:k]
+                        del ends[:k]
             if it == warmup - 1:
                 mark_cycle = retire_time_prev
 
@@ -492,8 +607,8 @@ class CycleEngine:
             total_cycles=total,
             iterations=iterations,
             warmup_iterations=warmup,
-            port_busy=port_busy,
-            instructions_retired=total_iters * n_body,
+            port_busy=dict(zip(plan.ports, port_busy)),
+            instructions_retired=total_iters * plan.n_body,
             trace=trace,
             stall_cycles=stalls,
         ), issue_unit
@@ -554,9 +669,7 @@ def _publish_profile(
     prof.add_counter("sim.rob_occupancy_sum", float(rob_occ_sum))
     prof.add_counter("sim.rob_occupancy_samples", float(n_instr))
     gap_cycles = sum(
-        g1 - g0
-        for gaps in issue_unit.gaps.values()
-        for g0, g1 in gaps
+        g1 - g0 for gaps in issue_unit.gaps.values() for g0, g1 in gaps
     )
     prof.add_counter("sim.sched_window_gap_cycles", gap_cycles)
 

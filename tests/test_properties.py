@@ -380,7 +380,9 @@ class TestIssueUnitProperties:
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
     def test_bisected_first_fit_matches_linear_scan(self, data):
-        """The gap search skips only gaps that cannot hold the µop."""
+        """The gap search skips only gaps that cannot hold the µop, and
+        the engine stores exactly the reference's gaps that the shortest
+        µop of their port could fill."""
         body, window = data.draw(toy_bodies(), label="body")
         if data.draw(st.booleans(), label="near_tie"):
             body = with_near_tie(data, body, window)
@@ -395,7 +397,18 @@ class TestIssueUnitProperties:
         assert result.total_cycles == total
         assert result.port_busy == busy
         assert unit.tail == tail
-        assert unit.gaps == gaps
+        shortest = {
+            p: min(
+                (dur for uops in plan.uop_plans for ports, _c, dur in uops
+                 if dur > 0 and p in ports),
+                default=math.inf,
+            )
+            for p in PORTS
+        }
+        assert unit.gaps == {
+            p: [(g0, g1) for g0, g1 in gl if g0 + shortest[p] <= g1]
+            for p, gl in gaps.items()
+        }
 
     @given(toy_bodies(), st.integers(1, 8), st.integers(0, 3))
     @settings(max_examples=100, deadline=None)

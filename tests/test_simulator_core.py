@@ -256,6 +256,84 @@ class TestPortIssueUnit:
         assert unit.tail["A"] == 0.0
         assert result.total_cycles == 3.0
 
+    def test_stores_only_gaps_a_uop_could_fill(self):
+        # every µop that may use A takes 1.0 cycle; B's 0.5-cycle µop
+        # does not count for A
+        on_a = ((("A",), 1.0),)
+        body = [
+            (on_a, (), (), 0.0, 0.0),  # A busy [0, 1)
+            ((), (), ("r",), 2.0, 0.0),
+            (on_a, ("r",), (), 0.0, 0.0),  # [2, 3): leaves gap (1, 2)
+            ((), (), ("q",), 3.6, 0.0),
+            (on_a, ("q",), (), 0.0, 0.0),  # [3.6, 4.6): leaves (3, 3.6)
+            (((("B",), 0.5),), (), (), 0.0, 0.0),
+        ]
+        _, unit, _ = traced_replay(toy_plan(body, ("A", "B")))
+        # the 0.6-cycle gap is at least GAP_MIN, but no µop of A fits it
+        assert unit.gaps["A"] == [(1.0, 2.0)]
+        filler = (on_a, (), (), 0.0, 0.0)
+        _, unit, placed = traced_replay(toy_plan(body + [filler], ("A", "B")))
+        assert placed[-1][2:] == (1.0, 1.0, "A")
+        assert unit.gaps["A"] == []
+
+
+class TestMemoryDependences:
+    """Store-to-load dependences through the engine's memory keys.
+
+    Each loop has a store/load pair at a loop-variant address (it
+    advances every iteration), with one more load of that address ahead
+    of the store, and a load/store pair at a loop-invariant address.
+    The variant store forwards to the load after it in the same
+    iteration only, so the early load never waits; the invariant store
+    feeds the next iteration's load, a loop-carried chain through
+    memory.  Cycles and the memory-dependence stall are pinned bit for
+    bit.
+    """
+
+    X86 = """\
+.L1:
+    movq 8(%rbx), %rax
+    imulq %rax, %rax
+    movq %rax, 8(%rbx)
+    movq (%rdi), %rcx
+    addq %rax, %rcx
+    movq %rcx, (%rdi)
+    movq (%rdi), %rdx
+    addq %rdx, %rsi
+    addq $8, %rdi
+    cmpq %r8, %rdi
+    jne .L1
+"""
+    AARCH64 = """\
+.L1:
+    ldr x1, [x2, #8]
+    mul x1, x1, x1
+    str x1, [x2, #8]
+    ldr x3, [x0]
+    add x3, x3, x1
+    str x3, [x0]
+    ldr x4, [x0]
+    add x5, x5, x4
+    add x0, x0, #8
+    cmp x0, x6
+    b.ne .L1
+"""
+
+    @pytest.mark.parametrize(
+        "arch, source, total, mem_stall",
+        [
+            ("spr", X86, "0x1.d11cc0ed7303cp+7", "0x1.1b7de9bd37a70p+12"),
+            ("grace", AARCH64, "0x1.6b0590b21642cp+7", "0x1.b35c2c8590b25p+11"),
+        ],
+        ids=["x86", "aarch64"],
+    )
+    def test_variant_and_invariant_keys(self, arch, source, total, mem_stall):
+        r = simulate_kernel(
+            source, arch, iterations=20, warmup=5, collect_stalls=True
+        )
+        assert r.total_cycles.hex() == total
+        assert r.stall_cycles["dependency.mem"].hex() == mem_stall
+
 
 class TestSimulateKernel:
     def test_wrapper(self):
