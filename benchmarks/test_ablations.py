@@ -19,7 +19,7 @@ from repro.analysis.portbinding import (
 from repro.engine import CorpusEngine, WorkUnit
 from repro.isa import parse_kernel
 from repro.kernels import enumerate_corpus
-from repro.lowering import lower
+from repro.lowering import assembly_digest, lower
 from repro.machine import get_chip_spec, get_machine_model
 from repro.machine.io import model_to_dict
 from repro.simulator.multicore import run_store_benchmark
@@ -37,8 +37,9 @@ def fig3_blocks():
     """The distinct lowered blocks of the Fig. 3 corpus (one per key)."""
     blocks = {}
     for e in enumerate_corpus():
-        block = lower(e.assembly, e.uarch)
-        blocks.setdefault(block.key, block)
+        key = (assembly_digest(e.assembly), e.uarch)
+        if key not in blocks:
+            blocks[key] = lower(e.assembly, e.uarch)
     return list(blocks.values())
 
 

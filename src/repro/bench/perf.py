@@ -2,7 +2,7 @@
 
 Four deterministic workloads cover the layers the profiler attributes
 (:mod:`repro.obs.prof`): the full fig. 3 corpus sweep cold and warm
-(result cache + lowering memo), raw lowering throughput, the simulator
+(empty and primed result cache), raw lowering throughput, the simulator
 hot loop, and a seeded differential-fuzz sweep.  A fifth case,
 ``import_cli``, times ``import repro.cli`` in a fresh interpreter and
 records its peak RSS, so a heavy dependency that creeps back into the
@@ -87,7 +87,7 @@ def _reg_value(reg: MetricsRegistry, snap: dict, name: str) -> float:
 
 
 def _case_fig3(quick: bool) -> list[tuple[str, float, float, dict]]:
-    """Full corpus sweep, cold (empty cache + memo) then warm.
+    """Full corpus sweep, cold (empty result cache) then warm.
 
     The sweep measures with the cycle engine, exactly as
     ``repro-bench fig3`` does.
@@ -95,7 +95,6 @@ def _case_fig3(quick: bool) -> list[tuple[str, float, float, dict]]:
     import tempfile
 
     from ..engine import CorpusEngine
-    from ..lowering import clear_memo
     from . import fig3
 
     machines = ("spr",) if quick else ("spr", "genoa", "gcs")
@@ -109,11 +108,9 @@ def _case_fig3(quick: bool) -> list[tuple[str, float, float, dict]]:
                 machines=machines, iterations=iterations, engine=engine
             )
 
+        # every repeat gets a fresh cache directory, so the cold run
+        # starts from nothing and the warm run reads what it wrote
         for name in ("fig3_cold", "fig3_warm"):
-            if name == "fig3_cold":
-                # every cold repeat starts from nothing; the warm run
-                # keeps the memo and the result cache
-                clear_memo()
             wall, cpu, prof, reg, result = _profiled(sweep)
             snap = reg.snapshot()
             m = engine.metrics
@@ -137,16 +134,23 @@ def _case_fig3(quick: bool) -> list[tuple[str, float, float, dict]]:
 
 
 def _case_lowering(quick: bool) -> list[tuple[str, float, float, dict]]:
-    """parse → normalize → resolve throughput over the corpus."""
-    from ..kernels import enumerate_corpus
-    from ..lowering import clear_memo, lower
+    """parse → normalize → resolve throughput over the corpus.
 
-    corpus = enumerate_corpus()
+    Each distinct ``(assembly digest, uarch)`` pair is lowered once, as
+    a cold sweep lowers it (153 blocks; quick mode takes the first
+    100); duplicates are dropped before the timed region.
+    """
+    from ..kernels import enumerate_corpus
+    from ..lowering import assembly_digest, lower
+
+    distinct: dict[tuple[str, str], Any] = {}
+    for e in enumerate_corpus():
+        distinct.setdefault((assembly_digest(e.assembly), e.uarch), e)
+    corpus = list(distinct.values())
     if quick:
         corpus = corpus[:100]
 
     def work():
-        clear_memo()
         n = 0
         for e in corpus:
             n += len(lower(e.assembly, e.uarch).instructions)

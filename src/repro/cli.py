@@ -352,8 +352,6 @@ def bench_main(argv: list[str] | None = None) -> int:
     bench_records: dict[str, dict] = {}
     failures: list[str] = []
     wall0, cpu0 = time.perf_counter(), time.process_time()
-    if args.run_report:
-        registry_since = current_context().metrics.snapshot()
     # only what this run attaches replaces the caller's context
     changes: dict[str, object] = {"engine": engine}
     tracer = None
@@ -458,7 +456,6 @@ def bench_main(argv: list[str] | None = None) -> int:
             cpu_seconds=time.process_time() - cpu0,
             engine=engine,
             registry=current_context().metrics,
-            registry_since=registry_since,
             failures=failures,
             unit_failures=engine.failure_log,
         )

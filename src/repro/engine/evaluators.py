@@ -8,9 +8,9 @@ would be circular (and workers only pay for what they run).
 
 Every assembly-consuming kind goes through the shared lowering
 pipeline (:mod:`repro.lowering`) and dispatches to registered
-prediction backends (:mod:`repro.backends`): a block is parsed and
-machine-resolved exactly once per ``(assembly, model)`` pair, however
-many backends then fan out over it.
+prediction backends (:mod:`repro.backends`): a unit's block is parsed
+and machine-resolved once, however many backends then fan out over it,
+and the engine evaluates each distinct cache key once per batch.
 
 Kinds
 -----
@@ -95,7 +95,7 @@ def _model_from_params(p: dict):
 
 
 def _lowered(p: dict):
-    """Lower the unit's assembly against its machine model (memoized)."""
+    """Lower the unit's assembly against its machine model."""
     from ..lowering import lower
 
     return lower(p["assembly"], _model_from_params(p))

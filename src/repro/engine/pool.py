@@ -261,14 +261,8 @@ def _worker_main(conn, parent_end) -> None:
     # an inherited tracer or profiler would record into a copy nobody
     # reads (an attempt's profile rides back with its result), and the
     # inherited engine's workers are the parent's
-    from ..lowering import clear_memo
-
     with use_context(tracer=None, profiler=None, engine=None):
         while True:
-            # No per-kernel state between tasks: the parent coalesces
-            # equal keys, so the memo would not hit, and it would grow
-            # the RSS.
-            clear_memo()
             try:
                 task, ctx = conn.recv()
                 conn.send(_evaluate_task(task, ctx))

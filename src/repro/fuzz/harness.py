@@ -2,7 +2,7 @@
 
 Each fuzzed kernel becomes one ``"corpus"`` work unit, so a sweep
 inherits the whole engine contract for free: one lowering per block
-shared by every backend (:mod:`repro.lowering` memoization), the
+shared by every backend (:mod:`repro.lowering`), the
 content-addressed cache, ``--jobs`` parallelism, bounded retries, and
 the ``collect``/``quarantine`` error policies — a fuzzer-provoked
 backend crash isolates to its unit instead of killing the sweep.

@@ -2,9 +2,9 @@
 
 Every prediction backend (static model, MCA baseline, core simulator)
 consumes the same lowered form of an assembly block; this package runs
-that front half exactly once per ``(assembly, machine model)`` pair and
-memoizes the result (see :mod:`.pipeline`).  Content digests shared
-with the engine's on-disk cache live in :mod:`.digests`.
+that front half once per call and keeps no state (see :mod:`.pipeline`).
+The content digests behind the engine's on-disk cache key live in
+:mod:`.digests`.
 
 Entry points::
 
@@ -26,17 +26,13 @@ from .digests import (
     sha256_text,
 )
 from .pipeline import (
-    MEMO_CAP,
     LoweredBlock,
     clear_memo,
     lower,
-    memo_len,
-    memo_stats,
     normalize_instructions,
 )
 
 __all__ = [
-    "MEMO_CAP",
     "LoweredBlock",
     "assembly_digest",
     "cached_model_digest",
@@ -45,8 +41,6 @@ __all__ = [
     "clear_memo",
     "lower",
     "machine_model_digest",
-    "memo_len",
-    "memo_stats",
     "normalize_instructions",
     "sha256_text",
 ]

@@ -1,8 +1,7 @@
-"""Content digests shared by the lowering memo and the engine cache.
+"""Content digests: the input identity behind the engine's cache key.
 
-Both caches answer the same question — "is this computation's input
-identical to one we have seen?" — so they must share one notion of
-identity:
+The engine's on-disk cache answers "is this computation's input
+identical to one we have seen?", so it needs one notion of identity:
 
 * assembly text is canonicalized (comments, blank lines, and
   whitespace layout removed) before hashing, so two compilers emitting

@@ -15,24 +15,20 @@ corpus blocks.  Every view needs the same front half first:
    (µops, candidate ports, latency) via
    :meth:`~repro.machine.model.MachineModel.resolve`.
 
-:func:`lower` runs that front half exactly once per ``(assembly,
-machine model)`` pair: results are memoized in-process, keyed by the
-canonical assembly digest × the machine-model digest (the same
-identities the engine's on-disk cache uses).  Prediction backends
-(:mod:`repro.backends`) consume the resulting :class:`LoweredBlock`;
-hit/miss counters are published to the run context's
+:func:`lower` runs that front half on every call and keeps no state:
+the engine coalesces work units with equal cache keys and its on-disk
+cache answers repeats, so a corpus sweep still lowers each distinct
+``(assembly, machine model)`` pair once.  A caller that needs one block
+in several views lowers it once and hands the same
+:class:`LoweredBlock` to each prediction backend (:mod:`repro.backends`).
+Each call counts ``lowering.requests`` in the run context's
 :class:`~repro.obs.metrics.MetricsRegistry` (:mod:`repro.context`) and
-parse/resolve work is recorded as tracer spans.
-
-The memo assumes machine models are immutable after construction
-(what-if studies build new instances via ``dataclasses.replace``); a
-model edited in place must be re-created instead.
+records its parse/resolve work as tracer spans and profiler phases.
 """
 
 from __future__ import annotations
 
 import contextlib
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterator, Union
 
@@ -43,12 +39,7 @@ from ..isa.instruction import Instruction
 from ..isa.operands import Immediate, Register
 from ..machine import MachineModel, coerce_model
 from ..machine.model import ResolvedInstruction
-from .digests import assembly_digest, cached_model_digest
-
-#: memo capacity; far above a full corpus sweep (416 blocks × 3 models)
-MEMO_CAP = 4096
-
-_MEMO: "OrderedDict[tuple[str, str], LoweredBlock]" = OrderedDict()
+from .digests import assembly_digest
 
 
 @dataclass(frozen=True)
@@ -62,19 +53,12 @@ class LoweredBlock:
     """
 
     source: str
-    asm_digest: str
-    model_digest: str
     model: MachineModel
     isa: str
     instructions: tuple[Instruction, ...]
     resolved: tuple[ResolvedInstruction, ...]
     #: per-instruction flag: recognized dependency-breaking zero idiom
     zero_idioms: tuple[bool, ...]
-
-    @property
-    def key(self) -> tuple[str, str]:
-        """The memo key: (assembly digest, machine-model digest)."""
-        return (self.asm_digest, self.model_digest)
 
     def __len__(self) -> int:
         return len(self.instructions)
@@ -115,10 +99,7 @@ def normalize_instructions(
     return tuple(instructions)
 
 
-def _lower_uncached(
-    source: str, model: MachineModel, asm_digest: str, model_digest: str,
-    prof,
-) -> LoweredBlock:
+def _lower(source: str, model: MachineModel, prof) -> LoweredBlock:
     if prof is not None:
         # the profiler mirrors the pipeline's published stage names:
         # parse -> normalize -> resolve (docs/observability.md)
@@ -135,8 +116,6 @@ def _lower_uncached(
     zero = tuple(is_zero_idiom(i) for i in instructions)
     return LoweredBlock(
         source=source,
-        asm_digest=asm_digest,
-        model_digest=model_digest,
         model=model,
         isa=model.isa,
         instructions=instructions,
@@ -145,99 +124,42 @@ def _lower_uncached(
     )
 
 
-def lower(
-    source: str, arch: Union[str, MachineModel], *, memo: bool = True
-) -> LoweredBlock:
-    """Lower an assembly block against a machine model (memoized).
+def lower(source: str, arch: Union[str, MachineModel]) -> LoweredBlock:
+    """Lower an assembly block against a machine model.
 
     ``arch`` is a model name/chip alias (``zen4``, ``spr``, ``grace``
-    …) or a :class:`~repro.machine.MachineModel` instance.  With
-    ``memo=False`` the pipeline runs unconditionally and the result is
-    not retained (useful for models mutated under test).
+    …) or a :class:`~repro.machine.MachineModel` instance.
     """
-    from ..obs.trace import PID_LOWER, TID_LOWER
-
     model = coerce_model(arch)
-    key = (assembly_digest(source), cached_model_digest(model))
-
     ctx = current_context()
-    reg = ctx.metrics
-    tracer = ctx.tracer
-    reg.counter("lowering.requests", "lower() calls").inc()
-
-    if memo:
-        block = _MEMO.get(key)
-        if block is not None:
-            _MEMO.move_to_end(key)
-            reg.counter(
-                "lowering.memo_hits", "blocks served from the lowering memo"
-            ).inc()
-            if tracer is not None:
-                tracer.process(PID_LOWER, "lowering")
-                tracer.lane(PID_LOWER, TID_LOWER, "lower")
-                tracer.instant(
-                    f"lower-hit:{key[0][:12]}",
-                    tracer.now_us(),
-                    PID_LOWER,
-                    TID_LOWER,
-                    cat="lowering",
-                )
-            return block
-
-    reg.counter(
-        "lowering.memo_misses", "blocks parsed and resolved from scratch"
-    ).inc()
+    ctx.metrics.counter("lowering.requests", "lower() calls").inc()
     prof = ctx.profiler
     prof_cm = (
         prof.phase("lower")
         if prof is not None
         else contextlib.nullcontext()
     )
-    if tracer is not None:
-        tracer.process(PID_LOWER, "lowering")
-        tracer.lane(PID_LOWER, TID_LOWER, "lower")
-        with prof_cm, tracer.span(
-            f"lower:{key[0][:12]}",
-            PID_LOWER,
-            TID_LOWER,
-            cat="lowering",
-            args={"model": model.name},
-        ):
-            block = _lower_uncached(source, model, *key, prof)
-    else:
+    tracer = ctx.tracer
+    if tracer is None:
         with prof_cm:
-            block = _lower_uncached(source, model, *key, prof)
+            return _lower(source, model, prof)
+    from ..obs.trace import PID_LOWER, TID_LOWER
 
-    if memo:
-        _MEMO[key] = block
-        while len(_MEMO) > MEMO_CAP:
-            _MEMO.popitem(last=False)
-    return block
+    tracer.process(PID_LOWER, "lowering")
+    tracer.lane(PID_LOWER, TID_LOWER, "lower")
+    with prof_cm, tracer.span(
+        f"lower:{assembly_digest(source)[:12]}",
+        PID_LOWER,
+        TID_LOWER,
+        cat="lowering",
+        args={"model": model.name},
+    ):
+        return _lower(source, model, prof)
 
 
 def clear_memo() -> None:
-    """Drop every memoized block (tests; model-mutation escape hatch)."""
-    _MEMO.clear()
+    """Do nothing: :func:`lower` keeps no memo.
 
-
-def memo_len() -> int:
-    """Number of blocks currently memoized."""
-    return len(_MEMO)
-
-
-def memo_stats() -> dict[str, float]:
-    """Current lowering counters from the run context's metrics registry."""
-    snap = current_context().metrics.snapshot()
-
-    def val(name: str) -> float:
-        return snap.get(name, {}).get("value", 0.0)
-
-    requests = val("lowering.requests")
-    hits = val("lowering.memo_hits")
-    return {
-        "requests": requests,
-        "memo_hits": hits,
-        "memo_misses": val("lowering.memo_misses"),
-        "memo_len": float(len(_MEMO)),
-        "hit_rate": hits / requests if requests else 0.0,
-    }
+    Kept only for the benchmark harness (``perfbench/workloads.py``),
+    which still calls it before each operation.
+    """

@@ -73,7 +73,7 @@ def benchmark_stats(name: str, result: Any) -> dict[str, Any]:
 
 def collect_model_digests() -> dict[str, str]:
     """Content digests of every registered machine model."""
-    from ..engine.cachekey import machine_model_digest
+    from ..lowering import machine_model_digest
     from ..machine import available_models
 
     return {name: machine_model_digest(name) for name in available_models()}
@@ -88,7 +88,6 @@ def build_manifest(
     cpu_seconds: float,
     engine=None,
     registry=None,
-    registry_since: Optional[dict[str, dict[str, Any]]] = None,
     failures: tuple[str, ...] | list[str] = (),
     unit_failures: Any = (),
 ) -> dict[str, Any]:
@@ -140,27 +139,6 @@ def build_manifest(
         }
     if registry is not None:
         manifest["metrics"] = registry.snapshot()
-        # The lowering section records *this run's* memo effectiveness,
-        # so counters are deltas against the run-start snapshot when
-        # one is supplied (the process registry is cumulative).
-        counts = (
-            registry.delta(registry_since)
-            if registry_since is not None
-            else manifest["metrics"]
-        )
-
-        def _val(name: str) -> float:
-            return counts.get(name, {}).get("value", 0)
-
-        requests = _val("lowering.requests")
-        if requests:
-            hits = _val("lowering.memo_hits")
-            manifest["lowering"] = {
-                "requests": requests,
-                "memo_hits": hits,
-                "memo_misses": _val("lowering.memo_misses"),
-                "hit_rate": hits / requests,
-            }
     return manifest
 
 
@@ -392,23 +370,6 @@ def diff_manifests(
                 Finding("regression", "(run)", "wall_seconds", float(bw),
                         float(cw), "total runtime regression")
             )
-
-    # lowering-memo effectiveness (hit_rate higher-is-better,
-    # memo_misses lower-is-better per the direction conventions) — a
-    # refactor that silently stops sharing lowerings fails the gate here
-    bl = baseline.get("lowering")
-    cl = current.get("lowering")
-    if bl is not None and cl is not None:
-        compared += _compare_stats(
-            "(lowering)", bl, cl, findings, accuracy_tolerance
-        )
-    elif bl is not None or cl is not None:
-        findings.append(
-            Finding("note", "(lowering)", "presence",
-                    "present" if bl is not None else None,
-                    "present" if cl is not None else None,
-                    "lowering section appeared/disappeared")
-        )
 
     # per-unit failures (collect/quarantine runs): a unit failing now
     # but not in the baseline is a robustness regression; a baseline

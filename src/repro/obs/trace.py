@@ -44,7 +44,7 @@ PID_LOWER = 3
 #: trace "process" of the serving daemon (wall-clock timestamps)
 PID_SERVE = 4
 
-#: lowering lane (parse/resolve spans and memo-hit instants)
+#: lowering lane (one span per lower() call)
 TID_LOWER = 0
 
 #: simulator lanes

@@ -167,7 +167,6 @@ class ReproServer:
         self.registry = (
             registry if registry is not None else current_context().metrics
         )
-        self._registry_at_start = self.registry.snapshot()
         # engine.run() is not thread-safe: one executor thread
         # serializes batches while the loop stays responsive
         self._executor = ThreadPoolExecutor(
@@ -361,7 +360,6 @@ class ReproServer:
             cpu_seconds=time.process_time(),
             engine=self.engine,
             registry=self.registry,
-            registry_since=self._registry_at_start,
             unit_failures=self.engine.failure_log,
         )
 

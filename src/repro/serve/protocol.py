@@ -4,8 +4,8 @@ The daemon speaks plain HTTP/1.1 + JSON (no framework, no new deps).
 One request = one assembly block + a machine and backend selection; it
 becomes exactly one engine :class:`~repro.engine.units.WorkUnit` of the
 generic ``"predict"`` kind, so the serving path inherits the engine's
-content-addressed cache, lowering memo, retry policy, and failure
-taxonomy without any serving-specific evaluator code.
+content-addressed cache, retry policy, and failure taxonomy without any
+serving-specific evaluator code.
 
 Error-code taxonomy (see ``docs/serving.md`` for the full table): every
 failure a client can see is **structured** — a JSON body with a stable

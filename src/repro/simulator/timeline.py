@@ -75,7 +75,7 @@ def timeline(
 ) -> str:
     """Parse, simulate, and render the timeline of the first iterations.
 
-    Plans the (memoized) lowering under ``PlanConfig.make(**sim_kwargs)``
+    Plans the lowered block under ``PlanConfig.make(**sim_kwargs)``
     and renders the engine's trace of its first ``iterations``.
     """
     from ..lowering import lower

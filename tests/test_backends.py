@@ -15,20 +15,14 @@ from repro.backends import (
     unregister_backend,
     versions_for_unit,
 )
-from repro.lowering import clear_memo, lower
+from repro.context import current_context
+from repro.lowering import lower
 
 ASM = """
 vmovupd (%rax), %ymm0
 vfmadd231pd (%rbx), %ymm1, %ymm0
 vmovupd %ymm0, (%rcx)
 """
-
-
-@pytest.fixture(autouse=True)
-def fresh_memo():
-    clear_memo()
-    yield
-    clear_memo()
 
 
 class TestRegistry:
@@ -122,13 +116,14 @@ class TestBuiltinBackends:
         assert get_backend("model").predict(block).bottleneck
 
     def test_predict_all_shares_one_lowering(self):
-        from repro.lowering import memo_stats
+        def requests():
+            snap = current_context().metrics.snapshot()
+            return snap.get("lowering.requests", {}).get("value", 0.0)
 
-        before = memo_stats()
+        before = requests()
         table = predict_all(ASM, "zen4")
-        after = memo_stats()
         assert set(table) == {"mca", "model", "sim"}
-        assert after["memo_misses"] - before["memo_misses"] == 1
+        assert requests() - before == 1
 
     def test_predict_all_subset_and_opts(self):
         table = predict_all(

@@ -67,14 +67,6 @@ def _pid(p):
     return {"pid": os.getpid()}
 
 
-@evaluator("chaos_memo")
-def _memo(p):
-    from repro import lowering
-
-    lowering.lower(p["assembly"], "zen4")
-    return {"memo": lowering.memo_len()}
-
-
 def _units(n):
     return [WorkUnit.make("chaos_work", label=f"w{i}", x=i) for i in range(n)]
 
@@ -407,16 +399,6 @@ class TestWorkerLifecycle:
         m = eng.metrics
         assert m.failed == 0 and m.retries == 0 and m.worker_respawns == 1
         eng.close()
-
-    def test_workers_keep_no_lowering_memo_between_tasks(self):
-        units = [
-            WorkUnit.make("chaos_memo", label=f"m{i}",
-                          assembly=f"vaddpd %ymm{i}, %ymm1, %ymm2\n")
-            for i in range(3)
-        ]
-        # a deadline sends jobs=1 evaluation to a worker
-        out = CorpusEngine(jobs=1, unit_timeout=30.0).run(units)
-        assert [r["memo"] for r in out] == [1, 1, 1]
 
 
 class TestCacheFaults:

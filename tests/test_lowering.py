@@ -1,24 +1,19 @@
-"""The shared lowering pipeline: memoization, counters, normalization.
+"""The shared lowering pipeline: counters, normalization, digests.
 
-The load-bearing guarantee is the ISSUE's "lower once" contract: a
-corpus sweep parses and machine-resolves each block exactly once per
-``(assembly, machine model)`` pair, however many prediction backends
-fan out over it — asserted here against the real Fig. 3 evaluator via
-the metrics counters.
+The load-bearing guarantee is the "lower once" contract: a corpus
+sweep parses and machine-resolves each distinct unit once, however
+many prediction backends fan out over it — the engine coalesces units
+with equal cache keys, and ``lower()`` itself keeps no state.  Asserted
+here against the real Fig. 3 evaluator via the metrics counters.
 """
-
-import pytest
 
 from repro.context import current_context
 from repro.lowering import (
     LoweredBlock,
     assembly_digest,
     cached_model_digest,
-    clear_memo,
     lower,
     machine_model_digest,
-    memo_len,
-    memo_stats,
 )
 from repro.machine import get_machine_model
 
@@ -28,13 +23,6 @@ vmovupd (%rax), %ymm0
 vfmadd231pd (%rbx), %ymm1, %ymm0
 vmovupd %ymm0, (%rcx)
 """
-
-
-@pytest.fixture(autouse=True)
-def fresh_memo():
-    clear_memo()
-    yield
-    clear_memo()
 
 
 def _counter_delta(before: dict, name: str) -> float:
@@ -53,60 +41,29 @@ class TestLower:
         assert len(block.zero_idioms) == 3
         assert block.isa == "x86"
         assert block.model is get_machine_model("zen4")
-        assert block.key == (
-            assembly_digest(ASM),
-            cached_model_digest(block.model),
-        )
 
     def test_accepts_model_instance_and_alias(self):
         by_name = lower(ASM, "zen4")
         by_alias = lower(ASM, "genoa")
         by_model = lower(ASM, get_machine_model("zen4"))
-        assert by_name is by_alias is by_model  # one memo slot
+        assert by_name.model is by_alias.model is by_model.model
 
-    def test_memo_hit_returns_same_object(self):
+    def test_each_call_lowers_afresh_under_one_span(self):
+        from repro.context import use_context
+        from repro.obs.trace import PID_LOWER, Tracer
+
+        tracer = Tracer()
         before = current_context().metrics.snapshot()
-        a = lower(ASM, "zen4")
-        b = lower(ASM, "zen4")
-        assert a is b
-        assert memo_len() == 1
+        with use_context(tracer=tracer):
+            a = lower(ASM, "zen4")
+            b = lower(ASM, "zen4")
+        assert a is not b
+        assert a.instructions == b.instructions
         assert _counter_delta(before, "lowering.requests") == 2
-        assert _counter_delta(before, "lowering.memo_misses") == 1
-        assert _counter_delta(before, "lowering.memo_hits") == 1
-
-    def test_whitespace_and_comments_share_a_slot(self):
-        noisy = "\n\n  " + ASM.replace("vmovupd (%rax)", "vmovupd   (%rax)")
-        assert lower(ASM, "zen4") is lower(noisy, "zen4")
-
-    def test_different_models_get_distinct_slots(self):
-        a = lower(ASM, "zen4")
-        b = lower(ASM, "golden_cove")
-        assert a is not b
-        assert memo_len() == 2
-
-    def test_memo_false_bypasses_cache(self):
-        a = lower(ASM, "zen4", memo=False)
-        assert memo_len() == 0
-        b = lower(ASM, "zen4", memo=False)
-        assert a is not b
-
-    def test_lru_eviction(self, monkeypatch):
-        import repro.lowering.pipeline as pipeline
-
-        monkeypatch.setattr(pipeline, "MEMO_CAP", 2)
-        first = lower("addq $1, %rax", "zen4")
-        lower("addq $2, %rax", "zen4")
-        lower("addq $3, %rax", "zen4")
-        assert memo_len() == 2
-        assert lower("addq $1, %rax", "zen4") is not first  # evicted
-
-    def test_memo_stats_shape(self):
-        lower(ASM, "zen4")
-        stats = memo_stats()
-        assert set(stats) == {
-            "requests", "memo_hits", "memo_misses", "memo_len", "hit_rate",
-        }
-        assert 0.0 <= stats["hit_rate"] <= 1.0
+        events = [e for e in tracer.events if e["pid"] == PID_LOWER]
+        assert [(e["ph"], e["name"]) for e in events] == [
+            ("X", f"lower:{assembly_digest(ASM)[:12]}")
+        ] * 2
 
 
 class TestNormalization:
@@ -131,13 +88,26 @@ class TestNormalization:
 
 
 class TestDigests:
-    def test_model_digest_matches_engine_digest(self):
-        # one notion of identity shared by memo and on-disk cache
-        model = get_machine_model("zen4")
-        from repro.engine import machine_model_digest as engine_digest
+    def test_model_digest_matches_engine_digest(self, monkeypatch):
+        # the engine's cache key digests the model through
+        # machine_model_digest
+        import repro.engine.cachekey as cachekey
+        from repro.engine import WorkUnit, cache_key
 
-        assert cached_model_digest(model) == engine_digest("zen4")
-        assert machine_model_digest(model) == engine_digest(model)
+        unit = WorkUnit.make("simulate", assembly=ASM, uarch="zen4")
+        seen = []
+        monkeypatch.setattr(
+            cachekey, "machine_model_digest",
+            lambda m: seen.append(m) or machine_model_digest(m),
+        )
+        before = cache_key(unit)
+        assert seen == ["zen4"]
+        monkeypatch.setattr(
+            cachekey, "machine_model_digest", lambda m: "0" * 64
+        )
+        assert cache_key(unit) != before
+        model = get_machine_model("zen4")
+        assert machine_model_digest("zen4") == cached_model_digest(model)
 
     def test_instance_digest_is_memoized(self):
         model = get_machine_model("zen4")
@@ -157,7 +127,7 @@ class TestDigests:
 
 
 class TestCorpusLowersOnce:
-    """The tentpole contract, measured on the real Fig. 3 evaluator."""
+    """The "lower once" contract, measured on the real Fig. 3 evaluator."""
 
     def test_each_block_lowered_once_per_model_pair(self):
         from repro.bench.fig3 import corpus_units
@@ -178,18 +148,11 @@ class TestCorpusLowersOnce:
         # units sharing a cache key are evaluated once by the engine, so
         # only the distinct ones reach the lowering pipeline at all
         distinct = len(units) - engine.metrics.coalesced
-        assert len(unique_pairs) <= distinct < len(units)
+        assert distinct == len(unique_pairs)
         assert _counter_delta(before, "lowering.requests") == distinct
-        assert _counter_delta(before, "lowering.memo_misses") == len(
-            unique_pairs
-        )
-        assert _counter_delta(before, "lowering.memo_hits") == distinct - len(
-            unique_pairs
-        )
 
-        # and a repeat sweep is all hits
+        # lower() keeps nothing: evaluating the units again lowers again
         before = current_context().metrics.snapshot()
         for u in units:
             evaluate(u.kind, u.params)
-        assert _counter_delta(before, "lowering.memo_misses") == 0
-        assert _counter_delta(before, "lowering.memo_hits") == len(units)
+        assert _counter_delta(before, "lowering.requests") == len(units)

@@ -179,5 +179,5 @@ class TestMCASimulation:
             finally:
                 tracemalloc.stop()
 
-        peak(1_000)  # lowering memo, imports
+        peak(1_000)  # imports, first-use caches
         assert peak(20_000) <= peak(1_000) + 64 * 1024

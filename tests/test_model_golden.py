@@ -30,7 +30,7 @@ from pathlib import Path
 from repro.analysis import ECMModel
 from repro.backends.builtin import ModelBackend
 from repro.kernels import enumerate_corpus
-from repro.lowering import lower
+from repro.lowering import assembly_digest, lower
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "model_fig3.json"
 ECM_GOLDEN_PATH = Path(__file__).parent / "golden" / "ecm_fig3.json"
@@ -53,10 +53,10 @@ def _distinct_blocks():
     seen = set()
     out = {}
     for e in enumerate_corpus():
-        block = lower(e.assembly, e.uarch)
-        if block.key not in seen:
-            seen.add(block.key)
-            out[e.test_id] = block
+        key = (assembly_digest(e.assembly), e.uarch)
+        if key not in seen:
+            seen.add(key)
+            out[e.test_id] = lower(e.assembly, e.uarch)
     return out
 
 

@@ -164,12 +164,11 @@ class TestSimulatorProfiling:
 
 
 def _strip_timing(prof: PhaseProfiler) -> dict:
-    """Everything the profiler guarantees deterministic.  Phase records
-    are excluded entirely: wall/CPU are timing noise, and phase *counts*
-    depend on the per-process lowering memo (serial units share the
-    parent's, pool workers each keep their own)."""
+    """Everything the profiler guarantees deterministic: phase records
+    keep their counts and drop wall/CPU, which are timing noise."""
     snap = prof.snapshot()
     return {
+        "phases": {k: v[0] for k, v in snap["phases"].items()},
         "cycles": snap["cycles"],
         "instructions": snap["instructions"],
         "ports": snap["ports"],

@@ -17,7 +17,7 @@ from repro.analysis.portbinding import (
 )
 from repro.isa import parse_kernel
 from repro.kernels import enumerate_corpus
-from repro.lowering import lower
+from repro.lowering import assembly_digest, lower
 from repro.machine import get_machine_model
 from repro.machine.model import InstrEntry, MachineModel, uop
 
@@ -149,10 +149,10 @@ def fig3_blocks():
     """The 153 distinct lowered blocks of the Fig. 3 corpus."""
     seen, out = set(), []
     for e in enumerate_corpus():
-        block = lower(e.assembly, e.uarch)
-        if block.key not in seen:
-            seen.add(block.key)
-            out.append(block)
+        key = (assembly_digest(e.assembly), e.uarch)
+        if key not in seen:
+            seen.add(key)
+            out.append(lower(e.assembly, e.uarch))
     assert len(out) == 153
     return out
 

@@ -20,7 +20,7 @@ from pathlib import Path
 
 from repro.backends.builtin import SimBackend
 from repro.kernels import enumerate_corpus
-from repro.lowering import lower
+from repro.lowering import assembly_digest, lower
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "sim_fig3.json"
 
@@ -33,10 +33,10 @@ def _distinct_blocks():
     seen = set()
     out = {}
     for e in enumerate_corpus():
-        block = lower(e.assembly, e.uarch)
-        if block.key not in seen:
-            seen.add(block.key)
-            out[e.test_id] = block
+        key = (assembly_digest(e.assembly), e.uarch)
+        if key not in seen:
+            seen.add(key)
+            out[e.test_id] = lower(e.assembly, e.uarch)
     return out
 
 
