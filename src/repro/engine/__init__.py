@@ -29,12 +29,7 @@ and a fresh profiler, the same way inline and in a worker.
 """
 
 from .cache import CacheStats, ResultCache
-from .cachekey import (
-    ENGINE_VERSION,
-    cache_key,
-    canonicalize_assembly,
-    machine_model_digest,
-)
+from .cachekey import ENGINE_VERSION, cache_key
 from .errors import (
     ERROR_POLICIES,
     EngineError,
@@ -76,10 +71,8 @@ __all__ = [
     "cache_key",
     "classify",
     "is_transient",
-    "canonicalize_assembly",
     "evaluate",
     "evaluator",
     "known_kinds",
-    "machine_model_digest",
     "resolve_engine",
 ]

@@ -18,9 +18,7 @@ The key must change exactly when the *result* could change:
 * :data:`ENGINE_VERSION` — bumped on any semantic change to the
   evaluators or the key schema itself, so stale caches self-invalidate.
 
-The digest primitives live in :mod:`repro.lowering.digests` so the
-engine cache and the in-process lowering memo share one notion of
-input identity; they are re-exported here for backwards compatibility.
+The digest primitives live in :mod:`repro.lowering.digests`.
 
 Everything is hashed with SHA-256 over canonical JSON.
 """
@@ -29,8 +27,8 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from ..lowering.digests import (  # noqa: F401  (re-exported)
-    canonicalize_assembly,
+from ..lowering.digests import (
+    assembly_digest,
     machine_model_digest,
     sha256_text as _sha256,
 )
@@ -63,7 +61,7 @@ def cache_key(
     keyed: dict[str, Any] = {}
     for name, value in params.items():
         if name == "assembly":
-            keyed["assembly_digest"] = _sha256(canonicalize_assembly(value))
+            keyed["assembly_digest"] = assembly_digest(value)
         elif name == "model" and isinstance(value, dict):
             keyed["model_digest"] = machine_model_digest(value)
         elif name in _MODEL_REF_PARAMS and isinstance(value, str):

@@ -18,11 +18,10 @@ from repro.engine import (
     UnitEvaluationError,
     WorkUnit,
     cache_key,
-    canonicalize_assembly,
     known_kinds,
-    machine_model_digest,
     resolve_engine,
 )
+from repro.lowering import canonicalize_assembly, machine_model_digest
 
 ASM_X86 = """
 .L3:

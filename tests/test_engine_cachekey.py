@@ -16,7 +16,8 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import WorkUnit, cache_key, canonicalize_assembly
+from repro.engine import WorkUnit, cache_key
+from repro.lowering import canonicalize_assembly
 from repro.machine import get_machine_model
 from repro.machine.io import model_to_dict
 
@@ -213,8 +214,8 @@ def _v1_key(unit: WorkUnit) -> str:
     """
     import hashlib
 
-    from repro.engine.cachekey import (
-        _MODEL_REF_PARAMS,
+    from repro.engine.cachekey import _MODEL_REF_PARAMS
+    from repro.lowering import (
         canonicalize_assembly as _canon,
         machine_model_digest as _mmd,
     )
