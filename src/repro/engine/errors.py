@@ -82,10 +82,6 @@ class WorkerCrashError(TransientError):
     the unit was in flight; that worker was replaced."""
 
 
-class CacheWriteError(TransientError):
-    """A result-cache write failed; the result itself is intact."""
-
-
 #: exception types (beyond TransientError subclasses) that classify as
 #: transient — environmental failures where a fresh attempt can differ
 _TRANSIENT_TYPES: tuple[type, ...] = (

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 
 from .operands import (
     MemoryOperand,
@@ -174,8 +174,3 @@ class Instruction:
     def __str__(self) -> str:
         ops = ", ".join(str(o) for o in self.operands)
         return f"{self.mnemonic} {ops}".strip()
-
-
-def iter_instructions(items: Iterable[Instruction]) -> Iterable[Instruction]:
-    """Identity helper kept for API symmetry; filters out ``None``."""
-    return (i for i in items if i is not None)

@@ -37,18 +37,6 @@ class RegisterClass(enum.Enum):
 class Operand:
     """Abstract base for all operand kinds."""
 
-    def is_register(self) -> bool:
-        return isinstance(self, Register)
-
-    def is_immediate(self) -> bool:
-        return isinstance(self, Immediate)
-
-    def is_memory(self) -> bool:
-        return isinstance(self, MemoryOperand)
-
-    def is_label(self) -> bool:
-        return isinstance(self, LabelOperand)
-
 
 @dataclass(frozen=True)
 class Register(Operand):
@@ -92,10 +80,6 @@ class Register(Operand):
     @property
     def is_vector(self) -> bool:
         return self.reg_class is RegisterClass.VEC
-
-    @property
-    def is_gpr(self) -> bool:
-        return self.reg_class is RegisterClass.GPR
 
     @property
     def is_zero(self) -> bool:

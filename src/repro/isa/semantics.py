@@ -280,12 +280,3 @@ def a64_semantics(
             accesses[0] = RW
 
     return tuple(accesses), tuple(imp_r), tuple(imp_w)
-
-
-def semantics_for(
-    isa: str, mnemonic: str, operands: tuple[Operand, ...]
-) -> tuple[tuple[OperandAccess, ...], tuple[str, ...], tuple[str, ...]]:
-    """Dispatch to the per-ISA semantics function."""
-    if isa.lower() in ("x86", "x86_64"):
-        return x86_semantics(mnemonic, operands)
-    return a64_semantics(mnemonic, operands)

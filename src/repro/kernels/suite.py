@@ -52,12 +52,6 @@ class KernelSpec:
         return n
 
     @property
-    def loads_per_element(self) -> int:
-        return len(collect_loads(self.expr)) + (1 if has_carried(self.expr) else 0) - (
-            1 if has_carried(self.expr) else 0
-        )
-
-    @property
     def arrays(self) -> tuple[tuple[str, int], ...]:
         """Distinct (array, row) streams read by the kernel."""
         seen: dict[tuple[str, int], None] = {}

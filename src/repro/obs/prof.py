@@ -76,9 +76,6 @@ class PhaseProfiler:
 
     # -- phase timers ---------------------------------------------------
 
-    def current_path(self) -> str:
-        return self._stack[-1] if self._stack else ""
-
     def _join(self, name: str) -> str:
         cur = self._stack[-1] if self._stack else ""
         return f"{cur}{SEP}{name}" if cur else name

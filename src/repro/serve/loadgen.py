@@ -31,7 +31,7 @@ import queue as queue_mod
 import tempfile
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Optional
 
@@ -51,12 +51,6 @@ class Response:
     seconds: float
     body: dict[str, Any]
     cached: bool = False
-
-
-@dataclass
-class Scenario:
-    name: str
-    run: Callable[..., dict[str, Any]] = field(repr=False)  # type: ignore[assignment]
 
 
 # ---------------------------------------------------------------------------

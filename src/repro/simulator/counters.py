@@ -13,10 +13,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..machine.specs import ChipSpec, get_chip_spec
-from .engine import SimulationResult
 from .frequency import FrequencyGovernor
 from .memory import CacheHierarchy
-from .plan import UopPlan
 
 
 @dataclass
@@ -39,7 +37,7 @@ class PerfCounters:
         mem["read_bytes"], mem["write_bytes"]
     """
 
-    GROUPS = ("MEM", "CLOCK", "FLOPS_DP", "CACHE", "UOPS")
+    GROUPS = ("MEM", "CLOCK", "FLOPS_DP", "CACHE")
 
     def __init__(self, chip: str | ChipSpec):
         self.spec = chip if isinstance(chip, ChipSpec) else get_chip_spec(chip)
@@ -49,28 +47,11 @@ class PerfCounters:
         self._cycles: float = 0.0
         self._active_cores: int = 1
         self._isa_class: str = self.spec.isa_classes[0]
-        self._plan: Optional[UopPlan] = None
-        self._sim: Optional[SimulationResult] = None
 
     # -- wiring ------------------------------------------------------------
 
     def attach_hierarchy(self, hierarchy: CacheHierarchy) -> None:
         self._hierarchy = hierarchy
-
-    def attach_simulation(
-        self, plan: UopPlan, result: Optional[SimulationResult] = None
-    ) -> None:
-        """Source the ``UOPS`` group from a core simulation.
-
-        The static per-iteration counters (µops issued, fused-domain
-        slots, branches) come from the shared
-        :class:`~repro.simulator.plan.UopPlan` — the same tables the
-        engines execute, not a re-derivation — and the dynamic ones
-        (IPC, cycles) from the engine's
-        :class:`~repro.simulator.engine.SimulationResult` when given.
-        """
-        self._plan = plan
-        self._sim = result
 
     def record_compute(self, flops: float, cycles: float) -> None:
         self._flops += flops
@@ -127,22 +108,4 @@ class PerfCounters:
                 values[f"{lvl.name}_hits"] = float(st["hits"])
                 values[f"{lvl.name}_misses"] = float(st["misses"])
             return CounterReading("CACHE", values)
-        if group == "UOPS":
-            if self._plan is None:
-                raise RuntimeError("no simulation attached")
-            p = self._plan
-            values = {
-                "uops_per_iteration": float(sum(
-                    1 for plans in p.uop_plans
-                    for _ports, _cycles, dur in plans if dur > 0
-                )),
-                "uop_cycles_per_iteration": p.uop_cycles_per_iteration(),
-                "slots_per_iteration": float(p.n_slots),
-                "instructions_per_iteration": float(p.n_body),
-                "branches_per_iteration": float(p.n_branches),
-            }
-            if self._sim is not None:
-                values["ipc"] = self._sim.ipc
-                values["cycles"] = self._sim.total_cycles
-            return CounterReading("UOPS", values)
         raise ValueError(f"unknown counter group {group!r}; known: {self.GROUPS}")

@@ -162,16 +162,6 @@ class UopPlan:
     scheduler_window: float
     ports: tuple[str, ...]
 
-    @property
-    def n_branches(self) -> int:
-        return sum(self.is_branch_of)
-
-    def uop_cycles_per_iteration(self) -> float:
-        """Unscaled µop cycles issued per iteration (profiler accounting)."""
-        return sum(
-            cycles for plan in self.uop_plans for _p, cycles, _d in plan
-        )
-
 
 # ---------------------------------------------------------------------------
 # shared per-instruction table derivations
