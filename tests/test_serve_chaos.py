@@ -24,6 +24,7 @@ import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -229,7 +230,7 @@ class TestSigtermDrain:
                 "--port", "0", "--jobs", "2",
                 "--drain-deadline", "20",
             ],
-            cwd="/root/repo",
+            cwd=Path(__file__).resolve().parents[1],
             env=env,
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
