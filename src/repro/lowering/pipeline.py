@@ -18,7 +18,7 @@ corpus blocks.  Every view needs the same front half first:
 :func:`lower` runs that front half on every call and keeps no state:
 the engine coalesces work units with equal cache keys and its on-disk
 cache answers repeats, so a corpus sweep still lowers each distinct
-``(assembly, machine model)`` pair once.  A caller that needs one block
+``(assembly, machine model)`` pair at most once.  A caller that needs one block
 in several views lowers it once and hands the same
 :class:`LoweredBlock` to each prediction backend (:mod:`repro.backends`).
 Each call counts ``lowering.requests`` in the run context's
