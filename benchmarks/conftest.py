@@ -6,8 +6,6 @@ session via ``benchmark.pedantic(rounds=1)`` — the timing is reported,
 and the *result shape* is asserted against the paper's reference.
 """
 
-import pytest
-
 
 def pytest_collection_modifyitems(items):
     # keep benchmark ordering deterministic: tables first, then figures

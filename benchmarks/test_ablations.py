@@ -70,7 +70,7 @@ class TestPortBindingAblation:
         for b in fig3_blocks:
             opt = assign_ports_optimal(b.model, b.resolved).max_pressure
             heur = assign_ports_heuristic(b.model, b.resolved).max_pressure
-            assert opt <= heur + 1e-9, b.key
+            assert opt <= heur + 1e-9, (b.model.name, assembly_digest(b.source))
             if opt < heur - 1e-6:
                 tighter += 1
         assert tighter >= 1
@@ -83,9 +83,10 @@ class TestSchedulerWindowAblation:
         is ready, so no backfill is lost — the window only bounds the
         gap lists the engine keeps.
 
-        The what-if models go through the engine's ``simulate`` units:
-        each perturbed scheduler size yields a distinct model digest, so
-        a shared cache can never confuse the variants."""
+        The what-if models go through the engine as ``predict`` units on
+        the ``sim`` backend: each perturbed scheduler size yields a
+        distinct model digest, so a shared cache can never confuse the
+        variants."""
         model = get_machine_model("zen4")
         asm = enumerate_corpus(machines=("genoa",), kernels=("j3d27pt",))[2].assembly
         engine = CorpusEngine(jobs=1)
@@ -94,12 +95,12 @@ class TestSchedulerWindowAblation:
             m = dataclasses.replace(model, scheduler_size=window,
                                     entries=list(model.entries))
             unit = WorkUnit.make(
-                "simulate",
+                "predict",
                 label=f"zen4/window={window}",
+                backend="sim",
                 model=model_to_dict(m),
                 assembly=asm,
-                iterations=80,
-                warmup=20,
+                opts={"iterations": 80, "warmup": 20},
             )
             return engine.run([unit])[0]
 
@@ -140,13 +141,12 @@ class TestMCADataAblation:
             # part of the cache key, so the two variants never collide
             units = [
                 WorkUnit.make(
-                    "mca",
+                    "predict",
                     label=e.test_id,
+                    backend="mca",
                     uarch="neoverse_v2",
                     assembly=e.assembly,
-                    iterations=60,
-                    warmup=15,
-                    sched=sched,
+                    opts={"iterations": 60, "warmup": 15, "sched": sched},
                 )
                 for e in entries
             ]

@@ -5,8 +5,6 @@ scaling crossovers, memory-coupled ECM validation, extended-suite
 sweep) and double as performance benchmarks of the pipeline itself.
 """
 
-import pytest
-
 from repro.analysis import analyze_instructions
 from repro.analysis.scaling import predict_scaling
 from repro.engine import CorpusEngine, WorkUnit
@@ -14,7 +12,7 @@ from repro.isa import parse_kernel
 from repro.kernels import generate_assembly
 from repro.kernels.extended import EXTENDED_KERNELS, all_kernels
 from repro.kernels.suite import KERNELS
-from repro.machine import get_chip_spec, get_machine_model
+from repro.machine import get_machine_model
 from repro.simulator.engine import CycleEngine
 from repro.simulator.plan import build_uop_plan
 from repro.simulator.coupled import simulate_with_memory
@@ -22,7 +20,8 @@ from repro.simulator.coupled import simulate_with_memory
 
 def test_extended_suite_sweep(benchmark):
     """Analyze + simulate every extended kernel on every machine —
-    submitted through the corpus engine as one batch."""
+    submitted through the corpus engine as one batch of ``predict``
+    units, a ``model`` and a ``sim`` unit per case."""
 
     def sweep():
         cases = []
@@ -35,20 +34,20 @@ def test_extended_suite_sweep(benchmark):
             ):
                 asm = generate_assembly(k, persona, "O2", uarch)
                 cases.append((name, uarch))
-                units.append(
-                    WorkUnit.make(
-                        "analyze_simulate",
-                        label=f"{uarch}/{name}",
-                        uarch=uarch,
-                        assembly=asm,
-                        iterations=60,
-                        warmup=20,
-                    )
-                )
+                units += [
+                    WorkUnit.make("predict", label=f"{uarch}/{name}/model",
+                                  backend="model", uarch=uarch, assembly=asm),
+                    WorkUnit.make("predict", label=f"{uarch}/{name}/sim",
+                                  backend="sim", uarch=uarch, assembly=asm,
+                                  opts={"iterations": 60, "warmup": 20}),
+                ]
         outputs = CorpusEngine(jobs=1).run(units)
         return [
-            (name, uarch, out["prediction"], out["measurement"])
-            for (name, uarch), out in zip(cases, outputs)
+            (name, uarch, model["cycles_per_iteration"],
+             sim["cycles_per_iteration"])
+            for (name, uarch), model, sim in zip(
+                cases, outputs[0::2], outputs[1::2]
+            )
         ]
 
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)

@@ -5,8 +5,6 @@ against the paper's headline statistics; a reduced corpus benchmarks
 the per-test pipeline cost.
 """
 
-import pytest
-
 from repro.bench import fig3
 
 

@@ -24,6 +24,9 @@ _ELEMS = {"golden_cove": {"gcc": 8, "clang": 4, "icx": 8},
           "zen4": {"gcc": 4, "clang": 4, "icx": 4},
           "neoverse_v2": {"gcc-arm": 2, "armclang": 2}}
 
+#: the simulator window of the comparison (not the corpus's derived one)
+_SIM_OPTS = {"iterations": 80, "warmup": 25}
+
 
 @dataclass
 class ArchComparison:
@@ -65,8 +68,9 @@ def compare_architectures(
 ) -> ArchComparison:
     """Run one kernel through all three machines and collect metrics.
 
-    The heavy analysis + simulation of the three chips is submitted to
-    the execution engine as one batch (parallel and memoized under
+    The static prediction and the simulation of the three chips are
+    submitted to the execution engine as one batch of ``predict`` units,
+    a ``model`` and a ``sim`` unit per chip (parallel and memoized under
     ``repro-bench --jobs/--cache``); the per-chip bookkeeping —
     vector-element accounting and frequency lookup — stays inline.
     """
@@ -81,20 +85,19 @@ def compare_architectures(
         p = PERSONAS[persona_name]
         asm = generate_assembly(k, p, opt, uarch)
         cases.append((chip, spec, persona_name, p.config(opt)))
-        units.append(
-            WorkUnit.make(
-                "analyze_simulate",
-                label=f"{chip}/{k.name}/{opt}",
-                uarch=uarch,
-                assembly=asm,
-                iterations=80,
-                warmup=25,
-            )
-        )
+        label = f"{chip}/{k.name}/{opt}"
+        units += [
+            WorkUnit.make("predict", label=f"{label}/model", backend="model",
+                          uarch=uarch, assembly=asm),
+            WorkUnit.make("predict", label=f"{label}/sim", backend="sim",
+                          uarch=uarch, assembly=asm, opts=_SIM_OPTS),
+        ]
     outputs = resolve_engine(engine).run(units)
 
     rows = []
-    for (chip, spec, persona_name, cfg), out in zip(cases, outputs):
+    for (chip, spec, persona_name, cfg), model, sim in zip(
+        cases, outputs[0::2], outputs[1::2]
+    ):
         uarch = spec.uarch
         vec = (
             cfg.vectorize
@@ -110,13 +113,14 @@ def compare_architectures(
         gov = FrequencyGovernor.for_chip(spec)
         isa = spec.isa_classes[-1] if vec else "scalar"
         freq = gov.sustained(1, isa if isa in spec.frequency.power_coeff else "scalar")
-        cy_elem = out["measurement"] / elems
+        measured = sim["cycles_per_iteration"]
+        cy_elem = measured / elems
         rows.append(
             {
                 "chip": chip,
-                "prediction": out["prediction"],
-                "measured": out["measurement"],
-                "bottleneck": out["bottleneck"],
+                "prediction": model["cycles_per_iteration"],
+                "measured": measured,
+                "bottleneck": model.get("bottleneck"),
                 "elements_per_iteration": elems,
                 "cycles_per_element": cy_elem,
                 "gflops_per_core": k.flops_per_element / cy_elem * freq

@@ -21,7 +21,7 @@ than guessed — the same honesty a hardware experimenter needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..bench.ibench import UnbenchableEntry, synthesize_block
 from ..isa import parse_kernel

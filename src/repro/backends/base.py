@@ -20,7 +20,7 @@ from the old behaviour can never be served for the new one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Optional, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Any, Optional, Protocol, runtime_checkable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..lowering import LoweredBlock
@@ -119,9 +119,6 @@ def backend_version(name: str) -> str:
 #: collide with stale entries (see repro.engine.cachekey)
 KIND_BACKENDS: dict[str, tuple[str, ...]] = {
     "corpus": ("mca", "model", "sim"),
-    "analyze_simulate": ("model", "sim"),
-    "simulate": ("sim",),
-    "mca": ("mca",),
     "topdown": ("sim",),
 }
 
@@ -150,5 +147,3 @@ def versions_for_unit(kind: str, params: dict) -> dict[str, str]:
             out[name] = "?"
     return out
 
-
-PredictFn = Callable[..., BackendResult]

@@ -240,13 +240,11 @@ def run(
     *,
     backends: tuple[str, ...] | None = None,
     engine: CorpusEngine | None = None,
-    jobs: int | None = None,
-    cache: str | None = None,
 ) -> Fig3Result:
     corpus = enumerate_corpus(
         machines=machines, kernels=kernels, precision=precision
     )
-    eng = resolve_engine(engine, jobs, cache)
+    eng = resolve_engine(engine)
     outputs = eng.run(corpus_units(corpus, iterations, backends))
     # Under collect/quarantine error policies the engine returns None at
     # failed indices, and a degraded corpus result may lack the

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..isa import parse_kernel
-from ..isa.instruction import Instruction, OperandAccess
+from ..isa.instruction import OperandAccess
 from ..machine.model import InstrEntry, MachineModel
 from ..simulator.engine import CycleEngine
 from ..simulator.plan import IDEALIZED_CONFIG, build_uop_plan

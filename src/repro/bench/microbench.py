@@ -12,7 +12,6 @@ ibench/OoO-bench do on hardware with careful alignment and warm-up.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 from ..machine import get_machine_model
 from ..simulator.engine import CycleEngine

@@ -273,7 +273,6 @@ def run_suite(
     cases: Optional[list[str]] = None,
     quick: bool = False,
     repeats: int = DEFAULT_REPEATS,
-    inject_slowdown: float = 0.0,
     notes: Optional[dict[str, Any]] = None,
     echo: Optional[Callable[[str], None]] = None,
 ) -> dict[str, Any]:
@@ -282,9 +281,7 @@ def run_suite(
     Every case runs ``repeats`` times; the record with the smallest
     wall time wins (its throughput/attribution stats ride along — the
     deterministic ``work.*`` stats are identical across repeats by
-    construction).  ``inject_slowdown`` adds that many artificial
-    seconds to every record — the hook ``--check``'s own tests use to
-    prove the gate actually fails; it never touches the measured work.
+    construction).
     """
     say = echo or (lambda _msg: None)
     names = list(cases) if cases else list(CASES)
@@ -300,7 +297,6 @@ def run_suite(
     for case in names:
         for rep in range(repeats):
             for name, wall, cpu, stats in CASES[case](quick):
-                wall += inject_slowdown
                 prev = best.get(name)
                 if prev is None or wall < prev["seconds"]:
                     best[name] = {

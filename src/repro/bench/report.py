@@ -11,7 +11,7 @@ from __future__ import annotations
 import time
 from pathlib import Path
 
-from . import EXPERIMENTS, fig2, fig3, fig4, table1, table3
+from . import EXPERIMENTS
 
 
 def _check(label: str, ok: bool, detail: str = "") -> tuple[str, bool]:

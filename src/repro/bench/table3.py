@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ..bench.microbench import MicrobenchResult, run_microbenchmarks
+from ..bench.microbench import MicrobenchResult
 from ..engine import CorpusEngine, WorkUnit, resolve_engine
 from .render import ascii_table
 

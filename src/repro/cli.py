@@ -436,8 +436,10 @@ def bench_main(argv: list[str] | None = None) -> int:
     if args.json:
         import json
 
+        from .obs.report import jsonable
+
         with open(args.json, "w") as fh:
-            json.dump(_jsonable(collected), fh, indent=1)
+            json.dump(jsonable(collected), fh, indent=1)
         print(f"[structured results written to {args.json}]")
     if args.run_report:
         from .obs.report import build_manifest, write_manifest
@@ -1163,15 +1165,6 @@ def perf_main(argv: list[str] | None = None) -> int:
         help="noise floor: case wall times below this never regress "
              f"(default: {DEFAULT_MIN_RUNTIME_SECONDS})",
     )
-    parser.add_argument(
-        "--inject-slowdown",
-        type=float,
-        default=0.0,
-        metavar="SECONDS",
-        dest="inject_slowdown",
-        help="add artificial seconds to every measured case — proves "
-             "the --check gate fails when it should (self-test hook)",
-    )
     args = parser.parse_args(argv)
     if args.repeats is not None and args.repeats < 1:
         parser.error("--repeats must be >= 1")
@@ -1216,7 +1209,6 @@ def perf_main(argv: list[str] | None = None) -> int:
             cases=cases,
             quick=quick,
             repeats=repeats,
-            inject_slowdown=args.inject_slowdown,
             echo=lambda msg: print(msg, flush=True),
         )
     except ValueError as exc:
@@ -1254,13 +1246,6 @@ def perf_main(argv: list[str] | None = None) -> int:
     )
     print(diff.render())
     return 0 if diff.ok else 1
-
-
-def _jsonable(obj):
-    """Recursively convert dataclasses/tuples to JSON-safe structures."""
-    from .obs.report import jsonable
-
-    return jsonable(obj)
 
 
 def _run_verify() -> None:

@@ -22,10 +22,11 @@ provides:
 Entry points: ``repro-bench --jobs N --cache DIR`` drives every
 experiment through the engine it installs in the run context
 (``use_context(engine=...)``, :mod:`repro.context`); library code
-accepts ``engine=``/``jobs=``/``cache=`` keywords and otherwise runs on
-the context's engine (see ``docs/engine.md``).  A batch reads the run
-context once and sends each attempt its fault plan, ``partial_results``
-and a fresh profiler, the same way inline and in a worker.
+accepts an ``engine=`` keyword and otherwise runs on the context's
+engine (see ``docs/engine.md``).  A batch reads the run context once
+and sends each attempt its fault plan, ``partial_results``, a fresh
+profiler and a fresh metrics registry, the same way inline and in a
+worker; the attempt's profile and counters come back with its outcome.
 """
 
 from .cache import CacheStats, ResultCache

@@ -29,10 +29,11 @@ from typing import Any, Optional
 
 from ..lowering.digests import (
     assembly_digest,
+    canonical_json,
     machine_model_digest,
     sha256_text as _sha256,
 )
-from .units import WorkUnit, canonical_json
+from .units import WorkUnit
 
 #: Bump on any change to evaluator semantics, simulator behaviour, or
 #: the key schema itself.  Old cache entries become unreachable (not

@@ -32,7 +32,7 @@ from __future__ import annotations
 import pickle
 import traceback
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .units import WorkUnit

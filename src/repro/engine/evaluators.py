@@ -19,18 +19,13 @@ Kinds
     OSACA-style prediction, MCA baseline prediction — one lowering,
     three backends (subset with ``params["backends"]``).
 ``predict``
-    One named backend over one block (``params["backend"]``); the
-    generic registry-dispatch kind.
-``analyze_simulate``
-    Static prediction + simulated measurement (extended-suite sweeps,
-    cross-architecture comparisons).
-``simulate``
-    Core-simulator run only; accepts a serialized machine model for
-    what-if/ablation studies (the cache key then digests the edited
-    model, so perturbations never collide with stock results).
-``mca``
-    MCA baseline run, with optional scheduling-data overrides
-    (the MCA data ablation).
+    One named backend over one block (``params["backend"]``) with that
+    backend's options (``params["opts"]``: iteration window, MCA
+    scheduling-data overrides, ...); the generic registry-dispatch kind.
+    Like every assembly-consuming kind it accepts a serialized machine
+    model (``params["model"]``) in place of a name, for what-if and
+    ablation studies (the cache key then digests the edited model, so
+    perturbations never collide with stock results).
 ``microbench``
     Table III instruction microbenchmarks for one chip.
 ``topdown``
@@ -185,60 +180,6 @@ def _eval_predict(p: dict) -> dict[str, Any]:
     if r.stats:
         out["stats"] = r.stats
     return out
-
-
-@evaluator("analyze_simulate")
-def _eval_analyze_simulate(p: dict) -> dict[str, Any]:
-    from ..backends import get_backend
-
-    block = _lowered(p)
-    with _predict_phase("model"):
-        ana = get_backend("model").predict(block)
-    with _predict_phase("sim"):
-        meas = get_backend("sim").predict(
-            block,
-            iterations=int(p["iterations"]),
-            warmup=int(p["warmup"]),
-        )
-    return {
-        "prediction": ana.cycles_per_iteration,
-        "measurement": meas.cycles_per_iteration,
-        "bottleneck": ana.bottleneck,
-    }
-
-
-@evaluator("simulate")
-def _eval_simulate(p: dict) -> dict[str, Any]:
-    from ..backends import get_backend
-
-    block = _lowered(p)
-    with _predict_phase("sim"):
-        r = get_backend("sim").predict(
-            block,
-            iterations=int(p["iterations"]),
-            warmup=int(p["warmup"]),
-        )
-    sim = r.detail
-    return {
-        "cycles_per_iteration": sim.cycles_per_iteration,
-        "total_cycles": sim.total_cycles,
-        "instructions_retired": sim.instructions_retired,
-    }
-
-
-@evaluator("mca")
-def _eval_mca(p: dict) -> dict[str, Any]:
-    from ..backends import get_backend
-
-    block = _lowered(p)
-    with _predict_phase("mca"):
-        r = get_backend("mca").predict(
-            block,
-            iterations=int(p["iterations"]),
-            warmup=int(p["warmup"]),
-            sched=p.get("sched"),
-        )
-    return {"cycles_per_iteration": r.cycles_per_iteration}
 
 
 @evaluator("microbench")

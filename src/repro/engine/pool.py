@@ -58,6 +58,7 @@ from multiprocessing.connection import wait
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional, Sequence
 
 from ..context import RunContext, current_context, use_context
+from ..obs.metrics import MetricsRegistry, record_engine_metrics
 from .cache import ResultCache
 from .cachekey import cache_key
 from .errors import (
@@ -80,8 +81,9 @@ log = logging.getLogger(__name__)
 
 ProgressHook = Callable[[dict[str, Any]], None]
 
-#: one attempt's outcome: ``(index, status, payload, seconds, profile)``
-Outcome = tuple[int, str, Any, float, Optional[dict]]
+#: one attempt's outcome: ``(index, status, payload, seconds, profile,
+#: counters)``
+Outcome = tuple[int, str, Any, float, Optional[dict], Optional[dict]]
 
 #: span categories of reconstructed per-attempt trace slices
 _ATTEMPT_TRACE_CAT = {"ok": "unit", "retry": "retry", "failure": "failure"}
@@ -211,35 +213,40 @@ def _evaluate_task(task: tuple[int, WorkUnit, int], ctx: RunContext) -> Outcome:
 
     *ctx* carries what the attempt needs of the caller's run: the fault
     plan, ``partial_results`` and, when profiling, a fresh profiler.
-    The attempt installs those three fields with ``use_context``, the
-    same way inline and in a worker.  It holds no deadline: the parent
-    enforces deadlines by killing the worker.
+    The attempt installs those three fields and a fresh metrics
+    registry with ``use_context``, the same way inline and in a worker.
+    It holds no deadline: the parent enforces deadlines by killing the
+    worker.
 
-    Returns ``(index, status, payload, seconds, profile)`` — status
-    ``"ok"`` (payload is the result dict) or ``"err"`` (payload is an
-    :func:`~.errors.failure_payload` dict).  Exceptions are flattened
-    to plain data *before* they cross the pipe: an exception object
-    need not survive pickling.  ``profile`` is the plain-dict snapshot
-    of the attempt's profiler — the parent absorbs snapshots in
-    submission order, so merged attribution does not depend on which
+    Returns ``(index, status, payload, seconds, profile, counters)`` —
+    status ``"ok"`` (payload is the result dict) or ``"err"`` (payload
+    is an :func:`~.errors.failure_payload` dict).  Exceptions are
+    flattened to plain data *before* they cross the pipe: an exception
+    object need not survive pickling.  ``profile`` is the plain-dict
+    snapshot of the attempt's profiler — the parent absorbs snapshots
+    in submission order, so merged attribution does not depend on which
     worker ran what (and the deterministic simulated-cycle records are
-    bit-identical to a serial run).
+    bit-identical to a serial run).  ``counters`` is the snapshot of the
+    attempt's registry, which the parent adds to the run's.
     """
     idx, unit, attempt = task
+    metrics = MetricsRegistry()
     t0 = time.perf_counter()
     try:
         with use_context(
             faults=ctx.faults,
             partial_results=ctx.partial_results,
             profiler=ctx.profiler,
+            metrics=metrics,
         ):
             if ctx.faults is not None:
                 ctx.faults.fire_worker_site(unit.label or unit.kind, attempt)
             result = evaluate(unit.kind, unit.params)
     except Exception as exc:
-        return idx, "err", failure_payload(exc), time.perf_counter() - t0, None
+        return (idx, "err", failure_payload(exc), time.perf_counter() - t0,
+                None, metrics.snapshot())
     snap = None if ctx.profiler is None else ctx.profiler.snapshot()
-    return idx, "ok", result, time.perf_counter() - t0, snap
+    return idx, "ok", result, time.perf_counter() - t0, snap, metrics.snapshot()
 
 
 def _worker_main(conn, parent_end) -> None:
@@ -332,7 +339,7 @@ def _lost(idx: int, error: EngineError, seconds: float) -> Outcome:
         "message": str(error),
         "traceback_repr": "",
     }
-    return idx, "err", payload, seconds, None
+    return idx, "err", payload, seconds, None, None
 
 
 class _Workers:
@@ -513,7 +520,8 @@ class CorpusEngine:
     ``unit``/``retry``/``failure``) plus cache hit/miss instants; with
     a profiler it records the batch's phases and absorbs every
     attempt's profile; its fault plan rides with every task; its
-    metrics registry receives the batch's :class:`EngineMetrics`.
+    metrics registry receives the batch's :class:`EngineMetrics` and the
+    counters of every attempt, inline or in a worker.
     """
 
     def __init__(
@@ -677,8 +685,7 @@ class CorpusEngine:
             )
             with eval_cm:
                 res_map, fail_map = self._evaluate_pending(
-                    leaders, followers, metrics, attempts, len(units),
-                    plan, profiling,
+                    leaders, followers, metrics, attempts, len(units), ctx,
                 )
             # ``pending`` is in submission order; absorbing worker
             # profile snapshots in that fixed order keeps the merged
@@ -812,16 +819,8 @@ class CorpusEngine:
                       "retries": metrics.retries},
             )
 
-        from ..obs.metrics import record_engine_metrics
-
         record_engine_metrics(metrics, ctx.metrics)
         return results
-
-    def map(
-        self, kind: str, param_sets: Sequence[dict[str, Any]]
-    ) -> list[Optional[dict[str, Any]]]:
-        """Convenience: build units of one kind and run them."""
-        return self.run([WorkUnit.make(kind, **p) for p in param_sets])
 
     def close(self) -> None:
         """Kill and reap the worker processes.
@@ -847,19 +846,21 @@ class CorpusEngine:
         metrics: EngineMetrics,
         attempts: list[AttemptRecord],
         total: int,
-        plan: Optional["FaultPlan"],
-        profiling: bool,
+        batch: RunContext,
     ) -> tuple[dict[int, tuple[dict, float, Optional[dict]]], dict[int, UnitFailure]]:
         """Evaluate the distinct cache misses — inline or on the
         workers — with retries; ``followers`` only receive progress
-        events.  Every attempt carries the batch's fault plan, the
-        policy's ``partial_results`` and, when profiling, a fresh
-        profiler."""
+        events.  Every attempt carries the *batch* context's fault
+        plan, the policy's ``partial_results`` and, when the batch
+        profiles, a fresh profiler; its counters land in the batch
+        context's metrics registry."""
         from ..obs.prof import PhaseProfiler
 
         ctx = RunContext(
-            faults=plan, partial_results=self.error_policy != "fail_fast"
+            faults=batch.faults,
+            partial_results=self.error_policy != "fail_fast",
         )
+        profiling = batch.profiler is not None
 
         def context() -> RunContext:
             return replace(ctx, profiler=PhaseProfiler()) if profiling else ctx
@@ -874,7 +875,8 @@ class CorpusEngine:
         respawns = workers.respawns
         try:
             return self._attempt_rounds(
-                pending, followers, dispatch, metrics, attempts, total
+                pending, followers, dispatch, metrics, attempts, total,
+                batch.metrics,
             )
         finally:
             metrics.worker_respawns += workers.respawns - respawns
@@ -887,6 +889,7 @@ class CorpusEngine:
         metrics: EngineMetrics,
         attempts: list[AttemptRecord],
         total: int,
+        registry: MetricsRegistry,
     ) -> tuple[dict[int, tuple[dict, float, Optional[dict]]], dict[int, UnitFailure]]:
         """The retry loop: dispatch rounds of attempts until every unit
         has a result or a final failure.
@@ -894,7 +897,8 @@ class CorpusEngine:
         Round *n* holds every unit whose attempt *n-1* failed
         transiently within the retry budget; rounds are separated by
         the policy's deterministic backoff (the maximum owed by any
-        unit in the round, slept once).
+        unit in the round, slept once).  Each attempt's counters are
+        added to *registry* as its outcome lands.
         """
         state = {
             i: {"unit": u, "attempts": 0, "seconds": 0.0}
@@ -908,7 +912,11 @@ class CorpusEngine:
         while tasks:
             retries: list[tuple[int, WorkUnit, int]] = []
             max_backoff = 0.0
-            for idx, status, payload, seconds, profile in dispatch(tasks):
+            for idx, status, payload, seconds, profile, counters in dispatch(
+                tasks
+            ):
+                if counters:
+                    registry.absorb(counters)
                 st = state[idx]
                 st["attempts"] += 1
                 st["seconds"] += seconds
@@ -1092,20 +1100,11 @@ class CorpusEngine:
                        coalesced=True)
 
 
-def resolve_engine(
-    engine: Optional[CorpusEngine] = None,
-    jobs: Optional[int] = None,
-    cache: Optional[str | os.PathLike] = None,
-) -> CorpusEngine:
-    """Pick the engine for a library call.
-
-    Explicit ``engine`` wins; ``jobs``/``cache`` build a one-off engine;
-    otherwise the run context's engine, or else a fresh serial engine
-    without a cache.
-    """
+def resolve_engine(engine: Optional[CorpusEngine] = None) -> CorpusEngine:
+    """Pick the engine for a library call: ``engine`` when given, else
+    the run context's engine, else a fresh serial engine without a
+    cache."""
     if engine is not None:
         return engine
-    if jobs is not None or cache is not None:
-        return CorpusEngine(jobs=jobs or 1, cache_dir=cache)
     installed = current_context().engine
     return installed if installed is not None else CorpusEngine()

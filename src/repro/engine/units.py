@@ -22,13 +22,10 @@ import json
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Optional
 
+from ..lowering.digests import canonical_json
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .errors import UnitFailure
-
-
-def canonical_json(obj: Any) -> str:
-    """Deterministic JSON: sorted keys, no whitespace variance."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 @dataclass(frozen=True)

@@ -127,14 +127,12 @@ def run_differential(
     tolerance: float = DEFAULT_TOLERANCE,
     iterations: int = DEFAULT_ITERATIONS,
     engine: Optional[CorpusEngine] = None,
-    jobs: Optional[int] = None,
-    cache=None,
 ) -> DifferentialResult:
     """Run the backend fan-out over a fuzzed corpus and compare.
 
     Requires at least two backends (one prediction cannot diverge).
-    The engine resolves like every other sweep (explicit > jobs/cache >
-    the run context's); under ``collect``/``quarantine`` policies, failed units
+    The engine resolves like every other sweep (explicit, else the run
+    context's, else a fresh serial one); under ``collect``/``quarantine`` policies, failed units
     surface on ``engine.failures`` and degraded units (some backends
     errored) are listed by label on the result.
     """
@@ -145,7 +143,7 @@ def run_differential(
         )
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
-    eng = resolve_engine(engine, jobs, cache)
+    eng = resolve_engine(engine)
     corpus = list(corpus)
     units = fuzz_units(corpus, backends=names, iterations=iterations)
     results = eng.run(units)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Optional
+from typing import Any
 
 from ..engine.cachekey import ENGINE_VERSION
 from ..obs.report import SCHEMA, collect_model_digests, load_manifest, write_manifest

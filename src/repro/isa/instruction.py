@@ -10,7 +10,7 @@ knowledge beyond what is recorded here.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .operands import (

@@ -17,7 +17,7 @@ structural so they can be used as dictionary keys in dependency analysis.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 

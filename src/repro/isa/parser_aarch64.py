@@ -19,7 +19,7 @@ import re
 from typing import Optional
 
 from .instruction import Instruction
-from .operands import Immediate, LabelOperand, MemoryOperand, Operand, Register
+from .operands import Immediate, LabelOperand, MemoryOperand, Operand
 from .parser_base import BaseParser, ParseError, split_operands
 from .registers import is_register_name, make_register
 from .semantics import a64_semantics

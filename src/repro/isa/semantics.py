@@ -20,8 +20,6 @@ majority of ALU-style operations.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .instruction import OperandAccess
 from .operands import MemoryOperand, Operand, Register, LabelOperand
 

@@ -10,7 +10,6 @@ loop — the paper counts 290 unique representations).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from .codegen import generate_assembly
 from .personas import OPT_LEVELS, personas_for_isa

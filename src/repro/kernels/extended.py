@@ -10,7 +10,7 @@ natural place for downstream users to register their own kernels via
 
 from __future__ import annotations
 
-from .ir import Bin, Carried, Expr, IndexValue, Load, Scalar, balanced_sum
+from .ir import Carried, Expr, Load, Scalar, balanced_sum
 from .suite import KernelSpec
 
 

@@ -14,7 +14,7 @@ elements) becomes the immediate displacement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Iterator
 
 
 class Expr:

@@ -9,11 +9,10 @@ needs value-unsafe reassociation (π and SUM need ``-Ofast``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .ir import (
-    Bin,
     Carried,
     Expr,
     IndexValue,

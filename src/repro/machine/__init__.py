@@ -31,7 +31,6 @@ from .registry import (
     available_models,
     coerce_model,
     get_machine_model,
-    machine_for_chip,
 )
 from .specs import CHIP_SPECS, ChipSpec, get_chip_spec
 from .io import load_model, save_model, model_to_dict, model_from_dict
@@ -46,7 +45,6 @@ __all__ = [
     "get_machine_model",
     "available_models",
     "coerce_model",
-    "machine_for_chip",
     "CHIP_SPECS",
     "ChipSpec",
     "get_chip_spec",

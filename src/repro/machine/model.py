@@ -37,7 +37,7 @@ A table entry's signature may use ``*`` to match any operand list.
 from __future__ import annotations
 
 import fnmatch
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from ..isa.instruction import Instruction, OperandAccess

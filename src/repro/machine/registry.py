@@ -52,11 +52,6 @@ def get_machine_model(name: str) -> MachineModel:
     return ZEN4
 
 
-def machine_for_chip(chip: str) -> MachineModel:
-    """Alias of :func:`get_machine_model` for chip names (``gcs`` …)."""
-    return get_machine_model(chip)
-
-
 def coerce_model(arch: "str | MachineModel") -> MachineModel:
     """Accept a model instance, or look one up by name/chip alias.
 

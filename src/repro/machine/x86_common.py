@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .model import InstrEntry, Uop, uop
+from .model import InstrEntry, uop
 
 #: x86 vector width codes in increasing size
 WIDTHS = ("x", "y", "z")

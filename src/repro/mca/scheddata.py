@@ -22,7 +22,7 @@ predictors comparable instruction-by-instruction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..isa.instruction import Instruction
 from ..machine.model import MachineModel, ResolvedInstruction, Uop

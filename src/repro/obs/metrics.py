@@ -194,6 +194,15 @@ class MetricsRegistry:
     ) -> Histogram:
         return self._get(Histogram, name, help, buckets=buckets)
 
+    def absorb(self, snapshot: dict[str, dict[str, Any]]) -> None:
+        """Add the counters of another registry's :meth:`snapshot` to
+        this registry's (the engine's attempts count into a fresh
+        registry each and are added to the run's as they land; no
+        attempt records a gauge or a histogram)."""
+        for name, m in snapshot.items():
+            if m["type"] == "counter":
+                self.counter(name, m["help"]).inc(m["value"])
+
     def __contains__(self, name: str) -> bool:
         return name in self._metrics
 

@@ -101,6 +101,11 @@ _STATUS_TEXT = {
     504: "Gateway Timeout",
 }
 
+#: keep-alive idle timeout per connection, in seconds
+IDLE_TIMEOUT = 30.0
+#: the engine's first retry delay, in seconds (doubling per retry)
+RETRY_BACKOFF = 0.05
+
 
 @dataclass
 class ServeConfig:
@@ -123,14 +128,10 @@ class ServeConfig:
     #: engine per-attempt deadline (hang -> UnitTimeoutError -> 504)
     unit_timeout: Optional[float] = 20.0
     max_retries: int = 1
-    retry_backoff: float = 0.05
     breaker_threshold: int = 5
     breaker_cooldown: float = 5.0
     #: how long a SIGTERM drain waits for in-flight work
     drain_deadline: float = 10.0
-    max_body_bytes: int = MAX_BODY_BYTES
-    #: keep-alive idle timeout per connection
-    idle_timeout: float = 30.0
     #: run-report manifest flushed on drain (optional)
     manifest_path: Optional[str] = None
 
@@ -151,7 +152,7 @@ class ReproServer:
             cache_dir=cfg.cache_dir,
             error_policy=cfg.error_policy,
             max_retries=cfg.max_retries,
-            retry_backoff=cfg.retry_backoff,
+            retry_backoff=RETRY_BACKOFF,
             unit_timeout=cfg.unit_timeout,
         )
         # the loop thread's own reader of the engine's cache (hits are
@@ -377,7 +378,7 @@ class ReproServer:
             while True:
                 try:
                     request_line = await asyncio.wait_for(
-                        reader.readline(), timeout=self.config.idle_timeout
+                        reader.readline(), timeout=IDLE_TIMEOUT
                     )
                 except (asyncio.TimeoutError, TimeoutError):
                     break
@@ -396,12 +397,12 @@ class ReproServer:
                     break
 
                 length = int(headers.get("content-length", "0") or "0")
-                if length > self.config.max_body_bytes:
+                if length > MAX_BODY_BYTES:
                     # refuse without reading: a body this large is the
                     # one thing we must not buffer
                     await self._write_response(
                         writer, 413, {},
-                        _too_large(length, self.config).to_body(),
+                        _too_large(length).to_body(),
                         close=True,
                     )
                     break
@@ -622,9 +623,7 @@ class ReproServer:
         if self.draining:
             self._m_drain_refused.inc()
             raise DrainingError("daemon is draining; retry elsewhere")
-        request = parse_analyze_request(
-            body, max_body_bytes=self.config.max_body_bytes
-        )
+        request = parse_analyze_request(body)
 
         timeout = self.config.request_timeout
         raw = headers.get("x-timeout")
@@ -857,11 +856,11 @@ class ReproServer:
             ticket.future.set_result((status, headers, payload))
 
 
-def _too_large(length: int, cfg: ServeConfig):
+def _too_large(length: int):
     from .protocol import PayloadTooLarge
 
     return PayloadTooLarge(
-        f"Content-Length {length} exceeds limit {cfg.max_body_bytes}"
+        f"Content-Length {length} exceeds limit {MAX_BODY_BYTES}"
     )
 
 

@@ -177,18 +177,16 @@ class AnalyzeRequest:
         )
 
 
-def parse_analyze_request(
-    body: bytes, *, max_body_bytes: int = MAX_BODY_BYTES
-) -> AnalyzeRequest:
+def parse_analyze_request(body: bytes) -> AnalyzeRequest:
     """Validate a raw request body into an :class:`AnalyzeRequest`.
 
     Raises :class:`PayloadTooLarge` / :class:`ValidationError` with
     messages precise enough that a client can fix the request without
     reading server logs.
     """
-    if len(body) > max_body_bytes:
+    if len(body) > MAX_BODY_BYTES:
         raise PayloadTooLarge(
-            f"request body is {len(body)} bytes; limit {max_body_bytes}"
+            f"request body is {len(body)} bytes; limit {MAX_BODY_BYTES}"
         )
     try:
         obj = json.loads(body.decode("utf-8"))

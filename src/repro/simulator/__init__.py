@@ -23,7 +23,7 @@ by simulators parameterized with the same microarchitectural data:
 """
 
 from .engine import CycleEngine, SimulationResult, TraceEvent, simulate_kernel
-from .plan import PlanConfig, UopPlan, build_uop_plan, plan_for, plan_for_block
+from .plan import PlanConfig, UopPlan, build_uop_plan, plan_for_block
 from .timeline import render_timeline, timeline
 from .frequency import FrequencyGovernor, sustained_frequency
 from .memory import CacheHierarchy, CacheLevel, WritePolicyStats
@@ -39,7 +39,6 @@ __all__ = [
     "UopPlan",
     "PlanConfig",
     "build_uop_plan",
-    "plan_for",
     "plan_for_block",
     "render_timeline",
     "timeline",

@@ -9,7 +9,7 @@ as it would be against LIKWID's Python API.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..machine.specs import ChipSpec, get_chip_spec

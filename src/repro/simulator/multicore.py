@@ -21,7 +21,7 @@ write-allocate policy reacting to the saturation signal:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..machine.specs import ChipSpec, get_chip_spec
 from .memory import CacheHierarchy, hierarchy_for_chip

@@ -25,7 +25,7 @@ monolithic simulator it replaced.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from ..isa.idioms import is_zero_idiom, macro_fuses
 from ..isa.instruction import Instruction, OperandAccess
@@ -77,29 +77,16 @@ class PlanConfig:
     def make(
         cls,
         *,
-        merge_renaming: bool = True,
         divider_overrides: Optional[dict[tuple[str, str], float]] = None,
-        taken_branch_interval: float = 1.0,
-        issue_efficiency: float = 0.88,
-        dispatch_efficiency: float = 0.92,
-        measurement_overhead: float = 0.02,
+        **fields: Any,
     ) -> "PlanConfig":
-        """Normalize simulator-style kwargs (dict overrides, None=default)."""
-        ov = (
-            DEFAULT_DIVIDER_OVERRIDES
-            if divider_overrides is None
-            else divider_overrides
-        )
-        if isinstance(ov, dict):
-            ov = tuple(sorted(ov.items()))
-        return cls(
-            merge_renaming=merge_renaming,
-            divider_overrides=tuple(ov),
-            taken_branch_interval=taken_branch_interval,
-            issue_efficiency=issue_efficiency,
-            dispatch_efficiency=dispatch_efficiency,
-            measurement_overhead=measurement_overhead,
-        )
+        """Normalize simulator-style kwargs (dict overrides, None=default);
+        the other fields pass through unchanged."""
+        if divider_overrides is not None:
+            if isinstance(divider_overrides, dict):
+                divider_overrides = sorted(divider_overrides.items())
+            fields["divider_overrides"] = tuple(divider_overrides)
+        return cls(**fields)
 
     @property
     def overrides_dict(self) -> dict[tuple[str, str], float]:
@@ -425,17 +412,3 @@ def plan_for_block(
         block.instructions, block.model, resolved=block.resolved, config=config
     )
 
-
-def plan_for(
-    source_or_block: Union[str, "LoweredBlock"],
-    arch: Union[str, MachineModel, None] = None,
-    config: Optional[PlanConfig] = None,
-) -> UopPlan:
-    """Convenience: lower (if needed) and plan in one call."""
-    from ..lowering import LoweredBlock, lower
-
-    if isinstance(source_or_block, LoweredBlock):
-        return plan_for_block(source_or_block, config)
-    if arch is None:
-        raise ValueError("plan_for(source, arch): arch is required for text")
-    return plan_for_block(lower(source_or_block, arch), config)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.backends import (
+    KIND_BACKENDS,
     Backend,
     BackendResult,
     available_backends,
@@ -152,8 +153,11 @@ class TestBuiltinBackends:
 class TestUnitBackends:
     def test_kind_mapping(self):
         assert unit_backends("corpus", {}) == ("mca", "model", "sim")
-        assert unit_backends("simulate", {}) == ("sim",)
+        assert unit_backends("topdown", {}) == ("sim",)
         assert unit_backends("microbench", {}) == ()
+        # the one fixed-fan-out table holds only kinds without a
+        # backend parameter; predict names its backend per unit
+        assert sorted(KIND_BACKENDS) == ["corpus", "topdown"]
 
     def test_corpus_subset_is_sorted(self):
         assert unit_backends("corpus", {"backends": ["sim", "model"]}) == (
@@ -168,7 +172,7 @@ class TestUnitBackends:
     def test_versions_for_unit_tolerates_unknown(self):
         v = versions_for_unit("predict", {"backend": "nonexistent"})
         assert v == {"nonexistent": "?"}
-        v = versions_for_unit("simulate", {})
+        v = versions_for_unit("topdown", {})
         assert v == {"sim": backend_version("sim")}
 
 

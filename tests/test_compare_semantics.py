@@ -1,10 +1,7 @@
 """Cross-arch comparison helper + direct semantics-table coverage."""
 
-import pytest
-
 from repro.analysis.compare import compare_architectures
-from repro.isa.operands import Immediate, LabelOperand
-from repro.isa.semantics import a64_semantics, x86_semantics
+from repro.isa.semantics import x86_semantics
 from repro.isa import parse_kernel
 
 

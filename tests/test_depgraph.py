@@ -1,9 +1,6 @@
 """Dependency graph: RAW edges, critical path, loop-carried cycles."""
 
-import pytest
-
 from repro.analysis.depgraph import (
-    DependencyGraph,
     _merge_only_reads,
     build_dependency_graph,
 )

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis import analyze_kernel
-from repro.analysis.ecm import ECMModel, ECMPrediction
+from repro.analysis.ecm import ECMModel
 from repro.analysis.roofline import RooflineModel
 from repro.machine import get_chip_spec, get_machine_model
 

@@ -31,14 +31,17 @@ BASE_ASM = """.L3:
 """
 
 
-def _unit_for(asm: str, model_dict=None, **params) -> WorkUnit:
-    base = dict(assembly=asm, iterations=60, warmup=20)
+def _unit_for(asm: str, model_dict=None, iterations=60, warmup=20) -> WorkUnit:
+    """A ``predict`` unit on the simulator backend."""
+    base = dict(
+        assembly=asm, backend="sim",
+        opts={"iterations": iterations, "warmup": warmup},
+    )
     if model_dict is not None:
         base["model"] = model_dict
     else:
         base["uarch"] = "zen4"
-    base.update(params)
-    return WorkUnit.make("simulate", **base)
+    return WorkUnit.make("predict", **base)
 
 
 # ---------------------------------------------------------------------------
@@ -54,20 +57,8 @@ def test_same_inputs_same_key(iterations, warmup):
 
 @given(st.sampled_from(["zen4", "golden_cove", "neoverse_v2"]))
 def test_key_stable_across_fresh_model_serializations(uarch):
-    u = WorkUnit.make(
-        "simulate",
-        model=model_to_dict(get_machine_model(uarch)),
-        assembly=BASE_ASM,
-        iterations=60,
-        warmup=20,
-    )
-    v = WorkUnit.make(
-        "simulate",
-        model=model_to_dict(get_machine_model(uarch)),
-        assembly=BASE_ASM,
-        iterations=60,
-        warmup=20,
-    )
+    u = _unit_for(BASE_ASM, model_dict=model_to_dict(get_machine_model(uarch)))
+    v = _unit_for(BASE_ASM, model_dict=model_to_dict(get_machine_model(uarch)))
     assert cache_key(u) == cache_key(v)
 
 
@@ -219,7 +210,7 @@ def _v1_key(unit: WorkUnit) -> str:
         canonicalize_assembly as _canon,
         machine_model_digest as _mmd,
     )
-    from repro.engine.units import canonical_json
+    from repro.lowering import canonical_json
 
     keyed = {}
     for name, value in unit.params.items():
@@ -275,13 +266,13 @@ def test_backend_version_participates_in_key(monkeypatch):
     units of kinds that dispatch to it — and only those."""
     from repro.backends import get_backend
 
-    corpus = _unit_for(BASE_ASM)  # "simulate" kind -> sim backend
+    sim = _unit_for(BASE_ASM)  # a predict unit on the sim backend
     micro = WorkUnit.make("microbench", chip="spr")
 
-    before_sim = cache_key(corpus)
+    before_sim = cache_key(sim)
     before_micro = cache_key(micro)
     monkeypatch.setattr(get_backend("sim"), "version", "test-bumped")
-    assert cache_key(corpus) != before_sim
+    assert cache_key(sim) != before_sim
     assert cache_key(micro) == before_micro
 
 

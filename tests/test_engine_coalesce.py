@@ -90,15 +90,15 @@ class TestOneEvaluationPerKey:
         asm = "vaddpd %ymm0, %ymm1, %ymm2\nvmulpd %ymm2, %ymm3, %ymm4\n"
         noisy = "# compiler banner\n  " + asm.replace(", ", ",  ") + "\n"
         units = [
-            WorkUnit.make("simulate", label=label, uarch="zen4",
-                          assembly=text, iterations=10, warmup=2)
+            WorkUnit.make("predict", label=label, backend="sim", uarch="zen4",
+                          assembly=text, opts={"iterations": 10, "warmup": 2})
             for label, text in (("plain", asm), ("noisy", noisy))
         ]
         assert cache_key(units[0]) == cache_key(units[1])
         eng = CorpusEngine(jobs=1)
         out = eng.run(units)
         assert eng.metrics.coalesced == 1
-        assert out[0] == out[1] == evaluate("simulate", units[1].params)
+        assert out[0] == out[1] == evaluate("predict", units[1].params)
 
 
 class TestFig3Corpus:
@@ -151,8 +151,9 @@ class TestFailures:
         # no model digest for an unknown name: no key, no coalescing,
         # and each unit fails in the worker as it did uncoalesced
         units = [
-            WorkUnit.make("simulate", label=f"b{i}", uarch="no-such-cpu",
-                          assembly="nop", iterations=5, warmup=1)
+            WorkUnit.make("predict", label=f"b{i}", backend="sim",
+                          uarch="no-such-cpu", assembly="nop",
+                          opts={"iterations": 5, "warmup": 1})
             for i in range(2)
         ]
         eng = CorpusEngine(jobs=1, error_policy="collect")

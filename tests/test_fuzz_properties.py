@@ -9,7 +9,6 @@ Three invariants over random seeds:
   coordinates is **bit-identical**.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.bench.ibench import (
-    IbenchResult,
     UnbenchableEntry,
     measure_entry,
     synthesize_block,

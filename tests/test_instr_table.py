@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench.instr_table import InstrRow, render, run, to_csv
+from repro.bench.instr_table import render, run, to_csv
 
 
 @pytest.fixture(scope="module")

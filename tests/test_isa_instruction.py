@@ -3,8 +3,8 @@
 import pytest
 
 from repro.isa import parse_kernel
-from repro.isa.instruction import Instruction, OperandAccess
-from repro.isa.parser_base import BaseParser, ParseError
+from repro.isa.instruction import OperandAccess
+from repro.isa.parser_base import ParseError
 from repro.isa.parser_x86 import ParserX86ATT
 
 

@@ -7,6 +7,8 @@ with equal cache keys, and ``lower()`` itself keeps no state.  Asserted
 here against the real Fig. 3 evaluator via the metrics counters.
 """
 
+import pytest
+
 from repro.context import current_context
 from repro.lowering import (
     LoweredBlock,
@@ -94,7 +96,7 @@ class TestDigests:
         import repro.engine.cachekey as cachekey
         from repro.engine import WorkUnit, cache_key
 
-        unit = WorkUnit.make("simulate", assembly=ASM, uarch="zen4")
+        unit = WorkUnit.make("predict", backend="sim", assembly=ASM, uarch="zen4")
         seen = []
         monkeypatch.setattr(
             cachekey, "machine_model_digest",
@@ -129,7 +131,10 @@ class TestDigests:
 class TestCorpusLowersOnce:
     """The "lower once" contract, measured on the real Fig. 3 evaluator."""
 
-    def test_each_block_lowered_once_per_model_pair(self):
+    # at jobs=2 the lowerings happen in workers, whose counters reach
+    # the run's registry with each outcome
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_each_block_lowered_once_per_model_pair(self, jobs):
         from repro.bench.fig3 import corpus_units
         from repro.engine import CorpusEngine
         from repro.engine.evaluators import evaluate
@@ -143,8 +148,8 @@ class TestCorpusLowersOnce:
         assert len(unique_pairs) < len(units)  # dedup must be observable
 
         before = current_context().metrics.snapshot()
-        engine = CorpusEngine(jobs=1)
-        engine.run(units)
+        with CorpusEngine(jobs=jobs) as engine:
+            engine.run(units)
         # units sharing a cache key are evaluated once by the engine, so
         # only the distinct ones reach the lowering pipeline at all
         distinct = len(units) - engine.metrics.coalesced

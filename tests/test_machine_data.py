@@ -9,7 +9,6 @@ import pytest
 
 from repro.isa import parse_kernel
 from repro.machine import available_models, get_machine_model
-from repro.machine.registry import machine_for_chip
 
 
 def resolve(model, asm):
@@ -31,9 +30,6 @@ class TestRegistry:
     def test_unknown_alias_raises(self):
         with pytest.raises(ValueError):
             get_machine_model("itanium")
-
-    def test_machine_for_chip(self):
-        assert machine_for_chip("gcs").name == "neoverse_v2"
 
     def test_models_are_singletons(self):
         assert get_machine_model("spr") is get_machine_model("golden_cove")

@@ -212,8 +212,8 @@ class TestAdapters:
     def test_engine_run_publishes_to_ambient_registry(self):
         fresh = MetricsRegistry()
         unit = WorkUnit.make(
-            "simulate", label="k", uarch="zen4", assembly=KERNEL,
-            iterations=5, warmup=2,
+            "predict", label="k", backend="sim", uarch="zen4",
+            assembly=KERNEL, opts={"iterations": 5, "warmup": 2},
         )
         with use_context(metrics=fresh):
             CorpusEngine(jobs=1).run([unit])

@@ -100,8 +100,8 @@ class TestEngineIntegration:
         bar = ProgressBar(stream, width=10, min_interval=0.0)
         units = [
             WorkUnit.make(
-                "simulate", label=f"k{i}", uarch="zen4",
-                assembly="addq $8, %rax", iterations=3, warmup=1,
+                "predict", label=f"k{i}", backend="sim", uarch="zen4",
+                assembly="addq $8, %rax", opts={"iterations": 3, "warmup": 1},
             )
             for i in range(2)
         ]

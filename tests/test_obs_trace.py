@@ -12,7 +12,6 @@ from repro.engine import CorpusEngine, WorkUnit
 from repro.obs.trace import (
     PID_ENGINE,
     PID_SIM,
-    TID_FRONTEND,
     TID_RETIRE,
     Tracer,
 )
@@ -187,8 +186,8 @@ class TestEngineTrace:
     def units(self):
         return [
             WorkUnit.make(
-                "simulate", label=f"k{i}", uarch="zen4", assembly=KERNEL,
-                iterations=5 + i, warmup=2,
+                "predict", label=f"k{i}", backend="sim", uarch="zen4",
+                assembly=KERNEL, opts={"iterations": 5 + i, "warmup": 2},
             )
             for i in range(3)
         ]

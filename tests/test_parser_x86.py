@@ -3,7 +3,6 @@
 import pytest
 
 from repro.isa import parse_kernel
-from repro.isa.instruction import OperandAccess
 from repro.isa.operands import Immediate, LabelOperand, MemoryOperand, Register
 from repro.isa.parser_base import ParseError
 from repro.isa.parser_x86 import ParserX86ATT

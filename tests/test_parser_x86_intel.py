@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.analysis import analyze_kernel
 from repro.isa import parse_kernel
 from repro.isa.operands import Immediate, MemoryOperand
 from repro.isa.parser_base import ParseError

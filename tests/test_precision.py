@@ -4,7 +4,7 @@ import pytest
 
 from repro.analysis import analyze_instructions
 from repro.isa import parse_kernel
-from repro.kernels import KERNELS, OPT_LEVELS, generate_assembly, personas_for_isa
+from repro.kernels import OPT_LEVELS, generate_assembly, personas_for_isa
 from repro.machine import get_machine_model
 from repro.simulator.engine import CycleEngine
 from repro.simulator.plan import PlanConfig, build_uop_plan

@@ -1,7 +1,5 @@
 """ASCII rendering helpers."""
 
-import pytest
-
 from repro.bench.render import ascii_histogram, ascii_series, ascii_table
 
 

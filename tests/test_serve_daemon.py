@@ -18,6 +18,7 @@ from repro.context import use_context
 from repro.faults import FaultPlan, FaultSpec
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.daemon import ReproServer, ServeConfig, ServerThread
+from repro.serve.protocol import MAX_BODY_BYTES
 
 pytestmark = pytest.mark.serve
 
@@ -117,7 +118,7 @@ class TestSocketLevel:
     def test_oversized_body_413_without_buffering(self, server):
         conn = _conn(server)
         try:
-            huge = server.config.max_body_bytes + 1
+            huge = MAX_BODY_BYTES + 1
             conn.putrequest("POST", "/v1/analyze")
             conn.putheader("Content-Length", str(huge))
             conn.endheaders()

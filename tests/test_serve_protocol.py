@@ -17,6 +17,7 @@ from repro.serve.protocol import (
     DEFAULT_ITERATIONS,
     DEFAULT_WARMUP,
     KNOWN_BACKENDS,
+    MAX_BODY_BYTES,
     PayloadTooLarge,
     QueueFullError,
     ServeError,
@@ -95,7 +96,7 @@ class TestParse:
 
     def test_payload_too_large(self):
         with pytest.raises(PayloadTooLarge):
-            parse_analyze_request(_body(), max_body_bytes=10)
+            parse_analyze_request(b" " * (MAX_BODY_BYTES + 1))
 
     def test_iterations_budget_cap(self):
         with pytest.raises(ValidationError):

@@ -22,7 +22,6 @@ from repro.simulator.plan import (
     macro_fusion,
     mem_reads,
     mem_writes,
-    plan_for,
     plan_for_block,
 )
 
@@ -116,11 +115,3 @@ class TestPlanMemo:
         b = plan_for_block(block, PlanConfig.make(issue_efficiency=1.0))
         assert a is not b
         assert a.occupancy_scale != b.occupancy_scale
-
-    def test_plan_for_accepts_source_and_block(self):
-        src = "addq %rax, %rbx"
-        block = lower(src, "zen4")
-        assert plan_for(src, "zen4") == plan_for_block(block)
-        assert plan_for(block) == plan_for_block(block)
-        with pytest.raises(ValueError):
-            plan_for(src)

@@ -1,7 +1,5 @@
 """Simulation trace events and the timeline view."""
 
-import pytest
-
 from repro.isa import parse_kernel
 from repro.machine import get_machine_model
 from repro.simulator.engine import CycleEngine

@@ -1,6 +1,5 @@
 """What-if model variants + serialization property tests."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.machine import get_machine_model
