@@ -28,7 +28,7 @@ Register conventions (set up outside the measured block):
 
 from __future__ import annotations
 
-from ..ir import Bin, Carried, Expr, IndexValue, Load, Scalar, collect_scalars
+from ..ir import Bin, Carried, Expr, IndexValue, Load, Scalar
 from ..personas import CompilerPersona
 from ..suite import KernelSpec
 
@@ -99,15 +99,13 @@ class AArch64Emitter:
         pool = iter(_PTR_POOL)
         if self.k.store:
             self.ptr[self._stream(Load(self.k.store, 0, 0))] = "x0"
-        from ..ir import collect_loads
-
-        for ld in collect_loads(self.k.expr):
+        for ld in self.k.loads:
             key = self._stream(ld)
             if key not in self.ptr:
                 self.ptr[key] = next(pool)
         self.const: dict[str, int] = {}
         idx = 15
-        for s in collect_scalars(self.k.expr):
+        for s in self.k.scalars:
             self.const[s.name] = idx
             idx -= 1
         if self.k.uses_index:

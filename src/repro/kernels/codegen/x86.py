@@ -20,7 +20,7 @@ Register conventions (all set up outside the measured block):
 
 from __future__ import annotations
 
-from ..ir import Bin, Carried, Expr, IndexValue, Load, Scalar, collect_scalars
+from ..ir import Bin, Carried, Expr, IndexValue, Load, Scalar
 from ..personas import CompilerPersona
 from ..suite import KernelSpec
 
@@ -103,7 +103,7 @@ class X86Emitter:
                 self.ptr[stream] = next(pool)
         self.const: dict[str, str] = {}
         idx = 15
-        for s in collect_scalars(self.k.expr):
+        for s in self.k.scalars:
             self.const[s.name] = f"{self.wclass}{idx}"
             idx -= 1
         if self.k.uses_index:

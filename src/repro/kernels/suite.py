@@ -10,6 +10,7 @@ needs value-unsafe reassociation (π and SUM need ``-Ofast``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .ir import (
@@ -20,6 +21,7 @@ from .ir import (
     Scalar,
     balanced_sum,
     collect_loads,
+    collect_scalars,
     count_flops,
     has_carried,
     has_division,
@@ -43,37 +45,47 @@ class KernelSpec:
     #: vectorization requires -Ofast-style reassociation
     needs_fast_math: bool = False
 
-    @property
+    # The facts below depend on ``expr`` alone, so each is derived from
+    # the tree once per spec, on first read; the code generators read
+    # them for every block they emit.
+
+    @cached_property
+    def loads(self) -> tuple[Load, ...]:
+        """Distinct loads in evaluation order."""
+        return tuple(collect_loads(self.expr))
+
+    @cached_property
+    def scalars(self) -> tuple[Scalar, ...]:
+        """Distinct loop-invariant scalars in evaluation order."""
+        return tuple(collect_scalars(self.expr))
+
+    @cached_property
     def flops_per_element(self) -> int:
         n = count_flops(self.expr)
         if self.reduction:
             n += 1  # the accumulate itself
         return n
 
-    @property
+    @cached_property
     def arrays(self) -> tuple[tuple[str, int], ...]:
         """Distinct (array, row) streams read by the kernel."""
-        seen: dict[tuple[str, int], None] = {}
-        for ld in collect_loads(self.expr):
-            seen.setdefault((ld.array, ld.row), None)
-        return tuple(seen)
+        return tuple(dict.fromkeys((ld.array, ld.row) for ld in self.loads))
 
-    @property
+    @cached_property
     def bytes_per_element(self) -> int:
         """Traffic per element assuming write-allocate for the store."""
-        n_loads = len(collect_loads(self.expr))
         n_store = 2 if self.store else 0  # WA: read + write
-        return 8 * (n_loads + n_store)
+        return 8 * (len(self.loads) + n_store)
 
-    @property
+    @cached_property
     def has_division(self) -> bool:
         return has_division(self.expr)
 
-    @property
+    @cached_property
     def has_carried_dependency(self) -> bool:
         return has_carried(self.expr)
 
-    @property
+    @cached_property
     def uses_index(self) -> bool:
         return has_index_value(self.expr)
 

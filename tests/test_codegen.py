@@ -2,11 +2,13 @@
 
 import pytest
 
+import repro.kernels.ir
 from repro.isa import parse_kernel
 from repro.kernels import (
     KERNELS,
     OPT_LEVELS,
     PERSONAS,
+    enumerate_corpus,
     generate_assembly,
     personas_for_isa,
 )
@@ -157,3 +159,19 @@ class TestPersonas:
             generate_assembly("add", "gcc", "O2", "neoverse_v2")
         with pytest.raises(ValueError):
             generate_assembly("add", "armclang", "O2", "zen4")
+
+
+def test_repeat_enumeration_walks_no_tree(monkeypatch):
+    # each kernel's IR facts are derived once per spec: the emitters
+    # read them instead of walking the expression tree per block
+    first = enumerate_corpus()
+    calls = []
+    walk = repro.kernels.ir.walk
+
+    def counting(expr):
+        calls.append(expr)
+        return walk(expr)
+
+    monkeypatch.setattr(repro.kernels.ir, "walk", counting)
+    assert enumerate_corpus() == first
+    assert calls == []

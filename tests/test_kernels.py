@@ -17,6 +17,7 @@ from repro.kernels.ir import (
     has_index_value,
     walk,
 )
+from repro.kernels.extended import all_kernels
 from repro.kernels.suite import KERNELS, get_kernel
 
 
@@ -132,3 +133,13 @@ class TestSuite:
     def test_bytes_per_element_with_write_allocate(self):
         # striad: 2 loads + WA store (2x8) = 32 B/elem
         assert KERNELS["striad"].bytes_per_element == 32
+
+    @pytest.mark.parametrize("name", sorted(all_kernels()))
+    def test_derived_facts_match_the_tree(self, name):
+        k = all_kernels()[name]
+        assert k.loads == tuple(collect_loads(k.expr))
+        assert k.scalars == tuple(collect_scalars(k.expr))
+        assert k.has_division == has_division(k.expr)
+        assert k.has_carried_dependency == has_carried(k.expr)
+        assert k.uses_index == has_index_value(k.expr)
+        assert k.flops_per_element == count_flops(k.expr) + bool(k.reduction)
