@@ -6,17 +6,19 @@ many workers raced to produce them.  Per-kernel analysis is
 embarrassingly parallel (OSACA's corpus validation exploits the same
 structure), so the parallel schedule is trivial:
 
-1. look every unit up in the content-addressed cache (parent process —
-   hits never pay IPC),
-2. coalesce the misses by content key — units that share a key (the
-   Fig. 3 corpus repeats identical blocks across compiler personas:
-   416 units, 153 keys) are evaluated once, by the first of them, and
-   the others receive a copy of its result,
-3. evaluate the distinct misses — inline when ``jobs=1`` and no
+1. group the batch by content key — each distinct unit (kind plus
+   parameters) is keyed once, and the first unit with a key leads the
+   units that share it (the Fig. 3 corpus repeats identical blocks
+   across compiler personas: 416 units, 153 keys),
+2. look each leader up once in the content-addressed cache (parent
+   process — hits never pay IPC); a unit that shares a hit is a cache
+   hit too and receives a private copy of it,
+3. evaluate the leaders that missed — inline when ``jobs=1`` and no
    deadline is set (the degenerate serial path, bit-identical by
    construction), else on the engine's own worker processes, each with
    its own pipe and one task in flight, so a slow, hung or dead worker
-   costs exactly its own unit,
+   costs exactly its own unit; a unit that shares a miss receives a
+   copy of its leader's result or failure (it is *coalesced*),
 4. write fresh results back to the cache and reassemble by index.
 
 Failure is a first-class outcome, not an afterthought (see
@@ -433,40 +435,14 @@ class _Workers:
 def _coalesce_key(
     unit: WorkUnit, model_digests: dict[str, str]
 ) -> Optional[str]:
-    """The content key of a unit for coalescing alone (no cache or
+    """The content key of a unit for grouping alone (no cache or
     quarantine needs it).  A unit whose key cannot be built — one that
     names an unknown machine model — gets ``None``: it is evaluated on
-    its own and fails in the worker, as it would uncoalesced."""
+    its own and fails in the worker, as it would ungrouped."""
     try:
         return cache_key(unit, model_digests)
     except ValueError:
         return None
-
-
-def _coalesce(
-    pending: list[tuple[int, WorkUnit, Optional[str]]],
-) -> tuple[
-    list[tuple[int, WorkUnit, Optional[str]]],
-    dict[int, list[tuple[int, WorkUnit]]],
-]:
-    """Split the misses into leaders and followers by content key.
-
-    The first miss with a given key leads and is evaluated; every later
-    miss with the same key follows it.  Returns the leaders (submission
-    order) and ``{leader index: [(follower index, unit), ...]}``.  A
-    unit without a key always leads.
-    """
-    leaders: list[tuple[int, WorkUnit, Optional[str]]] = []
-    first: dict[str, int] = {}
-    followers: dict[int, list[tuple[int, WorkUnit]]] = {}
-    for i, unit, key in pending:
-        if key is not None and key in first:
-            followers.setdefault(first[key], []).append((i, unit))
-            continue
-        if key is not None:
-            first[key] = i
-        leaders.append((i, unit, key))
-    return leaders, followers
 
 
 class CorpusEngine:
@@ -508,12 +484,14 @@ class CorpusEngine:
         even ``jobs=1`` evaluation to a worker process.  ``None``
         disables deadlines.
 
-    Within a batch, misses that share a content key (the cache key,
-    computed even when no cache is configured) are evaluated once: the
-    first such unit leads, the others receive a copy of its result or
-    its failure (:attr:`EngineMetrics.coalesced`).  Under a fault
-    plan (:mod:`repro.faults`) every unit is evaluated on its own,
-    because the plan draws its faults per unit label.
+    Within a batch, units that share a content key (the cache key,
+    computed once per distinct unit, even when no cache is configured)
+    are looked up and evaluated once: the first such unit leads, and
+    the others receive a private copy of its cache hit (each counts as
+    a hit) or of its result or failure
+    (:attr:`EngineMetrics.coalesced`).  Under a fault plan
+    (:mod:`repro.faults`) every unit is keyed, looked up and evaluated
+    on its own, because the plan draws its faults per unit label.
 
     Each batch reads the run context (:mod:`repro.context`) once: with
     a tracer it emits per-attempt spans on worker lanes (categories
@@ -617,12 +595,21 @@ class CorpusEngine:
 
         results: list[Optional[dict[str, Any]]] = [None] * len(units)
         outcomes: list[Optional[UnitOutcome]] = [None] * len(units)
+        #: the misses in submission order, followers included
         pending: list[tuple[int, WorkUnit, Optional[str]]] = []
+        #: leader index -> the later misses that share its key
+        followers: dict[int, list[tuple[int, WorkUnit]]] = {}
 
         model_digests: dict[str, str] = {}
         caching = self.cache is not None
         quarantining = self.error_policy == "quarantine"
-        coalescing = plan is None
+        keyed = caching or quarantining
+        # under a fault plan every unit is keyed, looked up and
+        # evaluated on its own: the plan draws its faults per unit label
+        grouping = plan is None
+        #: each distinct unit's key, and each key's first (leading) unit
+        unit_keys: dict[WorkUnit, Optional[str]] = {}
+        leader_by_key: dict[str, int] = {}
         corrupt0 = self.cache.stats.corrupt if caching else 0
         lookup_cm = (
             prof.phase("engine/cache_lookup")
@@ -631,12 +618,15 @@ class CorpusEngine:
         )
         with lookup_cm:
             for i, unit in enumerate(units):
-                if caching or quarantining:
-                    key = cache_key(unit, model_digests)
-                elif coalescing:
-                    key = _coalesce_key(unit, model_digests)
+                if not grouping:
+                    key = cache_key(unit, model_digests) if keyed else None
+                elif unit in unit_keys:
+                    key = unit_keys[unit]
                 else:
-                    key = None
+                    key = unit_keys[unit] = (
+                        cache_key(unit, model_digests) if keyed
+                        else _coalesce_key(unit, model_digests)
+                    )
                 if quarantining and key in self._quarantined:
                     info = self._quarantined[key]
                     failure = UnitFailure(
@@ -652,7 +642,19 @@ class CorpusEngine:
                     metrics.failed += 1
                     self._emit(unit, i, False, 0.0, len(units), failed=True)
                     continue
-                hit = self.cache.get(key) if caching else None
+                lead = (
+                    leader_by_key.setdefault(key, i)
+                    if grouping and key is not None else i
+                )
+                if lead == i:
+                    hit = self.cache.get(key) if caching else None
+                elif outcomes[lead] is not None:
+                    # the leader hit the cache: a private copy of its hit
+                    hit = copy.deepcopy(results[lead])
+                else:
+                    followers.setdefault(lead, []).append((i, unit))
+                    pending.append((i, unit, key))
+                    continue
                 if hit is not None:
                     results[i] = hit
                     outcomes[i] = UnitOutcome(i, unit, True, 0.0, hit)
@@ -671,13 +673,10 @@ class CorpusEngine:
 
         attempts: list[AttemptRecord] = []
         if pending:
-            if coalescing:
-                leaders, followers = _coalesce(pending)
-            else:
-                leaders, followers = pending, {}
             leader_of = {
                 j: i for i, group in followers.items() for j, _ in group
             }
+            leaders = [p for p in pending if p[0] not in leader_of]
             eval_cm = (
                 prof.phase("engine/evaluate")
                 if profiling

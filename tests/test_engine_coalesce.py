@@ -1,17 +1,22 @@
-"""Coalescing: units that share a content key are evaluated once per batch.
+"""Coalescing: units that share a content key are keyed, looked up and
+evaluated once per batch.
 
-A batch's cache misses are grouped by cache key; the first unit of each
-group is evaluated and every later one receives a copy of its outcome.
-These tests pin the contract: results identical to evaluating every
-unit on its own, one evaluation per key at every ``jobs``, accounting
-that still adds up, failures that fan out to every unit of the group,
-and the two exceptions — units without a key, and active fault plans.
+A batch is grouped by cache key before the cache is read: each distinct
+unit is keyed once, the first unit with each key leads, and every later
+one receives a private copy of its leader's outcome — a cache hit (and
+counts as one) or an evaluation (and counts as coalesced).  These tests
+pin the contract: results identical to evaluating every unit on its
+own, one key per distinct unit, one cache read and one evaluation per
+key at every ``jobs``, accounting that still adds up, failures that fan
+out to every unit of the group, and the two exceptions — units without
+a key, and active fault plans.
 """
 
 import os
 
 import pytest
 
+import repro.engine.pool
 from repro.bench.fig3 import corpus_units
 from repro.context import use_context
 from repro.engine import CorpusEngine, UnitEvaluationError, WorkUnit, cache_key
@@ -48,6 +53,20 @@ def _evaluations(log):
 XS = [1, 2, 1, 3, 2, 1]  # 6 units, 3 distinct keys
 
 
+@pytest.fixture
+def key_calls(monkeypatch):
+    """Count the engine's ``cache_key`` calls."""
+    calls = []
+    original = repro.engine.pool.cache_key
+
+    def counting(unit, *args, **kwargs):
+        calls.append(unit)
+        return original(unit, *args, **kwargs)
+
+    monkeypatch.setattr(repro.engine.pool, "cache_key", counting)
+    return calls
+
+
 class TestOneEvaluationPerKey:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_duplicates_evaluated_once(self, tmp_path, jobs):
@@ -65,10 +84,16 @@ class TestOneEvaluationPerKey:
         assert m.busy_seconds == pytest.approx(sum(m.unit_seconds))
 
     def test_results_are_private_copies(self, tmp_path):
-        out = CorpusEngine(jobs=1).run(_units(tmp_path / "l", [4, 4]))
-        assert out[0] == out[1] and out[0] is not out[1]
-        out[0]["items"].append(99)
-        assert out[1]["items"] == [4, 5]
+        # a cold batch (the follower shares an evaluation), then a warm
+        # one (the follower shares a cache hit)
+        eng = CorpusEngine(jobs=1, cache_dir=tmp_path / "cache")
+        units = _units(tmp_path / "l", [4, 4])
+        for hits in (0, 2):
+            out = eng.run(units)
+            assert eng.metrics.cache_hits == hits
+            assert out[0] == out[1] and out[0] is not out[1]
+            out[0]["items"].append(99)
+            assert out[1]["items"] == [4, 5]
 
     def test_outcomes_report_the_shared_evaluation(self, tmp_path):
         eng = CorpusEngine(jobs=1)
@@ -84,7 +109,37 @@ class TestOneEvaluationPerKey:
         assert eng.cache.stats.puts == 3 and len(eng.cache) == 3
         eng.run(_units(log, XS))
         assert eng.metrics.cache_hits == 6 and eng.metrics.coalesced == 0
+        assert eng.cache.stats.hits == 3  # one read per key
         assert len(_evaluations(log)) == 3
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_one_key_per_distinct_unit(self, tmp_path, key_calls, cached):
+        eng = CorpusEngine(
+            jobs=1, cache_dir=tmp_path / "cache" if cached else None
+        )
+        units = _units(tmp_path / "l", XS)
+        eng.run(units)
+        assert len(key_calls) == len(set(units)) == 3
+
+    def test_followers_of_a_hit_are_hits(self, tmp_path):
+        log = tmp_path / "evals.log"
+        eng = CorpusEngine(jobs=1, cache_dir=tmp_path / "cache")
+        eng.run(_units(log, XS))
+        events, tracer = [], Tracer()
+        eng.progress = events.append
+        with use_context(tracer=tracer):
+            out = eng.run(_units(log, XS))
+        assert out == [evaluate(u.kind, u.params) for u in _units(log, XS)]
+        m = eng.metrics
+        assert (m.cache_hits, m.evaluated, m.coalesced) == (6, 0, 0)
+        assert [e["index"] for e in events] == list(range(6))
+        assert all(e["cached"] and not e["coalesced"] for e in events)
+        marks = [
+            e["args"]["index"] for e in tracer.events
+            if e.get("name", "").startswith("cache-hit:")
+        ]
+        assert marks == list(range(6))
+        assert all(o.cached for o in eng.last_outcomes)
 
     def test_comment_variants_coalesce_without_a_cache(self):
         asm = "vaddpd %ymm0, %ymm1, %ymm2\nvmulpd %ymm2, %ymm3, %ymm4\n"
@@ -175,6 +230,24 @@ class TestFailures:
         assert len(_evaluations(log)) == 3  # u1 faulted before evaluating
         assert out[1] is None and out[0] == out[2] == out[3]
         assert eng.metrics.coalesced == 0
+
+    def test_fault_plan_keys_and_reads_every_unit(self, tmp_path, key_calls):
+        log = tmp_path / "evals.log"
+        eng = CorpusEngine(jobs=1, cache_dir=tmp_path / "cache")
+        eng.run(_units(log, XS))
+        del key_calls[:]
+        reads = eng.cache.stats.lookups
+        # a plan that matches no unit still turns grouping off
+        plan = FaultPlan(
+            [FaultSpec(site="evaluate", match="no-such-unit",
+                       error_type="permanent")],
+            seed=1,
+        )
+        with use_context(faults=plan):
+            eng.run(_units(log, XS))
+        assert len(key_calls) == 6
+        assert eng.cache.stats.lookups - reads == 6
+        assert eng.metrics.cache_hits == 6
 
 
 class TestReporting:
