@@ -62,7 +62,7 @@ from ..engine.cachekey import cache_key
 from ..engine.pool import CorpusEngine
 from ..lowering.digests import machine_model_digest
 from ..machine import available_models
-from ..obs.metrics import LATENCY_BUCKETS, MetricsRegistry
+from ..obs.metrics import LATENCY_BUCKETS
 from ..obs.trace import (
     PID_SERVE,
     TID_SERVE_DISPATCH,
@@ -139,12 +139,7 @@ class ServeConfig:
 class ReproServer:
     """The daemon: listener + admission queue + dispatcher + engine."""
 
-    def __init__(
-        self,
-        config: Optional[ServeConfig] = None,
-        *,
-        registry: Optional[MetricsRegistry] = None,
-    ):
+    def __init__(self, config: Optional[ServeConfig] = None):
         self.config = config or ServeConfig()
         cfg = self.config
         self.engine = CorpusEngine(
@@ -165,9 +160,9 @@ class ReproServer:
         self.breakers = BreakerBoard(
             threshold=cfg.breaker_threshold, cooldown=cfg.breaker_cooldown
         )
-        self.registry = (
-            registry if registry is not None else current_context().metrics
-        )
+        # the run context's registry, which the engine's batches and
+        # their attempts' counters also land in
+        self.registry = current_context().metrics
         # engine.run() is not thread-safe: one executor thread
         # serializes batches while the loop stays responsive
         self._executor = ThreadPoolExecutor(
@@ -893,9 +888,8 @@ class ServerThread:
     :meth:`call` (runs a callable on the loop thread).
     """
 
-    def __init__(self, config: ServeConfig, **server_kwargs: Any):
+    def __init__(self, config: ServeConfig):
         self.config = config
-        self._server_kwargs = server_kwargs
         self.server: Optional[ReproServer] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
@@ -923,9 +917,7 @@ class ServerThread:
     def _run(self) -> None:
         async def main() -> None:
             try:
-                self.server = ReproServer(
-                    self.config, **self._server_kwargs
-                )
+                self.server = ReproServer(self.config)
                 await self.server.start()
             except BaseException as exc:
                 self._startup_error = exc

@@ -106,8 +106,8 @@ class TestAcceptanceLoad:
         )
         # 500 requests cycling through the 60 unique kernels
         reqs = [payloads[i % self.UNIQUE] for i in range(self.TOTAL)]
-        with use_context(faults=plan):
-            with ServerThread(cfg, registry=MetricsRegistry()) as st:
+        with use_context(faults=plan, metrics=MetricsRegistry()):
+            with ServerThread(cfg) as st:
                 responses = run_load(st.port, reqs, concurrency=16)
                 # the daemon survived: liveness green, stats coherent
                 status, body = _get(st.port, "/healthz")
@@ -176,8 +176,8 @@ class TestTargetedFaults:
             port=0, jobs=2, cache_dir=str(tmp_path / "cache"),
             max_retries=0, request_timeout=60.0, drain_deadline=10.0,
         )
-        with use_context(faults=plan):
-            with ServerThread(cfg, registry=MetricsRegistry()) as st:
+        with use_context(faults=plan, metrics=MetricsRegistry()):
+            with ServerThread(cfg) as st:
                 status, body = _post(st.port, doomed)
                 assert status == 500
                 err = body["error"]
@@ -201,8 +201,8 @@ class TestTargetedFaults:
             port=0, jobs=jobs, cache_dir=str(tmp_path / "cache"),
             unit_timeout=0.5, max_retries=0, request_timeout=60.0,
         )
-        with use_context(faults=plan):
-            with ServerThread(cfg, registry=MetricsRegistry()) as st:
+        with use_context(faults=plan, metrics=MetricsRegistry()):
+            with ServerThread(cfg) as st:
                 t0 = time.monotonic()
                 status, body = _post(st.port, stuck)
                 elapsed = time.monotonic() - t0

@@ -33,10 +33,16 @@ def _cfg(**kw) -> ServeConfig:
 
 
 @pytest.fixture
-def server(tmp_path):
-    st = ServerThread(
-        _cfg(cache_dir=str(tmp_path / "cache")), registry=MetricsRegistry()
-    )
+def own_metrics():
+    """A fresh metrics registry in the run context for the whole test:
+    the daemon serves ``/metrics`` from the run context's registry."""
+    with use_context(metrics=MetricsRegistry()) as ctx:
+        yield ctx.metrics
+
+
+@pytest.fixture
+def server(tmp_path, own_metrics):
+    st = ServerThread(_cfg(cache_dir=str(tmp_path / "cache")))
     st.start()
     yield st
     st.stop()
@@ -219,12 +225,9 @@ class TestSocketLevel:
         assert stats["engine"]["total_units"] >= 1
         assert "breakers" in stats
 
-    def test_drain_flushes_manifest(self, tmp_path):
+    def test_drain_flushes_manifest(self, tmp_path, own_metrics):
         manifest_path = tmp_path / "serve-manifest.json"
-        st = ServerThread(
-            _cfg(manifest_path=str(manifest_path)),
-            registry=MetricsRegistry(),
-        )
+        st = ServerThread(_cfg(manifest_path=str(manifest_path)))
         st.start()
         try:
             status, _ = _post(
@@ -252,6 +255,24 @@ def _metric_values(st) -> dict[str, float]:
     return values
 
 
+def test_metrics_list_engine_and_worker_counters(tmp_path, own_metrics):
+    # the engine records each batch, and each attempt's counters from
+    # its worker, in the run context's registry: the one /metrics reads
+    st = ServerThread(_cfg(jobs=2, cache_dir=str(tmp_path / "cache")))
+    st.start()
+    try:
+        status, body = _post(
+            st, {"assembly": ASM, "arch": "gcs", "backend": "sim",
+                 "label": "cold"},
+        )
+        assert status == 200 and body["cached"] is False
+        m = _metric_values(st)
+    finally:
+        st.stop()
+    assert m["engine.units_total"] == 1
+    assert m["lowering.requests"] == 1
+
+
 class TestCacheHitsOnTheLoop:
     """A cached answer is read on the event loop, before admission: it
     needs no backend, so it waits for no batch and no breaker."""
@@ -260,11 +281,12 @@ class TestCacheHitsOnTheLoop:
     COLD = {"assembly": "fmul v1.2d, v2.2d, v3.2d\n", "arch": "gcs",
             "label": "cold"}
 
+    @pytest.fixture(autouse=True)
+    def _own_metrics(self, own_metrics):
+        pass
+
     def _primed_server(self, tmp_path, **cfg_kw) -> ServerThread:
-        st = ServerThread(
-            _cfg(cache_dir=str(tmp_path / "cache"), **cfg_kw),
-            registry=MetricsRegistry(),
-        )
+        st = ServerThread(_cfg(cache_dir=str(tmp_path / "cache"), **cfg_kw))
         st.start()
         status, body = _post(st, self.PRIMED)
         assert status == 200 and body["cached"] is False
@@ -403,8 +425,12 @@ def _drive(coro):
 class TestHandlerLevel:
     """Drive ``handle_request`` directly — no sockets, no dispatcher."""
 
+    @pytest.fixture(autouse=True)
+    def _own_metrics(self, own_metrics):
+        pass
+
     def _server(self, **cfg_kw) -> ReproServer:
-        return ReproServer(_cfg(**cfg_kw), registry=MetricsRegistry())
+        return ReproServer(_cfg(**cfg_kw))
 
     def test_draining_refuses_analyze_with_503(self):
         srv = self._server()
