@@ -273,6 +273,7 @@ def test_metrics_list_engine_and_worker_counters(tmp_path, own_metrics):
     assert m["lowering.requests"] == 1
 
 
+@pytest.mark.usefixtures("own_metrics")
 class TestCacheHitsOnTheLoop:
     """A cached answer is read on the event loop, before admission: it
     needs no backend, so it waits for no batch and no breaker."""
@@ -280,10 +281,6 @@ class TestCacheHitsOnTheLoop:
     PRIMED = {"assembly": ASM, "arch": "gcs", "label": "primed"}
     COLD = {"assembly": "fmul v1.2d, v2.2d, v3.2d\n", "arch": "gcs",
             "label": "cold"}
-
-    @pytest.fixture(autouse=True)
-    def _own_metrics(self, own_metrics):
-        pass
 
     def _primed_server(self, tmp_path, **cfg_kw) -> ServerThread:
         st = ServerThread(_cfg(cache_dir=str(tmp_path / "cache"), **cfg_kw))
@@ -422,12 +419,9 @@ def _drive(coro):
     return asyncio.run(coro)
 
 
+@pytest.mark.usefixtures("own_metrics")
 class TestHandlerLevel:
     """Drive ``handle_request`` directly — no sockets, no dispatcher."""
-
-    @pytest.fixture(autouse=True)
-    def _own_metrics(self, own_metrics):
-        pass
 
     def _server(self, **cfg_kw) -> ReproServer:
         return ReproServer(_cfg(**cfg_kw))
