@@ -5,7 +5,7 @@ PY ?= python
 # targets work from a checkout without `make install`
 export PYTHONPATH := src:$(PYTHONPATH)
 
-.PHONY: install lint test test-fast test-chaos test-fuzz test-serve fuzz bench report verify perf perf-check serve-bench serve-check serve-demo all-figures trace-demo clean
+.PHONY: install lint test test-fast test-chaos test-fuzz test-serve fuzz bench report verify perf perf-check serve-bench serve-check serve-demo all-figures outputs trace-demo clean
 
 install:
 	pip install -e . --no-build-isolation

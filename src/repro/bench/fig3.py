@@ -17,7 +17,7 @@ predictions more than 2× too slow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ..engine import CorpusEngine, WorkUnit, resolve_engine
 from ..kernels import enumerate_corpus
@@ -216,20 +216,30 @@ def corpus_units(
     ``backends`` subsets the per-block fan-out; the parameter is only
     included in the unit (and thus the cache key) when it actually
     deviates from the full default, so full runs keep their cache slots.
+
+    Each distinct (uarch, assembly) unit is built once (153 for the
+    paper's 416 blocks) and relabelled for every entry that repeats it.
     """
     backends = _normalize_backends(backends)
     extra = {} if backends is None else {"backends": list(backends)}
-    return [
-        WorkUnit.make(
-            "corpus",
-            label=e.test_id,
-            uarch=e.uarch,
-            assembly=e.assembly,
-            iterations=iterations,
-            **extra,
-        )
-        for e in corpus
-    ]
+    built: dict[tuple[str, str], WorkUnit] = {}
+    units = []
+    for e in corpus:
+        key = (e.uarch, e.assembly)
+        unit = built.get(key)
+        if unit is None:
+            unit = built[key] = WorkUnit.make(
+                "corpus",
+                label=e.test_id,
+                uarch=e.uarch,
+                assembly=e.assembly,
+                iterations=iterations,
+                **extra,
+            )
+        else:
+            unit = replace(unit, label=e.test_id)
+        units.append(unit)
+    return units
 
 
 def run(

@@ -4,14 +4,51 @@
 x86 or AArch64 emitter and produces the innermost-loop body text (label
 through backward branch) — exactly the block OSACA-style analysis and
 the core simulator consume.
+
+A block's text is fixed by its kernel and its :data:`EmitSpec`: the
+handful of choices (precision, vectorization, register class or vector
+style, unroll, accumulators, one persona habit) that :func:`emit_spec`
+derives from the persona, opt level and µarch.  The emitters see
+nothing else.  Many blocks share a spec: the 416 entries of the
+paper's corpus come from 130 emitter specs, which give 118 distinct
+texts and 153 cache keys, and :mod:`~repro.kernels.corpus` emits each
+spec once.
 """
 
 from __future__ import annotations
 
+from ..extended import get_extended_kernel
 from ..personas import CompilerPersona, PERSONAS
-from ..suite import KernelSpec, get_kernel
-from .x86 import X86Emitter
-from .aarch64 import AArch64Emitter
+from ..suite import KernelSpec
+from .x86 import X86Emitter, X86Spec, x86_spec
+from .aarch64 import AArch64Emitter, AArch64Spec, aarch64_spec
+
+#: every code-generation choice of one block, besides the kernel
+EmitSpec = X86Spec | AArch64Spec
+
+
+def emit_spec(
+    kernel: KernelSpec,
+    persona: CompilerPersona,
+    opt: str,
+    uarch: str,
+    precision: str = "dp",
+) -> EmitSpec:
+    """The choices ``persona`` makes for ``kernel`` at ``opt`` on ``uarch``."""
+    if uarch in ("neoverse_v2",):
+        if persona.isa != "aarch64":
+            raise ValueError(f"persona {persona.name} does not target aarch64")
+        return aarch64_spec(kernel, persona, opt, precision)
+    if persona.isa != "x86":
+        raise ValueError(f"persona {persona.name} does not target x86")
+    return x86_spec(kernel, persona, opt, uarch, precision)
+
+
+def emit(kernel: KernelSpec, spec: EmitSpec) -> str:
+    """The block text of ``kernel`` under ``spec``."""
+    if isinstance(spec, AArch64Spec):
+        return AArch64Emitter(kernel, spec).generate()
+    return X86Emitter(kernel, spec).generate()
 
 
 def generate_assembly(
@@ -38,20 +75,18 @@ def generate_assembly(
         ``"dp"`` (the paper's corpus) or ``"sp"`` — single-precision
         variants double the elements per vector.
     """
-    if isinstance(kernel, KernelSpec):
-        k = kernel
-    else:
-        from ..extended import get_extended_kernel
-
-        k = get_extended_kernel(kernel)  # paper suite + extensions
+    k = kernel if isinstance(kernel, KernelSpec) else get_extended_kernel(kernel)
     p = persona if isinstance(persona, CompilerPersona) else PERSONAS[persona]
-    if uarch in ("neoverse_v2",):
-        if p.isa != "aarch64":
-            raise ValueError(f"persona {p.name} does not target aarch64")
-        return AArch64Emitter(k, p, opt, precision).generate()
-    if p.isa != "x86":
-        raise ValueError(f"persona {p.name} does not target x86")
-    return X86Emitter(k, p, opt, uarch, precision).generate()
+    return emit(k, emit_spec(k, p, opt, uarch, precision))
 
 
-__all__ = ["generate_assembly", "X86Emitter", "AArch64Emitter"]
+__all__ = [
+    "generate_assembly",
+    "emit_spec",
+    "emit",
+    "EmitSpec",
+    "X86Emitter",
+    "X86Spec",
+    "AArch64Emitter",
+    "AArch64Spec",
+]

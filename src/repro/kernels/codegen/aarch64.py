@@ -28,6 +28,8 @@ Register conventions (set up outside the measured block):
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from ..ir import Bin, Carried, Expr, IndexValue, Load, Scalar
 from ..personas import CompilerPersona
 from ..suite import KernelSpec
@@ -57,34 +59,66 @@ class _RegFile:
             self.free.sort()
 
 
-class AArch64Emitter:
-    """Lower one kernel for one Arm persona/opt combination."""
+@dataclass(frozen=True)
+class AArch64Spec:
+    """Every choice the AArch64 emitter makes besides the kernel itself.
 
-    def __init__(self, kernel: KernelSpec, persona: CompilerPersona, opt: str,
-                 precision: str = "dp"):
-        if precision not in ("dp", "sp"):
-            raise ValueError("precision must be 'dp' or 'sp'")
-        self.k = kernel
-        self.p = persona
-        self.opt = opt
-        self.precision = precision
-        self.ebytes = 8 if precision == "dp" else 4
-        self.cfg = persona.config(opt)
-        self.vector = (
-            self.cfg.vectorize
-            and kernel.vectorizable
-            and (not kernel.needs_fast_math or self.cfg.fast_math)
-        )
-        self.sve = self.vector and persona.vector_style == "sve"
-        self.V = (16 // self.ebytes) if self.vector else 1
-        self.U = 1 if (kernel.uses_index or kernel.has_carried_dependency or self.sve) else (
-            self.cfg.unroll if self.vector else 1
-        )
-        self.n_acc = (
-            max(1, min(self.cfg.n_accumulators, 4 if self.sve else self.U))
+    Two blocks of one kernel with equal specs are the same text, so a
+    caller that emits many blocks can emit each distinct spec once.
+    """
+
+    precision: str
+    vector: bool
+    #: SVE style (only for vector code); NEON otherwise
+    sve: bool
+    unroll: int
+    #: reduction accumulators (0 for a kernel that is not a reduction)
+    n_acc: int
+    gs_move_chain: bool
+
+
+def aarch64_spec(kernel: KernelSpec, persona: CompilerPersona, opt: str,
+                 precision: str = "dp") -> AArch64Spec:
+    """The choices one persona makes for one kernel at one opt level."""
+    if precision not in ("dp", "sp"):
+        raise ValueError("precision must be 'dp' or 'sp'")
+    cfg = persona.config(opt)
+    vector = (
+        cfg.vectorize
+        and kernel.vectorizable
+        and (not kernel.needs_fast_math or cfg.fast_math)
+    )
+    sve = vector and persona.vector_style == "sve"
+    unroll = 1 if (kernel.uses_index or kernel.has_carried_dependency or sve) else (
+        cfg.unroll if vector else 1
+    )
+    return AArch64Spec(
+        precision=precision,
+        vector=vector,
+        sve=sve,
+        unroll=unroll,
+        n_acc=(
+            max(1, min(cfg.n_accumulators, 4 if sve else unroll))
             if kernel.reduction
             else 0
-        )
+        ),
+        gs_move_chain=persona.gs_move_chain,
+    )
+
+
+class AArch64Emitter:
+    """Lower one kernel under one :class:`AArch64Spec`."""
+
+    def __init__(self, kernel: KernelSpec, spec: AArch64Spec):
+        self.k = kernel
+        self.precision = spec.precision
+        self.ebytes = 8 if spec.precision == "dp" else 4
+        self.vector = spec.vector
+        self.sve = spec.sve
+        self.gs_move_chain = spec.gs_move_chain
+        self.V = (16 // self.ebytes) if self.vector else 1
+        self.U = spec.unroll
+        self.n_acc = spec.n_acc
         self.regs = _RegFile()
         self.lines: list[str] = []
         self._assign_registers()
@@ -324,7 +358,7 @@ class AArch64Emitter:
             self._emit_store(self.const[self.k.expr.name], u)
         elif self.k.has_carried_dependency:
             assert self.carried is not None
-            if self.p.gs_move_chain:
+            if self.gs_move_chain:
                 val, clob = self._eval(self.k.expr, u)
                 self._emit_store(val, u)
                 sr = "d" if self.precision == "dp" else "s"

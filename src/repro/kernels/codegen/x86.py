@@ -20,6 +20,8 @@ Register conventions (all set up outside the measured block):
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from ..ir import Bin, Carried, Expr, IndexValue, Load, Scalar
 from ..personas import CompilerPersona
 from ..suite import KernelSpec
@@ -51,42 +53,69 @@ class _RegFile:
         return reg.startswith(self.prefix) and int(reg[len(self.prefix):]) < 8
 
 
-class X86Emitter:
-    """Lower one kernel for one persona/opt/µarch combination."""
+@dataclass(frozen=True)
+class X86Spec:
+    """Every choice the x86 emitter makes besides the kernel itself.
 
-    def __init__(self, kernel: KernelSpec, persona: CompilerPersona, opt: str,
-                 uarch: str, precision: str = "dp"):
-        if precision not in ("dp", "sp"):
-            raise ValueError("precision must be 'dp' or 'sp'")
+    Two blocks of one kernel with equal specs are the same text, so a
+    caller that emits many blocks can emit each distinct spec once.
+    """
+
+    precision: str
+    vector: bool
+    #: register class: ``xmm`` for scalar code, else the persona's width
+    wclass: str
+    unroll: int
+    #: reduction accumulators (0 for a kernel that is not a reduction)
+    n_acc: int
+    fold_memory: bool
+
+
+def x86_spec(kernel: KernelSpec, persona: CompilerPersona, opt: str,
+             uarch: str, precision: str = "dp") -> X86Spec:
+    """The choices one persona makes for one kernel at one opt level."""
+    if precision not in ("dp", "sp"):
+        raise ValueError("precision must be 'dp' or 'sp'")
+    cfg = persona.config(opt)
+    vector = (
+        cfg.vectorize
+        and kernel.vectorizable
+        and (not kernel.needs_fast_math or cfg.fast_math)
+    )
+    unroll = 1 if (kernel.uses_index or kernel.has_carried_dependency) else (
+        cfg.unroll if vector else 1
+    )
+    return X86Spec(
+        precision=precision,
+        vector=vector,
+        wclass=persona.width_for(uarch) if vector else "xmm",
+        unroll=unroll,
+        n_acc=max(1, min(cfg.n_accumulators, unroll)) if kernel.reduction else 0,
+        fold_memory=persona.fold_memory,
+    )
+
+
+class X86Emitter:
+    """Lower one kernel under one :class:`X86Spec`."""
+
+    def __init__(self, kernel: KernelSpec, spec: X86Spec):
         self.k = kernel
-        self.p = persona
-        self.opt = opt
-        self.precision = precision
-        self.ebytes = 8 if precision == "dp" else 4
-        self.cfg = persona.config(opt)
-        self.vector = (
-            self.cfg.vectorize
-            and kernel.vectorizable
-            and (not kernel.needs_fast_math or self.cfg.fast_math)
-        )
-        self.wclass = persona.width_for(uarch) if self.vector else "xmm"
+        self.precision = spec.precision
+        self.ebytes = 8 if spec.precision == "dp" else 4
+        self.vector = spec.vector
+        self.wclass = spec.wclass
+        self.fold_memory = spec.fold_memory
         self.V = (
             _WIDTH_ELEMS[self.wclass] * (8 // self.ebytes)
             if self.vector
             else 1
         )
         if self.vector:
-            self.sfx = "pd" if precision == "dp" else "ps"
+            self.sfx = "pd" if self.precision == "dp" else "ps"
         else:
-            self.sfx = "sd" if precision == "dp" else "ss"
-        self.U = 1 if (kernel.uses_index or kernel.has_carried_dependency) else (
-            self.cfg.unroll if self.vector else 1
-        )
-        self.n_acc = (
-            max(1, min(self.cfg.n_accumulators, self.U))
-            if kernel.reduction
-            else 0
-        )
+            self.sfx = "sd" if self.precision == "dp" else "ss"
+        self.U = spec.unroll
+        self.n_acc = spec.n_acc
         self.regs = _RegFile(self.wclass)
         self.lines: list[str] = []
         self._assign_registers()
@@ -163,7 +192,7 @@ class X86Emitter:
 
     def _operand(self, e: Expr, u: int, fold_ok: bool) -> tuple[str, bool, bool]:
         """Operand for an arithmetic op: (text, is_temp_reg, folded_mem)."""
-        if fold_ok and isinstance(e, Load) and self.p.fold_memory:
+        if fold_ok and isinstance(e, Load) and self.fold_memory:
             return self._mem(e, u), False, True
         r, clob = self._eval(e, u)
         return f"%{r}", clob, False
@@ -249,7 +278,7 @@ class X86Emitter:
     def _emit_reduction_step(self, u: int) -> None:
         acc = self.acc[u % self.n_acc]
         e = self.k.expr
-        if isinstance(e, Load) and self.p.fold_memory:
+        if isinstance(e, Load) and self.fold_memory:
             self._emit(f"vadd{self.sfx} {self._mem(e, u)}, %{acc}, %{acc}")
             return
         if isinstance(e, Bin) and e.op == "*":

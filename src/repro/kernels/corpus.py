@@ -5,13 +5,19 @@ ICX on each of the two x86 machines; GCC and Arm Clang on Grace} =
 13 x 4 x (3 + 3 + 2) = **416 test blocks**, of which a subset is unique
 assembly (different compilers/levels frequently produce the same inner
 loop — the paper counts 290 unique representations).
+
+Here the 416 entries come from 130 distinct emitter specs (a kernel and
+its code-generation choices, :data:`~repro.kernels.codegen.EmitSpec`),
+which give 118 distinct texts and, paired with the µarch, 153 distinct
+cache keys.  :func:`enumerate_corpus` runs an emitter once per spec.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .codegen import generate_assembly
+from .codegen import EmitSpec, emit, emit_spec
+from .extended import get_extended_kernel
 from .personas import OPT_LEVELS, personas_for_isa
 from .suite import KERNELS
 
@@ -48,17 +54,31 @@ def enumerate_corpus(
 
     ``precision="sp"`` produces the single-precision variant corpus —
     an extension beyond the paper's double-precision validation.
+
+    Each distinct (kernel, :data:`~repro.kernels.codegen.EmitSpec`)
+    pair is emitted once per call, and every entry that repeats it
+    shares the same string.
     """
+    for machine in machines:
+        if machine not in MACHINES:
+            raise ValueError(
+                f"unknown machine {machine!r}; known: {sorted(MACHINES)}"
+            )
+    named = [
+        (name, get_extended_kernel(name))
+        for name in (tuple(kernels) if kernels else tuple(KERNELS))
+    ]
+    texts: dict[tuple[str, EmitSpec], str] = {}
     out: list[CorpusEntry] = []
-    kernel_names = tuple(kernels) if kernels else tuple(KERNELS)
     for machine in machines:
         uarch, isa = MACHINES[machine]
         for persona in personas_for_isa(isa):
-            for kernel in kernel_names:
+            for kernel, k in named:
                 for opt in OPT_LEVELS:
-                    asm = generate_assembly(
-                        kernel, persona, opt, uarch, precision=precision
-                    )
+                    spec = emit_spec(k, persona, opt, uarch, precision)
+                    asm = texts.get((kernel, spec))
+                    if asm is None:
+                        asm = texts[kernel, spec] = emit(k, spec)
                     out.append(
                         CorpusEntry(
                             machine=machine,

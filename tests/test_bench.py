@@ -15,6 +15,8 @@ from repro.bench import (
     table3,
 )
 from repro.bench.microbench import run_microbenchmarks
+from repro.engine import WorkUnit
+from repro.kernels import enumerate_corpus
 
 
 class TestTable1:
@@ -128,6 +130,23 @@ class TestFig3Reduced:
         text = fig3.render(result)
         assert "relative prediction error" in text
         assert "LLVM-MCA baseline" in text
+
+
+@pytest.mark.parametrize("backends", [None, ("model", "sim")])
+def test_fig3_units_match_one_make_per_entry(backends):
+    # corpus_units builds each distinct unit once and relabels it for
+    # the entries that repeat it; each must equal a unit of its own
+    corpus = enumerate_corpus()
+    extra = {} if backends is None else {"backends": list(backends)}
+    got = fig3.corpus_units(corpus, 50, backends)
+    want = [
+        WorkUnit.make("corpus", label=e.test_id, uarch=e.uarch,
+                      assembly=e.assembly, iterations=50, **extra)
+        for e in corpus
+    ]
+    assert [(u.kind, u.params_json, u.label) for u in got] == [
+        (u.kind, u.params_json, u.label) for u in want
+    ]
 
 
 class TestFig4:

@@ -5,6 +5,7 @@ import pytest
 import repro.kernels.ir
 from repro.isa import parse_kernel
 from repro.kernels import (
+    EXTENDED_KERNELS,
     KERNELS,
     OPT_LEVELS,
     PERSONAS,
@@ -12,6 +13,7 @@ from repro.kernels import (
     generate_assembly,
     personas_for_isa,
 )
+from repro.kernels.codegen import AArch64Emitter, X86Emitter
 from repro.kernels.ir import collect_loads
 from repro.machine import get_machine_model
 
@@ -175,3 +177,26 @@ def test_repeat_enumeration_walks_no_tree(monkeypatch):
     monkeypatch.setattr(repro.kernels.ir, "walk", counting)
     assert enumerate_corpus() == first
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "kwargs,runs",
+    [({}, 130), ({"precision": "sp"}, 130),
+     ({"kernels": tuple(EXTENDED_KERNELS)}, 110)],
+    ids=["dp", "sp", "extended"],
+)
+def test_repeat_enumeration_emits_each_distinct_spec_once(
+    monkeypatch, kwargs, runs
+):
+    # 416 entries (352 extended) share 130 (110) emitter specs: each is
+    # emitted once per call, and no call reuses another's output
+    first = enumerate_corpus(**kwargs)
+    calls = []
+    for cls in (X86Emitter, AArch64Emitter):
+        def counting(self, generate=cls.generate):
+            calls.append(self)
+            return generate(self)
+
+        monkeypatch.setattr(cls, "generate", counting)
+    assert enumerate_corpus(**kwargs) == first
+    assert len(calls) == runs

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bench import fig3
 from repro.kernels import enumerate_corpus
 from repro.kernels.corpus import MACHINES, unique_assembly_count
 
@@ -39,6 +40,13 @@ class TestCorpusShape:
         sub = enumerate_corpus(machines=("gcs",))
         assert all(e.machine == "gcs" for e in sub)
         assert len(sub) == 104
+
+    def test_unknown_machine_names_the_known_ones(self):
+        known = r"known: \['gcs', 'genoa', 'spr'\]"
+        with pytest.raises(ValueError, match=rf"unknown machine 'grace'; {known}"):
+            enumerate_corpus(machines=("grace",))
+        with pytest.raises(ValueError, match=known):
+            fig3.run(machines=("spr", "grace"))
 
     def test_machines_table(self):
         assert MACHINES["spr"] == ("golden_cove", "x86")

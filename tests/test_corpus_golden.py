@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.kernels import EXTENDED_KERNELS, enumerate_corpus
+from repro.kernels import EXTENDED_KERNELS, enumerate_corpus, generate_assembly
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "corpus_assembly.json"
 
@@ -60,6 +60,21 @@ def test_assembly_matches_golden(golden, name):
         f"codegen change is intentional, regenerate with:\n"
         f"    PYTHONPATH=src python {__file__} --regen"
     )
+
+
+@pytest.mark.parametrize("name", sorted(CORPORA))
+def test_every_entry_is_its_own_generation(name):
+    # the corpus emits each distinct spec once and shares the text, so
+    # each entry must still read what its own inputs generate alone
+    kwargs, _ = CORPORA[name]
+    precision = kwargs.get("precision", "dp")
+    wrong = [
+        e.test_id
+        for e in enumerate_corpus(**kwargs)
+        if e.assembly
+        != generate_assembly(e.kernel, e.persona, e.opt, e.uarch, precision)
+    ]
+    assert not wrong, f"{len(wrong)} {name} block(s) differ, e.g. {wrong[:5]}"
 
 
 if __name__ == "__main__":  # pragma: no cover - regeneration helper

@@ -269,3 +269,5 @@ class TestSigtermDrain:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait(timeout=10)
+            proc.stdout.close()
+            proc.stderr.close()
