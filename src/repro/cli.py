@@ -835,7 +835,8 @@ def serve_main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--jobs", type=int, default=2, metavar="N",
-        help="engine worker processes (default: 2)",
+        help="engine worker processes, and the most engine batches "
+             "in flight at once (default: 2)",
     )
     parser.add_argument(
         "--cache", metavar="DIR", dest="cache",

@@ -70,18 +70,28 @@ class ResultCache:
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"
 
-    def get(self, key: str) -> Optional[dict[str, Any]]:
+    def get(
+        self, key: str, stats: Optional[CacheStats] = None
+    ) -> Optional[dict[str, Any]]:
+        """The entry under *key*, or ``None`` for a miss or a corrupt
+        entry.  The lookup counts in :attr:`stats` and, when given, in
+        *stats* too (a tally of one engine batch, which concurrent
+        batches do not touch)."""
+        tallies = (self.stats,) if stats is None else (self.stats, stats)
         path = self._path(key)
         try:
             value = json.loads(path.read_text())
         except FileNotFoundError:
-            self.stats.misses += 1
+            for s in tallies:
+                s.misses += 1
             return None
         except (json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
-            self.stats.corrupt += 1
+            for s in tallies:
+                s.corrupt += 1
             self._quarantine(path, exc)
             return None
-        self.stats.hits += 1
+        for s in tallies:
+            s.hits += 1
         return value
 
     def _quarantine(self, path: Path, exc: Exception) -> None:

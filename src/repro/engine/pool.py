@@ -36,6 +36,10 @@ Workers fork at the engine's first pooled batch and live until
 :meth:`CorpusEngine.close` (or a ``with`` exit, or garbage collection),
 so an evaluator or backend registered after that point reaches them
 only after ``close()``.  They keep no per-kernel state between tasks.
+Batches may run from several threads at once and share the workers:
+a task takes an idle worker and gives it back when its outcome lands,
+so a small batch that arrives behind a large one waits for one task,
+not for the whole batch.
 
 Metrics (per-unit wall time, cache hit rate, worker utilization,
 failure/retry/degradation counters) are collected on every run; a
@@ -52,6 +56,7 @@ import math
 import multiprocessing
 import os
 import signal
+import threading
 import time
 import weakref
 from collections import deque
@@ -61,7 +66,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional, Sequence
 
 from ..context import RunContext, current_context, use_context
 from ..obs.metrics import MetricsRegistry, record_engine_metrics
-from .cache import ResultCache
+from .cache import CacheStats, ResultCache
 from .cachekey import cache_key
 from .errors import (
     ERROR_POLICIES,
@@ -345,35 +350,76 @@ def _lost(idx: int, error: EngineError, seconds: float) -> Outcome:
 
 
 class _Workers:
-    """The engine's ``jobs`` worker processes.
+    """The engine's ``jobs`` worker processes, shared by its batches.
 
     They are spawned at the first :meth:`dispatch` and live until
     :meth:`close`.  Each holds at most one task, so the parent knows
     which task a dead worker held, and a deadline is one worker's:
     the parent kills that worker.  Either way only that task fails
     (transiently) and only that worker is replaced.
+
+    Dispatches from concurrent batches share the workers.  A task takes
+    an idle worker and gives it back when its outcome lands; a dispatch
+    that holds no worker waits for one, and one that holds a worker
+    takes another only while no dispatch is waiting.  Spawning, killing
+    and the idle list are guarded by one lock, so there are never more
+    than ``jobs`` workers.
     """
 
     def __init__(self, jobs: int) -> None:
         self.jobs = jobs
         #: live workers with no task in flight
         self.idle: list[_Worker] = []
-        #: workers replaced after dying or being killed at a deadline
-        self.respawns = 0
+        #: live workers, idle or holding a task
+        self.live = 0
+        #: dispatches that hold no worker and wait for one
+        self._waiting = 0
+        self._lock = threading.Condition()
 
     def close(self) -> None:
-        """Kill and reap every worker; the next dispatch spawns anew."""
-        while self.idle:
-            self.idle.pop().kill()
+        """Kill and reap every idle worker; the next dispatch spawns
+        anew.  (A batch still in flight keeps the workers it holds.)"""
+        with self._lock:
+            while self.idle:
+                self.idle.pop().kill()
+                self.live -= 1
+            self._lock.notify_all()
 
-    def _replace(self, worker: _Worker) -> None:
-        worker.kill()
-        self.respawns += 1
-        self.idle.append(_Worker())
+    def _take(self, waiting: bool) -> Optional[_Worker]:
+        """An idle worker, spawning up to ``jobs``; with *waiting*,
+        block until one is free, else ``None`` when none is free or a
+        dispatch is waiting."""
+        with self._lock:
+            self._waiting += waiting
+            try:
+                while True:
+                    while self.live < self.jobs:
+                        self.idle.append(_Worker())
+                        self.live += 1
+                    if self.idle and (waiting or not self._waiting):
+                        return self.idle.pop()
+                    if not waiting:
+                        return None
+                    self._lock.wait()
+            finally:
+                self._waiting -= waiting
+
+    def _give(self, worker: _Worker) -> None:
+        with self._lock:
+            self.idle.append(worker)
+            self._lock.notify()
+
+    def _discard(self, worker: _Worker) -> None:
+        """Kill a worker; the next :meth:`_take` spawns its successor."""
+        with self._lock:
+            worker.kill()
+            self.live -= 1
+            self._lock.notify()
 
     def dispatch(
         self, tasks: Sequence[tuple[int, WorkUnit, int]],
         context: Callable[[], RunContext], timeout: Optional[float],
+        metrics: EngineMetrics,
     ) -> Iterator[Outcome]:
         """Run one round of attempts, yielding outcomes as they land;
         each attempt is sent with its own ``context()``.
@@ -382,21 +428,23 @@ class _Workers:
         :class:`~.errors.WorkerCrashError` outcome; one that outlives
         *timeout* yields a :class:`~.errors.UnitTimeoutError` outcome
         after its worker is killed.  A worker that died while idle is
-        replaced and the task resent, with no attempt charged.
+        replaced and the task resent, with no attempt charged.  Each
+        replacement counts in ``metrics.worker_respawns``.
         """
-        while len(self.idle) < self.jobs:
-            self.idle.append(_Worker())
         queue = deque(tasks)
         busy: list[_Worker] = []
         try:
             while queue or busy:
-                while queue and self.idle:
-                    worker = self.idle.pop()
+                while queue:
+                    worker = self._take(waiting=not busy)
+                    if worker is None:
+                        break
                     if worker.send(queue[0], context(), timeout):
                         queue.popleft()
                         busy.append(worker)
                     else:
-                        self._replace(worker)
+                        self._discard(worker)
+                        metrics.worker_respawns += 1
                 nearest = min(w.deadline for w in busy)
                 ready = wait(
                     [w.conn for w in busy] + [w.proc.sentinel for w in busy],
@@ -409,7 +457,7 @@ class _Workers:
                         outcome = worker.receive()
                         if outcome is not None:
                             busy.remove(worker)
-                            self.idle.append(worker)
+                            self._give(worker)
                             yield outcome
                             continue
                         error: EngineError = WorkerCrashError(
@@ -422,14 +470,55 @@ class _Workers:
                     else:
                         continue
                     busy.remove(worker)
-                    self._replace(worker)
+                    self._discard(worker)
+                    metrics.worker_respawns += 1
                     yield _lost(worker.task[0], error, now - worker.sent)
         finally:
             # The round was abandoned (a fail_fast raise drops this
             # generator): results still in flight must not land in a
             # later batch.
             for worker in busy:
-                worker.kill()
+                self._discard(worker)
+
+
+class _Progress:
+    """One batch's progress events: the engine's hook, fed the batch's
+    own running count."""
+
+    def __init__(self, hook: Optional[ProgressHook], total: int) -> None:
+        self.hook = hook
+        self.total = total
+        self.completed = 0
+
+    def emit(
+        self, unit: WorkUnit, index: int, cached: bool, seconds: float,
+        failed: bool = False, coalesced: bool = False,
+    ) -> None:
+        self.completed += 1
+        if self.hook is None:
+            return
+        self.hook(
+            {
+                "unit": unit,
+                "index": index,
+                "cached": cached,
+                "coalesced": coalesced,
+                "failed": failed,
+                "seconds": seconds,
+                "completed": self.completed,
+                "total": self.total,
+            }
+        )
+
+    def emit_group(
+        self, unit: WorkUnit, index: int,
+        followers: dict[int, list[tuple[int, WorkUnit]]],
+        seconds: float, failed: bool = False,
+    ) -> None:
+        """Progress for an evaluated unit and every unit that shares it."""
+        self.emit(unit, index, False, seconds, failed=failed)
+        for j, other in followers.get(index, ()):
+            self.emit(other, j, False, seconds, failed=failed, coalesced=True)
 
 
 def _coalesce_key(
@@ -451,10 +540,11 @@ class CorpusEngine:
     Parameters
     ----------
     jobs:
-        Worker-process count.  ``1`` (default) without a
-        ``unit_timeout`` runs inline, in the calling process; any other
-        setting evaluates in worker processes the engine owns (see
-        :meth:`close`).  Results are bit-identical either way.
+        Worker-process count, shared by every :meth:`run` call in
+        flight.  ``1`` (default) without a ``unit_timeout`` runs
+        inline, in the calling process; any other setting evaluates in
+        worker processes the engine owns (see :meth:`close`).  Results
+        are bit-identical either way.
     cache_dir:
         Root of the on-disk content-addressed result cache; ``None``
         disables memoization.
@@ -500,6 +590,14 @@ class CorpusEngine:
     attempt's profile; its fault plan rides with every task; its
     metrics registry receives the batch's :class:`EngineMetrics` and the
     counters of every attempt, inline or in a worker.
+
+    :meth:`run` may be called from several threads at once.  The calls
+    share the ``jobs`` workers (see :class:`_Workers`) and keep their
+    batch state to themselves; :attr:`totals`, :attr:`failure_log` and
+    the quarantine are updated under one lock.  An engine that
+    evaluates inline has one evaluation slot, the calling thread, so it
+    runs one call at a time.  A profiler times one call at a time:
+    concurrent calls need a run context without one.
     """
 
     def __init__(
@@ -545,36 +643,54 @@ class CorpusEngine:
         # an engine dropped without close() still reaps its workers (at
         # collection, or at interpreter exit)
         weakref.finalize(self, self._workers.close)
-        #: metrics of the most recent :meth:`run` batch
+        #: metrics of the most recent :meth:`run` batch to finish
         self.metrics = EngineMetrics(jobs=self.jobs)
         #: metrics accumulated over the engine's lifetime
         self.totals = EngineMetrics(jobs=self.jobs)
-        #: :class:`UnitFailure` records of the most recent batch
+        #: :class:`UnitFailure` records of the most recent batch to finish
         self.failures: list[UnitFailure] = []
         #: failure records accumulated over the engine's lifetime
         self.failure_log: list[UnitFailure] = []
-        self._completed = 0
+        #: :class:`UnitOutcome` records of the most recent batch to
+        #: finish, for observers outside the call; a caller that needs
+        #: its own batch's outcomes asks ``run`` for them
+        self.last_outcomes: list[UnitOutcome] = []
+        # guards the lifetime records above and the quarantine
+        self._lock = threading.Lock()
+        # the inline evaluation slot (reentrant: an evaluator may run a
+        # nested batch on the run context's engine)
+        self._inline = threading.RLock()
         self._warned_cache_write = False
         self._quarantined: dict[str, dict[str, Any]] = {}
         self._load_quarantine()
 
     # ------------------------------------------------------------------
 
-    def run(self, units: Sequence[WorkUnit]) -> list[Optional[dict[str, Any]]]:
+    def run(
+        self, units: Sequence[WorkUnit], *, outcomes: bool = False
+    ) -> list[Any]:
         """Execute a batch; results come back in submission order.
 
         The returned list is **aligned with** ``units``: entry *i* is
         unit *i*'s result dict, or ``None`` exactly when unit *i*
         failed under the ``collect``/``quarantine`` policies (under the
         default ``fail_fast`` a failure raises instead, so every entry
-        is a dict).  Accounting always holds:
-        ``cache_hits + evaluated + failed == total``; a coalesced unit
-        counts as evaluated or failed, as the unit it shared did.
+        is a dict).  With ``outcomes=True`` entry *i* is unit *i*'s
+        :class:`UnitOutcome` instead, which also says whether it was a
+        cache hit, how long it took and, for a failure, why.
+        Accounting always holds: ``cache_hits + evaluated + failed ==
+        total``; a coalesced unit counts as evaluated or failed, as the
+        unit it shared did.
         """
-        units = list(units)
+        inline = self.jobs == 1 and self.unit_timeout is None
+        with self._inline if inline else contextlib.nullcontext():
+            batch = self._run(list(units))
+        return batch if outcomes else [o.result for o in batch]
+
+    def _run(self, units: list[WorkUnit]) -> list[UnitOutcome]:
         t0 = time.perf_counter()
         metrics = EngineMetrics(jobs=self.jobs, total_units=len(units))
-        self._completed = 0
+        progress = _Progress(self.progress, len(units))
         batch_failures: list[UnitFailure] = []
 
         ctx = current_context()
@@ -593,7 +709,6 @@ class CorpusEngine:
             tracer.engine_lanes(self.jobs)
             batch_t0_us = tracer.now_us()
 
-        results: list[Optional[dict[str, Any]]] = [None] * len(units)
         outcomes: list[Optional[UnitOutcome]] = [None] * len(units)
         #: the misses in submission order, followers included
         pending: list[tuple[int, WorkUnit, Optional[str]]] = []
@@ -610,7 +725,9 @@ class CorpusEngine:
         #: each distinct unit's key, and each key's first (leading) unit
         unit_keys: dict[WorkUnit, Optional[str]] = {}
         leader_by_key: dict[str, int] = {}
-        corrupt0 = self.cache.stats.corrupt if caching else 0
+        # this batch's lookups (the cache's own stats are shared with
+        # concurrent batches)
+        lookups = CacheStats()
         lookup_cm = (
             prof.phase("engine/cache_lookup")
             if profiling
@@ -627,8 +744,8 @@ class CorpusEngine:
                         cache_key(unit, model_digests) if keyed
                         else _coalesce_key(unit, model_digests)
                     )
-                if quarantining and key in self._quarantined:
-                    info = self._quarantined[key]
+                info = self._quarantined.get(key) if quarantining else None
+                if info is not None:
                     failure = UnitFailure(
                         index=i, unit=unit, attempts=0,
                         error_class="Quarantined", kind="permanent",
@@ -640,23 +757,22 @@ class CorpusEngine:
                     outcomes[i] = UnitOutcome(i, unit, False, 0.0, None, failure)
                     batch_failures.append(failure)
                     metrics.failed += 1
-                    self._emit(unit, i, False, 0.0, len(units), failed=True)
+                    progress.emit(unit, i, False, 0.0, failed=True)
                     continue
                 lead = (
                     leader_by_key.setdefault(key, i)
                     if grouping and key is not None else i
                 )
                 if lead == i:
-                    hit = self.cache.get(key) if caching else None
+                    hit = self.cache.get(key, lookups) if caching else None
                 elif outcomes[lead] is not None:
                     # the leader hit the cache: a private copy of its hit
-                    hit = copy.deepcopy(results[lead])
+                    hit = copy.deepcopy(outcomes[lead].result)
                 else:
                     followers.setdefault(lead, []).append((i, unit))
                     pending.append((i, unit, key))
                     continue
                 if hit is not None:
-                    results[i] = hit
                     outcomes[i] = UnitOutcome(i, unit, True, 0.0, hit)
                     metrics.cache_hits += 1
                     if tracing:
@@ -665,11 +781,10 @@ class CorpusEngine:
                             tracer.now_us(), PID_ENGINE, TID_ENGINE_CONTROL,
                             cat="cache", args={"index": i},
                         )
-                    self._emit(unit, i, True, 0.0, len(units))
+                    progress.emit(unit, i, True, 0.0)
                 else:
                     pending.append((i, unit, key))
-        if caching:
-            metrics.cache_corrupt = self.cache.stats.corrupt - corrupt0
+        metrics.cache_corrupt = lookups.corrupt
 
         attempts: list[AttemptRecord] = []
         if pending:
@@ -684,7 +799,7 @@ class CorpusEngine:
             )
             with eval_cm:
                 res_map, fail_map = self._evaluate_pending(
-                    leaders, followers, metrics, attempts, len(units), ctx,
+                    leaders, followers, metrics, attempts, progress, ctx,
                 )
             # ``pending`` is in submission order; absorbing worker
             # profile snapshots in that fixed order keeps the merged
@@ -707,7 +822,6 @@ class CorpusEngine:
                         result, seconds, _ = res_map[lead]
                         # a private copy, as a cache hit would return
                         result = copy.deepcopy(result)
-                        results[i] = result
                         outcomes[i] = UnitOutcome(
                             i, unit, False, seconds, result
                         )
@@ -724,7 +838,6 @@ class CorpusEngine:
                     continue
                 if i in res_map:
                     result, seconds, unit_prof = res_map[i]
-                    results[i] = result
                     outcomes[i] = UnitOutcome(i, unit, False, seconds, result)
                     metrics.evaluated += 1
                     metrics.busy_seconds += seconds
@@ -800,11 +913,9 @@ class CorpusEngine:
             f"evaluated {metrics.evaluated} + failed {metrics.failed} "
             f"!= total {metrics.total_units}"
         )
-        self.metrics = metrics
-        metrics.absorb_into(self.totals)
-        self.failures = batch_failures
-        self.failure_log.extend(batch_failures)
-        self.last_outcomes = [o for o in outcomes if o is not None]
+        with self._lock:
+            metrics.absorb_into(self.totals)
+            self.failure_log.extend(batch_failures)
 
         if tracing:
             tracer.complete(
@@ -819,7 +930,10 @@ class CorpusEngine:
             )
 
         record_engine_metrics(metrics, ctx.metrics)
-        return results
+        self.metrics = metrics
+        self.failures = batch_failures
+        self.last_outcomes = outcomes
+        return outcomes
 
     def close(self) -> None:
         """Kill and reap the worker processes.
@@ -844,7 +958,7 @@ class CorpusEngine:
         followers: dict[int, list[tuple[int, WorkUnit]]],
         metrics: EngineMetrics,
         attempts: list[AttemptRecord],
-        total: int,
+        progress: _Progress,
         batch: RunContext,
     ) -> tuple[dict[int, tuple[dict, float, Optional[dict]]], dict[int, UnitFailure]]:
         """Evaluate the distinct cache misses — inline or on the
@@ -864,21 +978,18 @@ class CorpusEngine:
         def context() -> RunContext:
             return replace(ctx, profiler=PhaseProfiler()) if profiling else ctx
 
-        workers = self._workers
         if self.jobs == 1 and self.unit_timeout is None:
             def dispatch(tasks):
                 return (_evaluate_task(t, context()) for t in tasks)
         else:
             def dispatch(tasks):
-                return workers.dispatch(tasks, context, self.unit_timeout)
-        respawns = workers.respawns
-        try:
-            return self._attempt_rounds(
-                pending, followers, dispatch, metrics, attempts, total,
-                batch.metrics,
-            )
-        finally:
-            metrics.worker_respawns += workers.respawns - respawns
+                return self._workers.dispatch(
+                    tasks, context, self.unit_timeout, metrics
+                )
+        return self._attempt_rounds(
+            pending, followers, dispatch, metrics, attempts, progress,
+            batch.metrics,
+        )
 
     def _attempt_rounds(
         self,
@@ -887,7 +998,7 @@ class CorpusEngine:
         dispatch: Callable[[list[tuple[int, WorkUnit, int]]], Iterator[Outcome]],
         metrics: EngineMetrics,
         attempts: list[AttemptRecord],
-        total: int,
+        progress: _Progress,
         registry: MetricsRegistry,
     ) -> tuple[dict[int, tuple[dict, float, Optional[dict]]], dict[int, UnitFailure]]:
         """The retry loop: dispatch rounds of attempts until every unit
@@ -926,9 +1037,7 @@ class CorpusEngine:
                     attempts.append(
                         AttemptRecord(idx, unit, attempt, "ok", seconds)
                     )
-                    self._emit_group(
-                        unit, idx, followers, st["seconds"], total
-                    )
+                    progress.emit_group(unit, idx, followers, st["seconds"])
                     continue
                 if self.retry_policy.should_retry(attempt, payload["kind"]):
                     metrics.retries += 1
@@ -963,8 +1072,8 @@ class CorpusEngine:
                         failure=failure,
                     )
                 failures[idx] = failure
-                self._emit_group(
-                    unit, idx, followers, st["seconds"], total, failed=True
+                progress.emit_group(
+                    unit, idx, followers, st["seconds"], failed=True
                 )
             if retries and max_backoff > 0:
                 time.sleep(max_backoff)
@@ -1030,7 +1139,8 @@ class CorpusEngine:
         if key is None:  # pragma: no cover - key always computed here
             return
         info = failure.to_json()
-        self._quarantined[key] = info
+        with self._lock:
+            self._quarantined[key] = info
         d = self._quarantine_dir()
         if d is None:
             return
@@ -1050,13 +1160,15 @@ class CorpusEngine:
         The CLI's ``--list-quarantine`` renders this so operators can
         see *why* units are being skipped before deciding to release
         them."""
-        return {k: dict(v) for k, v in self._quarantined.items()}
+        with self._lock:
+            return {k: dict(v) for k, v in self._quarantined.items()}
 
     def clear_quarantine(self) -> int:
         """Forget every quarantined unit (memory and disk); returns the
         number of entries released."""
-        n = len(self._quarantined)
-        self._quarantined.clear()
+        with self._lock:
+            n = len(self._quarantined)
+            self._quarantined.clear()
         d = self._quarantine_dir()
         if d is not None and d.is_dir():
             for p in d.glob("*.json"):
@@ -1064,39 +1176,6 @@ class CorpusEngine:
             with contextlib.suppress(OSError):
                 d.rmdir()
         return n
-
-    # ------------------------------------------------------------------
-
-    def _emit(
-        self, unit: WorkUnit, index: int, cached: bool, seconds: float,
-        total: int, failed: bool = False, coalesced: bool = False,
-    ) -> None:
-        self._completed += 1
-        if self.progress is None:
-            return
-        self.progress(
-            {
-                "unit": unit,
-                "index": index,
-                "cached": cached,
-                "coalesced": coalesced,
-                "failed": failed,
-                "seconds": seconds,
-                "completed": self._completed,
-                "total": total,
-            }
-        )
-
-    def _emit_group(
-        self, unit: WorkUnit, index: int,
-        followers: dict[int, list[tuple[int, WorkUnit]]],
-        seconds: float, total: int, failed: bool = False,
-    ) -> None:
-        """Progress for an evaluated unit and every unit that shares it."""
-        self._emit(unit, index, False, seconds, total, failed=failed)
-        for j, other in followers.get(index, ()):
-            self._emit(other, j, False, seconds, total, failed=failed,
-                       coalesced=True)
 
 
 def resolve_engine(engine: Optional[CorpusEngine] = None) -> CorpusEngine:

@@ -2,7 +2,7 @@
 
 The paper's models are validated on a 416-variant corpus; this package
 scales that methodology to tens of thousands of *generated* kernels and
-lets the backends check each other (ROADMAP item 3):
+lets the backends check each other (``docs/fuzzing.md``):
 
 * :mod:`.rng` — SHA-256 seed streams (platform-independent draws),
 * :mod:`.mutations` — the composable mutation catalog

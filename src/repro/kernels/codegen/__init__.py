@@ -26,6 +26,9 @@ from .aarch64 import AArch64Emitter, AArch64Spec, aarch64_spec
 #: every code-generation choice of one block, besides the kernel
 EmitSpec = X86Spec | AArch64Spec
 
+#: the µarchs the emitters target, and each one's ISA
+UARCH_ISA = {"golden_cove": "x86", "neoverse_v2": "aarch64", "zen4": "x86"}
+
 
 def emit_spec(
     kernel: KernelSpec,
@@ -35,12 +38,15 @@ def emit_spec(
     precision: str = "dp",
 ) -> EmitSpec:
     """The choices ``persona`` makes for ``kernel`` at ``opt`` on ``uarch``."""
-    if uarch in ("neoverse_v2",):
-        if persona.isa != "aarch64":
-            raise ValueError(f"persona {persona.name} does not target aarch64")
+    isa = UARCH_ISA.get(uarch)
+    if isa is None:
+        raise ValueError(
+            f"unknown µarch {uarch!r}; known: {sorted(UARCH_ISA)}"
+        )
+    if persona.isa != isa:
+        raise ValueError(f"persona {persona.name} does not target {isa}")
+    if isa == "aarch64":
         return aarch64_spec(kernel, persona, opt, precision)
-    if persona.isa != "x86":
-        raise ValueError(f"persona {persona.name} does not target x86")
     return x86_spec(kernel, persona, opt, uarch, precision)
 
 
@@ -70,7 +76,8 @@ def generate_assembly(
         ``"O1"`` | ``"O2"`` | ``"O3"`` | ``"Ofast"``.
     uarch:
         Target microarchitecture (``golden_cove``/``zen4``/
-        ``neoverse_v2``) — affects vector width selection.
+        ``neoverse_v2``; any other name raises ``ValueError``) —
+        affects vector width selection.
     precision:
         ``"dp"`` (the paper's corpus) or ``"sp"`` — single-precision
         variants double the elements per vector.

@@ -173,9 +173,10 @@ class MetricsRegistry:
     def _get(self, cls, name: str, help: str, **kwargs):
         m = self._metrics.get(name)
         if m is None:
-            m = cls(name, help, **kwargs)
-            self._metrics[name] = m
-        elif not isinstance(m, cls):
+            # one atomic store: of two threads creating the same name,
+            # both keep the object stored first
+            m = self._metrics.setdefault(name, cls(name, help, **kwargs))
+        if not isinstance(m, cls):
             raise ValueError(
                 f"metric {name!r} already registered as {m.kind}, "
                 f"not {cls.kind}"

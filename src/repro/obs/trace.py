@@ -62,8 +62,8 @@ TID_WORKER_BASE = 1
 #: serving lanes: the dispatcher's batch spans, the requests answered
 #: from the cache on the event loop, then one request lane per batch
 #: slot (slot *i* maps to tid 2+i) — the loop answers one hit at a
-#: time and batches are serialized, so each lane's spans are disjoint
-#: by construction
+#: time; at ``jobs=1`` batches run one at a time, so each lane's spans
+#: are disjoint, and with more batches in flight theirs overlap
 TID_SERVE_DISPATCH = 0
 TID_SERVE_LOOP = 1
 TID_SERVE_SLOT_BASE = 2

@@ -41,6 +41,11 @@ class Ticket:
     seq: int
     future: "asyncio.Future[Any]" = field(repr=False, default=None)  # type: ignore[assignment]
     abandoned: bool = False
+    #: the cache key this request is the one evaluation of, while it
+    #: holds it (the daemon's rule: one evaluation per key at a time)
+    key: Optional[str] = None
+    #: taken into a batch by the dispatcher
+    dispatched: bool = False
 
     def remaining(self, now: Optional[float] = None) -> float:
         if now is None:

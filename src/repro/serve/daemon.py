@@ -28,25 +28,28 @@ cache hits itself: it builds the request's cache key and reads the
 entry through the daemon's own :class:`~repro.engine.cache.ResultCache`
 on the engine's cache directory (entries are written atomically, so
 the loop never reads a torn one), and touches no ``CorpusEngine``
-state.  Misses are admitted, and engine batches run on a single-thread
-executor (``CorpusEngine`` is not thread-safe; one thread serializes
-batches), from which the engine sends every evaluation to its worker
-*processes*.  Workers fork from the executor thread while the loop
-runs, so the loop thread must import nothing once serving starts (a
-worker forked while it holds a module's import lock would inherit the
+state.  Misses are admitted, and up to ``jobs`` engine batches run at
+once, each on its own thread of a ``jobs``-thread executor; they share
+the engine's ``jobs`` worker *processes*, which evaluate every unit
+(``--jobs 1`` runs one batch at a time).  While a request's miss is
+admitted and unanswered, a second request with the same cache key
+waits for it and then reads the cache, so a key is evaluated once at a
+time.  Workers fork from the executor threads while the loop runs, so
+no thread may import a module once serving starts (a worker forked
+while another thread holds a module's import lock would inherit the
 lock held forever): :meth:`ReproServer.start` imports and digests
 every machine model, and imports the backend registry the cache key
 reads, before the listener opens.  The engine enforces a unit deadline
 by killing the worker, so with a ``unit_timeout`` (the default) the
 daemon process never evaluates a request itself, at any ``jobs``: a
 crash or a hang costs one worker and one structured 500 or 504.
-Shutdown closes the engine on the executor thread, after the last
-batch.
+Shutdown closes the engine once every in-flight batch has returned.
 """
 
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import logging
 import signal
@@ -113,7 +116,7 @@ class ServeConfig:
 
     host: str = "127.0.0.1"
     port: int = 8472
-    #: engine worker processes
+    #: engine worker processes, and the most engine batches in flight
     jobs: int = 2
     cache_dir: Optional[str] = None
     #: "collect" or "quarantine" (quarantine needs a cache_dir)
@@ -163,11 +166,15 @@ class ReproServer:
         # the run context's registry, which the engine's batches and
         # their attempts' counters also land in
         self.registry = current_context().metrics
-        # engine.run() is not thread-safe: one executor thread
-        # serializes batches while the loop stays responsive
+        # one thread per batch in flight; the batches share the
+        # engine's workers while the loop stays responsive
         self._executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-serve-engine"
+            max_workers=self.engine.jobs,
+            thread_name_prefix="repro-serve-engine",
         )
+        #: cache key -> done once the admitted request that evaluates
+        #: that key is answered (see :meth:`_analyze`)
+        self._inflight: dict[str, asyncio.Future] = {}
         self.draining = False
         self.stopped = False
         self._server: Optional[asyncio.base_events.Server] = None
@@ -228,6 +235,11 @@ class ReproServer:
         self._m_latency = m.histogram(
             "serve.latency_seconds",
             "end-to-end request latency (validated request to response)",
+            buckets=LATENCY_BUCKETS,
+        )
+        self._m_queue_wait = m.histogram(
+            "serve.queue_wait_seconds",
+            "admitted request's wait from admission to its batch's start",
             buckets=LATENCY_BUCKETS,
         )
 
@@ -319,11 +331,7 @@ class ReproServer:
             await asyncio.gather(
                 *self._conn_tasks, return_exceptions=True
             )
-        # on the executor thread, so it runs after the last batch
-        await asyncio.get_running_loop().run_in_executor(
-            self._executor, self.engine.close
-        )
-        self._executor.shutdown(wait=False)
+        await asyncio.to_thread(self._close_engine)
         if self.config.manifest_path:
             try:
                 from ..obs.report import write_manifest
@@ -337,8 +345,14 @@ class ReproServer:
         self.stopped = True
         log.info("drained cleanly")
 
+    def _close_engine(self) -> None:
+        """Close the engine once every in-flight batch has returned."""
+        self._executor.shutdown(wait=True)
+        self.engine.close()
+
     def _fail_pending(self, err: ServeError) -> None:
         for t in self.queue.drain_pending():
+            self._release(t)
             if not t.future.done():
                 t.future.set_exception(err)
 
@@ -632,11 +646,31 @@ class ReproServer:
             if timeout <= 0:
                 raise ValidationError("X-Timeout must be positive")
 
-        self._requests += 1
-        self._m_requests.inc()
-        hit = self._cached_answer(request)
+        start = time.monotonic()
+        deadline = start + timeout
+        key = (
+            None if self._cache is None
+            else cache_key(request.to_unit(), self._model_digests)
+        )
+        hit = self._cached_answer(request, key, start)
+        # One evaluation per key at a time: a miss whose key an admitted
+        # request holds waits for that request's batch, then reads the
+        # cache again (a failed evaluation leaves it a miss).
+        while hit is None and key in self._inflight:
+            try:
+                await asyncio.wait_for(
+                    asyncio.shield(self._inflight[key]),
+                    timeout=deadline - time.monotonic(),
+                )
+            except (asyncio.TimeoutError, TimeoutError):
+                break  # admitted below, it times out as a queued one does
+            hit = self._cached_answer(request, key, start)
         if hit is not None:
             return 200, {}, hit
+        if self.draining:  # the drain began while this request waited
+            self._m_drain_refused.inc()
+            raise DrainingError("daemon is draining; retry elsewhere")
+        self._count_request()
 
         breaker = self.breakers.get(request.backend)
         probe = False
@@ -652,9 +686,7 @@ class ReproServer:
             probe = True
 
         try:
-            ticket = self.queue.submit(
-                request, deadline=time.monotonic() + timeout
-            )
+            ticket = self.queue.submit(request, deadline=deadline)
         except Exception as exc:
             if probe:
                 breaker.release_probe()
@@ -662,57 +694,62 @@ class ReproServer:
                 self._m_rejected.inc()
             raise
         ticket.probe = probe  # type: ignore[attr-defined]
+        if key is not None and key not in self._inflight:
+            ticket.key = key
+            self._inflight[key] = asyncio.get_running_loop().create_future()
         self._m_admitted.inc()
         self._m_depth.set(self.queue.depth())
 
         try:
             status, hdrs, payload = await asyncio.wait_for(
-                asyncio.shield(ticket.future), timeout=timeout
+                asyncio.shield(ticket.future),
+                timeout=deadline - time.monotonic(),
             )
         except (asyncio.TimeoutError, TimeoutError):
             ticket.abandoned = True
+            if not ticket.dispatched:
+                # the dispatcher will drop it unevaluated
+                self._release(ticket)
             if probe:
                 breaker.release_probe()
             self._m_timeouts.inc()
-            self._m_latency.observe(time.monotonic() - ticket.enqueued_at)
+            self._m_latency.observe(time.monotonic() - start)
             raise DeadlineError(
                 f"deadline of {timeout:.3f}s exceeded "
                 f"(queue depth {self.queue.depth()})",
                 detail={"label": request.label},
             ) from None
-        self._m_latency.observe(time.monotonic() - ticket.enqueued_at)
+        self._m_latency.observe(time.monotonic() - start)
         self._count_status(status)
         return status, hdrs, payload
 
     def _cached_answer(
-        self, request: AnalyzeRequest
+        self, request: AnalyzeRequest, key: Optional[str], start: float
     ) -> Optional[dict[str, Any]]:
         """The 200 body of a request whose result is in the cache, or
-        ``None`` (a miss, or no cache).  Runs on the loop thread: a hit
-        skips the breakers, the queue and the executor, because a cached
-        answer needs no backend.  A corrupt entry is moved aside by the
-        cache and reads as a miss, so the engine evaluates it afresh."""
-        if self._cache is None:
+        ``None`` (a miss, or no cache: ``key`` is ``None``).  Runs on
+        the loop thread: a hit skips the breakers, the queue and the
+        executor, because a cached answer needs no backend.  A corrupt
+        entry is moved aside by the cache and reads as a miss, so the
+        engine evaluates it afresh."""
+        if key is None:
             return None
-        t0 = time.monotonic()
-        tracer = current_context().tracer
-        if tracer is not None:
-            t0_us = tracer.now_us()
-        result = self._cache.get(
-            cache_key(request.to_unit(), self._model_digests)
-        )
+        result = self._cache.get(key)
         if result is None:
             return None
         body = result_body(result, cached=True, seconds=0.0)
+        self._count_request()
         self._m_loop_hits.inc()
         self._m_cache_hits.inc()
-        self._m_latency.observe(time.monotonic() - t0)
+        seconds = time.monotonic() - start
+        self._m_latency.observe(seconds)
         self._count_status(200)
+        tracer = current_context().tracer
         if tracer is not None:
             tracer.serve_lanes(self.queue.batch_max)
             tracer.complete(
-                f"req {request.label}", t0_us, tracer.now_us() - t0_us,
-                PID_SERVE, TID_SERVE_LOOP, cat="request",
+                f"req {request.label}", tracer.now_us() - seconds * 1e6,
+                seconds * 1e6, PID_SERVE, TID_SERVE_LOOP, cat="request",
                 args={
                     "backend": request.backend,
                     "arch": request.arch,
@@ -722,6 +759,19 @@ class ReproServer:
                 },
             )
         return body
+
+    def _count_request(self) -> None:
+        """Count a validated request, answered on the loop or admitted
+        (or refused at admission)."""
+        self._requests += 1
+        self._m_requests.inc()
+
+    def _release(self, ticket: Ticket) -> None:
+        """End *ticket*'s hold on its cache key: the requests waiting
+        for that key read the cache again."""
+        if ticket.key is not None:
+            self._inflight.pop(ticket.key).set_result(None)
+            ticket.key = None
 
     def _count_status(self, status: int) -> None:
         if status < 300:
@@ -736,27 +786,54 @@ class ReproServer:
     # ------------------------------------------------------------------
 
     async def _dispatch_loop(self) -> None:
-        while True:
-            batch = await self.queue.next_batch()
-            if batch is None:
-                return
-            try:
-                await self._run_batch(batch)
-            except asyncio.CancelledError:
-                for t in batch:
-                    if not t.future.done():
-                        t.future.set_exception(
-                            DrainingError("drain deadline expired")
-                        )
-                raise
-            except Exception as exc:  # noqa: BLE001 — keep dispatching
-                log.exception("batch dispatch failed")
-                err = ServeError(
-                    f"batch dispatch failed: {type(exc).__name__}: {exc}"
+        """Start the next batch whenever fewer than ``jobs`` are in
+        flight; return once the queue is closed and every batch has
+        returned."""
+        slots = asyncio.Semaphore(self.engine.jobs)
+        running: set[asyncio.Task] = set()
+
+        def finished(task: asyncio.Task) -> None:
+            running.discard(task)
+            slots.release()
+
+        try:
+            while True:
+                await slots.acquire()
+                batch = await self.queue.next_batch()
+                if batch is None:
+                    break
+                for ticket in batch:
+                    ticket.dispatched = True
+                task = asyncio.get_running_loop().create_task(
+                    self._serve_batch(batch)
                 )
-                for t in batch:
-                    if not t.future.done():
-                        t.future.set_exception(err)
+                running.add(task)
+                task.add_done_callback(finished)
+            await asyncio.gather(*running)
+        except asyncio.CancelledError:
+            for task in running:
+                task.cancel()
+            await asyncio.gather(*running, return_exceptions=True)
+            raise
+
+    async def _serve_batch(self, batch: list[Ticket]) -> None:
+        try:
+            await self._run_batch(batch)
+        except asyncio.CancelledError:
+            for t in batch:
+                if not t.future.done():
+                    t.future.set_exception(
+                        DrainingError("drain deadline expired")
+                    )
+            raise
+        except Exception as exc:  # noqa: BLE001 — keep dispatching
+            log.exception("batch dispatch failed")
+            err = ServeError(
+                f"batch dispatch failed: {type(exc).__name__}: {exc}"
+            )
+            for t in batch:
+                if not t.future.done():
+                    t.future.set_exception(err)
 
     async def _run_batch(self, batch: list[Ticket]) -> None:
         loop = asyncio.get_running_loop()
@@ -772,26 +849,23 @@ class ReproServer:
             t0_us = tracer.now_us()
 
         t0 = time.monotonic()
-        results = await loop.run_in_executor(
-            self._executor, self.engine.run, units
-        )
-        del results  # outcome records carry everything, aligned by index
+        for ticket in batch:
+            self._m_queue_wait.observe(t0 - ticket.enqueued_at)
+        try:
+            outcomes = await loop.run_in_executor(
+                self._executor,
+                functools.partial(self.engine.run, units, outcomes=True),
+            )
+        finally:
+            # the batch's results are cached now (or failed): requests
+            # waiting on its keys read the cache again
+            for ticket in batch:
+                self._release(ticket)
         service = time.monotonic() - t0
         self.queue.observe_service(service)
 
-        by_index = {o.index: o for o in self.engine.last_outcomes}
-        for i, ticket in enumerate(batch):
-            outcome = by_index.get(i)
+        for i, (ticket, outcome) in enumerate(zip(batch, outcomes)):
             breaker = self.breakers.get(ticket.request.backend)
-            if outcome is None:
-                # should be unreachable (collect aligns outcomes with
-                # units); treat as an internal failure, count it 5xx
-                breaker.record_failure()
-                self._resolve(
-                    ticket, 500, {},
-                    ServeError("unit produced no outcome").to_body(),
-                )
-                continue
             if outcome.failure is not None:
                 status, _code = status_for_failure(outcome.failure)
                 if status >= 500:
@@ -825,8 +899,8 @@ class ReproServer:
                     args={
                         "backend": ticket.request.backend,
                         "arch": ticket.request.arch,
-                        "cached": bool(outcome and outcome.cached),
-                        "failed": bool(outcome and outcome.failure),
+                        "cached": outcome.cached,
+                        "failed": outcome.failure is not None,
                         "queue_wait_us": round(
                             (t0 - ticket.enqueued_at) * 1e6
                         ),

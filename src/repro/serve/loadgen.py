@@ -275,12 +275,12 @@ def scenario_overload(
 ) -> dict[str, Any]:
     """A synchronized burst against a tiny queue: backpressure check.
 
-    Queue capacity 2 + one in-service batch of 2 means a burst of 16
-    slow requests *must* shed at least 12 with 429 — queuing them all
-    would be the unbounded-buffering failure mode this daemon exists
-    to avoid.  How many exactly is scheduling-dependent, so only the
-    *existence* of 429s (and everyone getting a structured answer)
-    gates; counts are recorded under neutral names.
+    Queue capacity 2 + ``jobs`` (2) in-service batches of 2 means a
+    burst of 16 slow requests *must* shed at least 10 with 429 —
+    queuing them all would be the unbounded-buffering failure mode this
+    daemon exists to avoid.  How many exactly is scheduling-dependent,
+    so only the *existence* of 429s (and everyone getting a structured
+    answer) gates; counts are recorded under neutral names.
     """
     burst = 8 if quick else 16
     cfg = ServeConfig(

@@ -200,3 +200,15 @@ def test_repeat_enumeration_emits_each_distinct_spec_once(
         monkeypatch.setattr(cls, "generate", counting)
     assert enumerate_corpus(**kwargs) == first
     assert len(calls) == runs
+
+
+@pytest.mark.parametrize(
+    "persona,uarch", [("gcc", "grace"), ("gcc-arm", "neoverse-v2")]
+)
+def test_unknown_uarch_is_rejected_by_name(persona, uarch):
+    # a chip alias or a misspelling names no emitter target: it must not
+    # fall through to the x86 emitter
+    with pytest.raises(ValueError) as err:
+        generate_assembly("add", persona, "O2", uarch)
+    for known in ("golden_cove", "neoverse_v2", "zen4"):
+        assert known in str(err.value)

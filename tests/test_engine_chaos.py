@@ -16,6 +16,7 @@ kills and hangs cost real seconds.
 import gc
 import os
 import signal
+import sys
 import threading
 import time
 
@@ -399,6 +400,99 @@ class TestWorkerLifecycle:
         m = eng.metrics
         assert m.failed == 0 and m.retries == 0 and m.worker_respawns == 1
         eng.close()
+
+
+class TestConcurrentCalls:
+    """Calls from several threads share one engine's workers."""
+
+    @staticmethod
+    def _wait_for(path, seconds=10.0):
+        deadline = time.monotonic() + seconds
+        while not path.exists():
+            assert time.monotonic() < deadline, f"{path.name} never written"
+            time.sleep(0.01)
+
+    def test_a_call_is_not_held_by_another_calls_hang(self, tmp_path):
+        pidfile = tmp_path / "hung.pid"
+        hung = WorkUnit.make("chaos_sleep", label="hung", seconds=60.0,
+                             pidfile=str(pidfile))
+        eng = CorpusEngine(jobs=2, error_policy="collect", max_retries=0,
+                           unit_timeout=2.0)
+        box = {}
+        thread = threading.Thread(
+            target=lambda: box.update(out=eng.run([hung], outcomes=True))
+        )
+        t0 = time.monotonic()
+        thread.start()
+        try:
+            self._wait_for(pidfile)
+            pids = set()
+            for n in range(3):
+                out = eng.run([WorkUnit.make("chaos_pid", label=f"p{n}", i=n)])
+                pids |= {r["pid"] for r in out}
+            # the other calls returned well inside the hang's deadline,
+            # all on the one worker the hang left idle: never a third
+            assert time.monotonic() - t0 < 2.0
+            assert len(pids | {int(pidfile.read_text())}) == 2
+        finally:
+            thread.join(30)
+        assert not thread.is_alive()
+        (o,) = box["out"]
+        assert o.failure.error_class == "UnitTimeoutError"
+        eng.close()
+
+    def test_sigkill_fails_only_its_own_call(self, tmp_path):
+        pidfile = tmp_path / "bystander.pid"
+        bystander = WorkUnit.make("chaos_sleep", label="bystander",
+                                  seconds=1.0, pidfile=str(pidfile))
+        victim = WorkUnit.make("chaos_sigkill", label="victim",
+                               marker=str(tmp_path / "killed"))
+        eng = CorpusEngine(jobs=2, error_policy="collect", max_retries=0)
+        box = {}
+        thread = threading.Thread(
+            target=lambda: box.update(out=eng.run([bystander], outcomes=True))
+        )
+        thread.start()
+        try:
+            self._wait_for(pidfile)
+            (v,) = eng.run([victim], outcomes=True)
+        finally:
+            thread.join(30)
+        assert not thread.is_alive()
+        assert v.failure.error_class == "WorkerCrashError"
+        (b,) = box["out"]
+        assert b.failure is None and b.result == {"slept": 1.0}
+        assert eng.totals.worker_respawns == 1
+        eng.close()
+
+    def test_many_callers_keep_the_accounting(self):
+        # more callers than cores, switching threads every few bytecodes:
+        # a lost update to the shared totals or an extra worker shows
+        eng = CorpusEngine(jobs=2, error_policy="collect")
+        outs = {}
+
+        def call(n):
+            outs[n] = eng.run([
+                WorkUnit.make("chaos_pid", label=f"s{n}.{i}", n=n, i=i)
+                for i in range(5)
+            ])
+
+        threads = [threading.Thread(target=call, args=(n,)) for n in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+            eng.close()
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(outs) == list(range(8))
+        t = eng.totals
+        assert t.total_units == t.evaluated == 40 and not eng.failure_log
+        assert len({r["pid"] for out in outs.values() for r in out}) <= 2
 
 
 class TestCacheFaults:

@@ -2,12 +2,14 @@
 exporters, the engine adapter, and the simulator's stall attribution."""
 
 import json
+import threading
 
 import pytest
 
 from repro.context import current_context, use_context
 from repro.engine import CorpusEngine, EngineMetrics, WorkUnit
 from repro.obs.metrics import (
+    Counter,
     MetricsRegistry,
     record_engine_metrics,
 )
@@ -120,6 +122,29 @@ class TestRegistry:
         assert r.counter("a") is r.counter("a")
         assert r.gauge("b") is r.gauge("b")
         assert r.histogram("c") is r.histogram("c")
+
+    def test_concurrent_creation_keeps_one_instance(self, monkeypatch):
+        # both threads are past the lookup and build a counter each
+        # before either stores it; the second store must not replace
+        # the first, or one increment lands in a counter nobody reads
+        barrier = threading.Barrier(2, timeout=10)
+        init = Counter.__init__
+
+        def held_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            barrier.wait()
+
+        monkeypatch.setattr(Counter, "__init__", held_init)
+        r = MetricsRegistry()
+        threads = [
+            threading.Thread(target=lambda: r.counter("x").inc())
+            for _ in range(2)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(10)
+        assert r.counter("x").value == 2.0
 
     def test_kind_mismatch_raises(self):
         r = MetricsRegistry()

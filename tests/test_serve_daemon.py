@@ -384,20 +384,125 @@ class TestCacheHitsOnTheLoop:
             st.stop()
 
 
+def _histogram_count(st, name) -> int:
+    status, body = _get(st, "/metrics")
+    assert status == 200
+    for line in body.decode().splitlines():
+        metric, _, value = line.partition("  ")
+        if metric.strip() == name:
+            return int(value.split()[0].removeprefix("count="))
+    raise AssertionError(f"{name} not in /metrics")
+
+
+@pytest.mark.usefixtures("own_metrics")
+class TestConcurrentBatches:
+    """Up to ``jobs`` engine batches run at once, on the engine's shared
+    workers; a key is evaluated once at a time."""
+
+    COLD = {"assembly": "fmul v1.2d, v2.2d, v3.2d\n", "arch": "gcs",
+            "label": "cold"}
+    OTHER = {"assembly": "fadd v4.2d, v5.2d, v6.2d\n", "arch": "gcs",
+             "label": "other"}
+
+    @pytest.mark.parametrize("jobs,status", [(2, 200), (1, 504)])
+    def test_miss_is_not_queued_behind_a_hung_miss(
+        self, tmp_path, jobs, status
+    ):
+        plan = FaultPlan(
+            [FaultSpec(site="hang", rate=1.0, match="cold",
+                       hang_seconds=30.0)],
+            seed=1,
+        )
+        with use_context(faults=plan):
+            st = ServerThread(_cfg(jobs=jobs, cache_dir=str(tmp_path / "c"),
+                                   unit_timeout=2.0, max_retries=0))
+            st.start()
+            try:
+                cold = {}
+                t = threading.Thread(
+                    target=lambda: cold.update(r=_post(st, self.COLD)),
+                    daemon=True,
+                )
+                t.start()
+                deadline = time.monotonic() + 10
+                while st.call(lambda srv: srv.stats()["batches"]) < 1:
+                    assert time.monotonic() < deadline, "cold never dispatched"
+                    time.sleep(0.01)
+                # the hung unit holds its batch for 2 s: with a second
+                # batch in flight the other miss is answered at once,
+                # and at --jobs 1 it still waits out its 1 s deadline
+                got, body = _post(st, self.OTHER, headers={"X-Timeout": "1"})
+                assert got == status
+                if status == 200:
+                    assert body["cached"] is False
+                t.join(timeout=30)
+                assert not t.is_alive()
+                assert cold["r"][0] == 504
+            finally:
+                st.stop()
+
+    def test_identical_misses_are_evaluated_once(self, tmp_path):
+        st = ServerThread(_cfg(cache_dir=str(tmp_path / "c")))
+        st.start()
+        try:
+            barrier = threading.Barrier(2, timeout=10)
+            replies = []
+
+            def send():
+                barrier.wait()
+                replies.append(_post(st, self.COLD))
+
+            threads = [threading.Thread(target=send) for _ in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert [status for status, _ in replies] == [200, 200]
+            assert sorted(body["cached"] for _, body in replies) == [
+                False, True,
+            ]
+            cpi = {body["cycles_per_iteration"] for _, body in replies}
+            assert len(cpi) == 1
+            assert _metric_values(st)["engine.units_evaluated"] == 1
+        finally:
+            st.stop()
+
+    def test_queue_wait_is_observed_per_admitted_request(self, tmp_path):
+        st = ServerThread(_cfg(cache_dir=str(tmp_path / "c")))
+        st.start()
+        try:
+            assert _post(st, self.COLD)[1]["cached"] is False
+            assert _histogram_count(st, "serve.queue_wait_seconds") == 1
+            assert _post(st, self.COLD)[1]["cached"] is True
+            assert _histogram_count(st, "serve.queue_wait_seconds") == 1
+        finally:
+            st.stop()
+
+
 def test_start_imports_every_machine_model(tmp_path):
-    # An engine worker forked while the loop thread imports a module
+    # An engine worker forked while any daemon thread imports a module
     # inherits that module's import lock held, and hangs on it; so
-    # start() must leave the loop nothing to import.  A fresh
-    # interpreter, because this one has imported every model already.
+    # start() must leave the loop and the executor threads nothing to
+    # import, misses of every backend included.  A fresh interpreter,
+    # because this one has imported every model already.
     script = (
-        "import asyncio, sys\n"
+        "import asyncio, json, sys\n"
         "from repro.serve.daemon import ReproServer, ServeConfig\n"
+        "def loaded():\n"
+        "    return {m for m in sys.modules if m.startswith('repro.')}\n"
         "async def main():\n"
-        "    srv = ReproServer(ServeConfig(port=0))\n"
+        "    srv = ReproServer(ServeConfig(port=0, cache_dir='cache'))\n"
         "    await srv.start()\n"
         "    try:\n"
-        "        print(' '.join(sorted(m for m in sys.modules\n"
-        "                              if m.startswith('repro.'))))\n"
+        "        before = loaded()\n"
+        "        for backend in ('model', 'mca', 'sim'):\n"
+        "            body = json.dumps({'assembly': 'fadd v0.2d, v1.2d, v2.2d',\n"
+        "                               'arch': 'gcs', 'backend': backend})\n"
+        "            status, _, reply = await srv.handle_request(\n"
+        "                'POST', '/v1/analyze', {}, body.encode())\n"
+        "            assert status == 200 and reply['cached'] is False, reply\n"
+        "        print(' '.join(sorted(before)))\n"
+        "        print(' '.join(sorted(loaded() - before)))\n"
         "    finally:\n"
         "        await srv.shutdown()\n"
         "asyncio.run(main())\n"
@@ -409,10 +514,11 @@ def test_start_imports_every_machine_model(tmp_path):
         capture_output=True, text=True, timeout=60,
     )
     assert out.returncode == 0, out.stderr
-    loaded = set(out.stdout.split())
+    started, late = out.stdout.split("\n")[:2]
     for module in ("repro.machine.golden_cove", "repro.machine.zen4",
                    "repro.machine.neoverse_v2", "repro.backends"):
-        assert module in loaded, module
+        assert module in started.split(), module
+    assert late.split() == []
 
 
 def _drive(coro):
