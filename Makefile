@@ -5,7 +5,7 @@ PY ?= python
 # targets work from a checkout without `make install`
 export PYTHONPATH := src:$(PYTHONPATH)
 
-.PHONY: install lint test test-fast test-chaos test-fuzz test-serve fuzz bench report verify perf perf-check serve-bench serve-check serve-demo all-figures outputs trace-demo clean
+.PHONY: install lint test test-fast test-chaos test-fuzz test-serve fuzz bench report verify bench-outputs perf perf-check serve-bench serve-check serve-demo all-figures outputs trace-demo clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -56,11 +56,21 @@ bench:
 report:
 	$(PY) -c "from repro.bench.report import generate_report; print(generate_report('REPORT.md'))"
 
-# model self-check + the standing perf and serving gates against the
-# committed BENCH_perf.json / BENCH_serve.json baselines
-# (see docs/observability.md and docs/serving.md)
-verify: perf-check serve-check
+# model self-check + the output gate + the standing perf and serving
+# gates against the committed BENCH_perf.json / BENCH_serve.json
+# baselines (see docs/observability.md and docs/serving.md)
+verify: bench-outputs perf-check serve-check
 	$(PY) -c "from repro.cli import bench_main; bench_main(['verify'])"
+
+# gate: every benchmark workload once at the default seed in full mode,
+# its output digest against perfbench/expected.json (~15 s; timings are
+# not judged). Quick mode runs fewer inputs and can miss a changed
+# prediction.
+bench-outputs:
+	@for w in corpus_cold corpus_warm fuzz_heldout serve_mixed; do \
+		echo "bench-outputs: $$w"; \
+		$(PY) perfbench/run.py --workload $$w --seconds 1 --trace 0 || exit 1; \
+	done
 
 # regenerate the committed perf baseline (run on the machine that will
 # later gate with perf-check; the manifest records best-of-repeats)

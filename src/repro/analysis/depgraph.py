@@ -29,20 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from ..isa.idioms import is_zero_idiom
-from ..isa.instruction import Instruction, OperandAccess
-from ..isa.operands import MemoryOperand, Register
-from ..machine.model import ResolvedInstruction
-
-
-def _memory_key(op: MemoryOperand) -> tuple:
-    """Structural identity of an address expression."""
-    return (
-        op.base.root if op.base else None,
-        op.index.root if op.index else None,
-        op.scale,
-        op.displacement,
-    )
+from ..isa.dataflow import Renaming, derive_dataflow
+from ..isa.instruction import Instruction
+from ..machine.model import MachineModel, ResolvedInstruction
 
 
 @dataclass
@@ -59,7 +48,9 @@ class DependencyGraph:
     """Dependency structure of one loop-body iteration."""
 
     instructions: Sequence[Instruction]
-    resolved: Sequence[ResolvedInstruction]
+    #: each node's result latency after renaming, plus load-to-use time
+    #: when it loads: the weight of every edge out of it
+    weights: Sequence[float]
     edges: list[DepEdge] = field(default_factory=list)
 
     # ------------------------------------------------------------------
@@ -87,7 +78,7 @@ class DependencyGraph:
                 dp[m] = max(dp[m], dp[n] + latency)
         # Add the terminal node's latency so a single long-latency
         # instruction shows its full cost.
-        return max(d + r.total_latency for d, r in zip(dp, self.resolved))
+        return max(d + w for d, w in zip(dp, self.weights))
 
     def loop_carried_dependency(self) -> tuple[float, list[int]]:
         """Heaviest dependency cycle per iteration.
@@ -157,134 +148,63 @@ class IntraGraph:
         return dst in self.successors[src]
 
 
-def _merge_only_reads(ins: Instruction) -> set[str]:
-    """Destination roots read *only* through a merging predicate.
-
-    For ``mov z5.d, p1/m, z1.d`` the old value of ``z5`` is read purely
-    to merge inactive lanes — with an all-true predicate the renamer can
-    satisfy it without waiting.  For a true accumulation like
-    ``fadd z8.d, p0/m, z8.d, z0.d`` the destination also appears as an
-    explicit source and the dependency is real.
-    """
-    from ..isa.instruction import OperandAccess
-
-    if ins.isa != "aarch64":
-        return set()
-    merging = any(
-        isinstance(o, Register) and o.predication == "m" for o in ins.operands
-    )
-    if not merging:
-        return set()
-    dest_roots = set()
-    source_roots = set()
-    for k, (o, a) in enumerate(zip(ins.operands, ins.accesses)):
-        if not isinstance(o, Register):
-            continue
-        if a & OperandAccess.WRITE:
-            dest_roots.add(o.root)
-        if (a & OperandAccess.READ) and not (a & OperandAccess.WRITE):
-            source_roots.add(o.root)
-    return dest_roots - source_roots
-
-
 def build_dependency_graph(
     instructions: Sequence[Instruction],
     resolved: Sequence[ResolvedInstruction],
-    *,
-    respect_merge_dependency: bool = True,
+    model: MachineModel,
 ) -> DependencyGraph:
     """Construct the dependency graph of a loop body.
 
-    ``respect_merge_dependency=False`` drops read-modify-write
-    dependencies on *merging-predicated SVE destinations* — hardware with
-    sufficiently aggressive renaming (the paper observes this on
-    Neoverse V2 for the Gauss-Seidel kernel) can overcome them when the
-    predicate is all-true; the static model keeps them by default.
+    Dependencies come from :func:`~repro.isa.dataflow.derive_dataflow`
+    under what a static analyzer may assume
+    (:meth:`~repro.isa.dataflow.Renaming.static`): the model's zero
+    idioms, but neither merge renaming nor move elimination.  Hardware
+    with them (Neoverse V2 on Gauss-Seidel) beats the bound.
     """
-    n = len(instructions)
-    edges: list[DepEdge] = []
+    flow = derive_dataflow(instructions, resolved, Renaming.static(model))
+    weights = tuple(
+        lat + (r.load_latency if r.n_loads else 0.0)
+        for lat, r in zip(flow.latency, resolved)
+    )
 
-    # Track last writer per register root and per memory key.
-    last_reg_writer: dict[str, int] = {}
-    last_mem_writer: dict[tuple, int] = {}
-
-    # Registers written anywhere in the block (loop-variant): a memory
-    # operand whose address uses one advances every iteration, so its
-    # key aliases only *within* an iteration, never across (the
-    # in-place UPDATE kernel must not chain on its own store).
-    variant_regs: set[str] = set()
-    for ins in instructions:
-        variant_regs.update(ins.register_writes())
-
-    def _loop_variant(op: MemoryOperand) -> bool:
-        return any(r.root in variant_regs for r in op.address_registers())
-
-    def producer_latency(i: int) -> float:
-        return resolved[i].total_latency
-
-    # First pass: record final writers for cross-iteration edges.
+    # The final writer of each register root and memory key feeds the
+    # next iteration.  A zero idiom is never one: a known over-estimate,
+    # kept because published outputs pin it (a read ahead of the idiom
+    # chains to an earlier writer of the previous iteration instead).
     final_reg_writer: dict[str, int] = {}
     final_mem_writer: dict[tuple, int] = {}
-    for i, ins in enumerate(instructions):
-        if is_zero_idiom(ins):
+    for i, zero in enumerate(flow.zero):
+        if zero:
             continue
-        for root in ins.register_writes():
+        for root in flow.writes[i]:
             final_reg_writer[root] = i
-        for op, acc in zip(ins.operands, ins.accesses):
-            if isinstance(op, MemoryOperand) and (acc & OperandAccess.WRITE):
-                final_mem_writer[_memory_key(op)] = i
+        for key, _ in flow.mem_writes[i]:
+            final_mem_writer[key] = i
 
-    def reads_of(ins: Instruction, i: int) -> list[str]:
-        reads = list(ins.register_reads())
-        if not respect_merge_dependency and ins.isa == "aarch64":
-            # Drop the RMW dependency a merging predicate adds to the
-            # destination — but only when the destination is *not* also
-            # an explicit source (true accumulations must keep their
-            # chain; only the implicit merge-read is renameable).
-            reads = [r for r in reads if r not in _merge_only_reads(ins)]
-        return reads
-
-    for i, ins in enumerate(instructions):
-        zero = is_zero_idiom(ins)
-        # -- register reads
-        if not zero:
-            for root in reads_of(ins, i):
-                if root in last_reg_writer:
-                    src = last_reg_writer[root]
-                    edges.append(
-                        DepEdge(src, i, producer_latency(src), "reg", root)
-                    )
-                elif root in final_reg_writer and final_reg_writer[root] >= i:
-                    src = final_reg_writer[root]
-                    edges.append(
-                        DepEdge(src, i, producer_latency(src), "reg-carried", root)
-                    )
-            # -- memory reads (store-to-load forwarding)
-            for op, acc in zip(ins.operands, ins.accesses):
-                if isinstance(op, MemoryOperand) and (acc & OperandAccess.READ):
-                    key = _memory_key(op)
-                    if key in last_mem_writer:
-                        src = last_mem_writer[key]
-                        edges.append(
-                            DepEdge(src, i, producer_latency(src), "mem", str(key))
-                        )
-                    elif (
-                        key in final_mem_writer
-                        and final_mem_writer[key] >= i
-                        and not _loop_variant(op)
-                    ):
-                        src = final_mem_writer[key]
-                        edges.append(
-                            DepEdge(
-                                src, i, producer_latency(src), "mem-carried", str(key)
-                            )
-                        )
-
-        # -- update writers
-        for root in ins.register_writes():
+    edges: list[DepEdge] = []
+    last_reg_writer: dict[str, int] = {}
+    last_mem_writer: dict[tuple, int] = {}
+    for i in range(len(weights)):
+        for root in flow.reads[i]:
+            src = last_reg_writer.get(root)
+            if src is not None:
+                edges.append(DepEdge(src, i, weights[src], "reg", root))
+            elif final_reg_writer.get(root, -1) >= i:
+                src = final_reg_writer[root]
+                edges.append(DepEdge(src, i, weights[src], "reg-carried", root))
+        # store-to-load forwarding; a loop-variant key aliases only
+        # within an iteration (the in-place UPDATE kernel must not chain
+        # on its own store)
+        for key, variant in flow.mem_reads[i]:
+            src = last_mem_writer.get(key)
+            if src is not None:
+                edges.append(DepEdge(src, i, weights[src], "mem", str(key)))
+            elif not variant and final_mem_writer.get(key, -1) >= i:
+                src = final_mem_writer[key]
+                edges.append(DepEdge(src, i, weights[src], "mem-carried", str(key)))
+        for root in flow.writes[i]:
             last_reg_writer[root] = i
-        for op, acc in zip(ins.operands, ins.accesses):
-            if isinstance(op, MemoryOperand) and (acc & OperandAccess.WRITE):
-                last_mem_writer[_memory_key(op)] = i
+        for key, _ in flow.mem_writes[i]:
+            last_mem_writer[key] = i
 
-    return DependencyGraph(instructions=instructions, resolved=resolved, edges=edges)
+    return DependencyGraph(instructions, weights, edges)

@@ -115,7 +115,6 @@ def analyze_instructions(
     model: MachineModel,
     *,
     optimal_binding: bool = True,
-    respect_merge_dependency: bool = True,
     resolved: Optional[Sequence[ResolvedInstruction]] = None,
 ) -> AnalysisResult:
     """Analyze a parsed loop body against a machine model.
@@ -146,9 +145,7 @@ def analyze_instructions(
 
     frontend = _fused_domain_uops(instructions) / model.dispatch_width
 
-    graph = build_dependency_graph(
-        instructions, resolved, respect_merge_dependency=respect_merge_dependency
-    )
+    graph = build_dependency_graph(instructions, resolved, model)
     lcd, chain = graph.loop_carried_dependency()
     cp = graph.critical_path()
 
@@ -173,7 +170,6 @@ def analyze_kernel(
     arch: str | MachineModel,
     *,
     optimal_binding: bool = True,
-    respect_merge_dependency: bool = True,
 ) -> AnalysisResult:
     """Parse and analyze an assembly loop body.
 
@@ -188,9 +184,6 @@ def analyze_kernel(
     optimal_binding:
         Use the most balanced port binding (default; its highest load is
         the exact minimax bound) instead of the equal-split heuristic.
-    respect_merge_dependency:
-        Keep RMW dependencies on merging-predicated SVE destinations
-        (the static-model default; hardware may rename them away).
     """
     from ..lowering import lower
 
@@ -199,6 +192,5 @@ def analyze_kernel(
         block.instructions,
         block.model,
         optimal_binding=optimal_binding,
-        respect_merge_dependency=respect_merge_dependency,
         resolved=block.resolved,
     )

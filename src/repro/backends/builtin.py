@@ -36,7 +36,6 @@ class ModelBackend:
         block: "LoweredBlock",
         *,
         optimal_binding: bool = True,
-        respect_merge_dependency: bool = True,
         **_: Any,
     ) -> BackendResult:
         from ..analysis.throughput import analyze_instructions
@@ -45,7 +44,6 @@ class ModelBackend:
             block.instructions,
             block.model,
             optimal_binding=optimal_binding,
-            respect_merge_dependency=respect_merge_dependency,
             resolved=block.resolved,
         )
         return BackendResult(

@@ -11,9 +11,11 @@ more importantly, *without* reading their nominal source operands:
   are regular (cheap) instructions, not renamer idioms, so they are not
   treated here.
 
-Both the analyzer's dependency graph and the machine-model resolver
-consult :func:`is_zero_idiom` so that zeroed registers start fresh
-dependency chains, matching hardware behaviour.
+Two places consult :func:`is_zero_idiom`: the dataflow derivation
+(:mod:`repro.isa.dataflow`), so that a zeroed register starts a fresh
+dependency chain where the renaming assumes zero idioms, and
+:meth:`~repro.machine.model.MachineModel.resolve`, which gives such an
+idiom no µops on a machine that eliminates it.
 
 :func:`macro_fuses` is the one x86 macro-fusion rule that both the
 analyzer's frontend term and the simulator's dispatch plan apply.

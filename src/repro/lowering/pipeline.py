@@ -9,10 +9,10 @@ corpus blocks.  Every view needs the same front half first:
    AArch64, chosen by the machine model's ISA);
 2. **normalize** — strip residual IACA byte-marker instructions (the
    ``mov $111/$222, %ebx`` pair survives naive extraction as
-   real-looking ``mov``\\ s) and annotate dependency-breaking zero
-   idioms;
+   real-looking ``mov``\\ s);
 3. **resolve** — bind every instruction to machine resources
-   (µops, candidate ports, latency) via
+   (µops, candidate ports, latency; a zero idiom the renamer
+   eliminates gets none) via
    :meth:`~repro.machine.model.MachineModel.resolve`.
 
 :func:`lower` runs that front half on every call and keeps no state:
@@ -34,7 +34,6 @@ from typing import Iterator, Union
 
 from ..context import current_context
 from ..isa import parse_kernel
-from ..isa.idioms import is_zero_idiom
 from ..isa.instruction import Instruction
 from ..isa.operands import Immediate, Register
 from ..machine import MachineModel, coerce_model
@@ -57,8 +56,6 @@ class LoweredBlock:
     isa: str
     instructions: tuple[Instruction, ...]
     resolved: tuple[ResolvedInstruction, ...]
-    #: per-instruction flag: recognized dependency-breaking zero idiom
-    zero_idioms: tuple[bool, ...]
 
     def __len__(self) -> int:
         return len(self.instructions)
@@ -113,14 +110,12 @@ def _lower(source: str, model: MachineModel, prof) -> LoweredBlock:
         parsed = parse_kernel(source, model.isa)
         instructions = normalize_instructions(parsed, model.isa)
         resolved = tuple(model.resolve(i) for i in instructions)
-    zero = tuple(is_zero_idiom(i) for i in instructions)
     return LoweredBlock(
         source=source,
         model=model,
         isa=model.isa,
         instructions=instructions,
         resolved=resolved,
-        zero_idioms=zero,
     )
 
 

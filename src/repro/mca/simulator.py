@@ -12,8 +12,9 @@ LLVM tool:
   ``max(1, n_uops) / dispatch_width``,
 * µops occupy their ports for their unscaled cycles (no issue
   inefficiency), and there is no harness overhead,
-* all register dependencies are honored verbatim (no renamer tricks:
-  zero idioms, move elimination, and SVE merge renaming do not exist),
+* all register dependencies are honored verbatim (the dataflow under
+  :data:`~repro.isa.dataflow.NO_RENAMING`: zero idioms, move
+  elimination, and SVE merge renaming do not exist),
 * no reorder buffer, no in-order retire bandwidth, no taken-branch or
   special-op limits — so window effects never bite, another reason
   latency-heavy loops come out slower than hardware,
@@ -29,15 +30,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from ..isa.dataflow import NO_RENAMING, derive_dataflow
 from ..isa.instruction import Instruction
 from ..machine import MachineModel
-from ..simulator.plan import PlanConfig, UopPlan, mem_reads, mem_writes
+from ..simulator.plan import PlanConfig, UopPlan
 from .scheddata import MCASchedData
 
-#: MCA's plan knobs: no renamer tricks, no divider overrides, unscaled
-#: occupancies and dispatch, no harness overhead
+#: MCA's plan knobs: no divider overrides, unscaled occupancies and
+#: dispatch, no harness overhead
 _MCA_CONFIG = PlanConfig(
-    merge_renaming=False,
     divider_overrides=(),
     issue_efficiency=1.0,
     dispatch_efficiency=1.0,
@@ -116,15 +117,16 @@ class MCASimulator:
         resolved = [self.sched.resolve(i) for i in instructions]
         dispatch_width = float(model.dispatch_width)
         slots = [max(1, r.n_uops) for r in resolved]
+        flow = derive_dataflow(instructions, resolved, NO_RENAMING)
         if self.assume_noalias:
             mem_reads_of = mem_writes_of = ((),) * n
         else:
             # every key aliases across iterations (none is loop-variant)
             mem_reads_of = tuple(
-                tuple((k, False) for k in mem_reads(i)) for i in instructions
+                tuple((k, False) for k, _ in keys) for keys in flow.mem_reads
             )
             mem_writes_of = tuple(
-                tuple((k, False) for k in mem_writes(i)) for i in instructions
+                tuple((k, False) for k, _ in keys) for keys in flow.mem_writes
             )
         return UopPlan(
             model=model,
@@ -138,15 +140,15 @@ class MCASimulator:
                 for r in resolved
             ),
             divider_occ=tuple(r.divider for r in resolved),
-            eff_latency=tuple(r.latency for r in resolved),
+            eff_latency=flow.latency,
             load_lat=tuple(
                 r.load_latency if r.n_loads else None for r in resolved
             ),
             is_branch_of=(False,) * n,
             special_of=(None,) * n,
             mnemonic_of=tuple(i.mnemonic for i in instructions),
-            reads=tuple(i.register_reads() for i in instructions),
-            writes=tuple(i.register_writes() for i in instructions),
+            reads=flow.reads,
+            writes=flow.writes,
             mem_reads_of=mem_reads_of,
             mem_writes_of=mem_writes_of,
             dispatch_step=1.0 / dispatch_width,

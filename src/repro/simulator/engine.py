@@ -21,8 +21,10 @@ repeatedly under the same port model the analyzer uses, but with the
 Hardware-specific behaviours the static model deliberately does *not*
 track (the paper's two documented over-prediction cases):
 
-* merging-predicated SVE destinations are renamed away when profitable
-  (``merge_renaming=True``; Neoverse V2 Gauss-Seidel),
+* merge reads of predicated SVE destinations are renamed away and
+  ``fmov d, d`` is an eliminated move (the plan assumes the chip's
+  renaming, :meth:`~repro.isa.dataflow.Renaming.chip`, and the model
+  only the static set; Neoverse V2 Gauss-Seidel),
 * the Zen 4 scalar divider sustains a better reciprocal throughput than
   its documented occupancy (``divider_overrides``; π kernel).
 

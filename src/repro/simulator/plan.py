@@ -13,8 +13,12 @@ builds once per run:
   build the plan once and run the engine against it (so do the
   backends, microbenchmarks, and counterfactual studies),
 * :class:`~repro.mca.simulator.MCASimulator` — builds its own plan from
-  MCA scheduling data with the memory-key helpers below, so aliasing
-  semantics can never drift between the measurement and the baseline.
+  MCA scheduling data.
+
+Both plans take their register and memory dependencies from
+:func:`~repro.isa.dataflow.derive_dataflow`, this one under the chip's
+renaming and MCA's under none, so aliasing semantics can never drift
+between the measurement and the baseline.
 
 Every precomputed float reproduces the exact value the old inline
 expression produced (same operations, same order), so the
@@ -27,9 +31,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Optional, Sequence
 
-from ..isa.idioms import is_zero_idiom, macro_fuses
+from ..isa.dataflow import Renaming, derive_dataflow
+from ..isa.idioms import macro_fuses
 from ..isa.instruction import Instruction, OperandAccess
-from ..isa.operands import MemoryOperand, Register
+from ..isa.operands import MemoryOperand
 from ..machine import MachineModel
 from ..machine.model import ResolvedInstruction, Uop
 
@@ -64,7 +69,6 @@ class PlanConfig:
     folded into the measured cycles.
     """
 
-    merge_renaming: bool = True
     divider_overrides: tuple[tuple[tuple[str, str], float], ...] = tuple(
         sorted(DEFAULT_DIVIDER_OVERRIDES.items())
     )
@@ -127,7 +131,7 @@ class UopPlan:
     uop_plans: tuple[tuple[tuple, ...], ...]
     #: non-pipelined divider occupancy (0.0 = not a divide), overrides applied
     divider_occ: tuple[float, ...]
-    #: result latency after renamer tricks (SVE merge mov, fmov elimination)
+    #: result latency after renaming (:mod:`repro.isa.dataflow`)
     eff_latency: tuple[float, ...]
     #: load-to-use latency, or None when the instruction loads nothing
     load_lat: tuple[Optional[float], ...]
@@ -135,7 +139,7 @@ class UopPlan:
     #: serialized special-op reciprocal throughput (gathers), or None
     special_of: tuple[Optional[float], ...]
     mnemonic_of: tuple[str, ...]
-    #: register RAW roots read / written, after zero-idiom + merge renaming
+    #: register RAW roots read / written after renaming
     reads: tuple[tuple[str, ...], ...]
     writes: tuple[tuple[str, ...], ...]
     #: memory keys read / written: ((key, loop_variant), ...) per index
@@ -151,105 +155,8 @@ class UopPlan:
 
 
 # ---------------------------------------------------------------------------
-# shared per-instruction table derivations
-#
-# Shared with MCASimulator's plan (the memory-key trio), so every plan
-# derives identical tables from one code path.
+# per-instruction table derivations
 # ---------------------------------------------------------------------------
-
-
-def mem_key(op: MemoryOperand) -> tuple:
-    """Structural identity of an address expression (aliasing key)."""
-    return (
-        op.base.root if op.base else None,
-        op.index.root if op.index else None,
-        op.scale,
-        op.displacement,
-    )
-
-
-def mem_reads(ins: Instruction) -> list[tuple]:
-    """Memory keys this instruction loads from."""
-    return [
-        mem_key(o)
-        for o, a in zip(ins.operands, ins.accesses)
-        if isinstance(o, MemoryOperand) and (a & OperandAccess.READ)
-    ]
-
-
-def mem_writes(ins: Instruction) -> list[tuple]:
-    """Memory keys this instruction stores to."""
-    return [
-        mem_key(o)
-        for o, a in zip(ins.operands, ins.accesses)
-        if isinstance(o, MemoryOperand) and (a & OperandAccess.WRITE)
-    ]
-
-
-def key_variant(key: tuple, variant_regs: set[str]) -> bool:
-    """True if the key's address registers advance within the loop."""
-    base, index = key[0], key[1]
-    return (base in variant_regs) or (index in variant_regs)
-
-
-def dependency_sets(
-    instructions: Sequence[Instruction],
-    model: MachineModel,
-    merge_renaming: bool = True,
-) -> tuple[list[tuple[str, ...]], list[tuple[str, ...]]]:
-    """Per-instruction read/write root sets after renaming tricks."""
-    reads: list[tuple[str, ...]] = []
-    writes: list[tuple[str, ...]] = []
-    for ins in instructions:
-        if model.zero_idioms and is_zero_idiom(ins):
-            reads.append(())
-            writes.append(ins.register_writes())
-            continue
-        r = list(ins.register_reads())
-        if merge_renaming and ins.isa == "aarch64":
-            # Hardware renames away the implicit merge-read on the
-            # destination (all-true predicate fast path); explicit
-            # accumulations keep their chain.
-            from ..analysis.depgraph import _merge_only_reads
-
-            drop = _merge_only_reads(ins)
-            if drop:
-                r = [x for x in r if x not in drop]
-        reads.append(tuple(r))
-        writes.append(ins.register_writes())
-    return reads, writes
-
-
-def effective_latency(
-    ins: Instruction,
-    latency: float,
-    model: MachineModel,
-    merge_renaming: bool = True,
-) -> float:
-    """Latency after renamer tricks.
-
-    A merging-predicated SVE ``mov`` is executed as a zero-latency
-    rename when the merge dependency is droppable — the hardware
-    behaviour behind the paper's Neoverse V2 Gauss-Seidel
-    over-prediction.
-    """
-    if merge_renaming and ins.isa == "aarch64":
-        if ins.mnemonic == "mov":
-            from ..analysis.depgraph import _merge_only_reads
-
-            if _merge_only_reads(ins):
-                return 0.0
-        if ins.mnemonic == "fmov" and model.move_elimination:
-            # fmov d,d is a zero-cycle move on Neoverse V2 — the
-            # renaming the paper notes OSACA cannot assume.
-            ops = ins.operands
-            if (
-                len(ops) == 2
-                and all(isinstance(o, Register) for o in ops)
-                and all(o.reg_class.name == "VEC" for o in ops)  # type: ignore[union-attr]
-            ):
-                return 0.0
-    return latency
 
 
 def split_load_uops(ins: Instruction, model: MachineModel) -> float:
@@ -312,25 +219,8 @@ def build_uop_plan(
     instructions = tuple(instructions)
     n_body = len(instructions)
 
-    reads, writes = dependency_sets(
-        instructions, model, merge_renaming=cfg.merge_renaming
-    )
+    flow = derive_dataflow(instructions, resolved, Renaming.chip(model))
     split_extra = [split_load_uops(i, model) for i in instructions]
-
-    # Memory keys whose address registers advance every iteration
-    # alias only within an iteration (see analysis.depgraph).
-    variant_regs: set[str] = set()
-    for ins in instructions:
-        variant_regs.update(ins.register_writes())
-    mem_reads_of = []
-    mem_writes_of = []
-    for ins in instructions:
-        mem_reads_of.append(
-            tuple((k, key_variant(k, variant_regs)) for k in mem_reads(ins))
-        )
-        mem_writes_of.append(
-            tuple((k, key_variant(k, variant_regs)) for k in mem_writes(ins))
-        )
 
     dispatch_step = 1.0 / (model.dispatch_width * cfg.dispatch_efficiency)
     fused_with_next = macro_fusion(instructions, model)
@@ -346,7 +236,6 @@ def build_uop_plan(
     divider_get = cfg.overrides_dict.get
     uop_plans: list[tuple[tuple, ...]] = []
     divider_occ: list[float] = []
-    eff_latency: list[float] = []
     load_lat: list[Optional[float]] = []
     is_branch_of: list[bool] = []
     special_of: list[Optional[float]] = []
@@ -367,11 +256,6 @@ def build_uop_plan(
             if override is not None:
                 div = override
         divider_occ.append(div)
-        eff_latency.append(
-            effective_latency(
-                ins, r.latency, model, merge_renaming=cfg.merge_renaming
-            )
-        )
         load_lat.append(r.load_latency if r.n_loads else None)
         is_branch_of.append(ins.is_branch)
         special_of.append(r.throughput)
@@ -386,15 +270,15 @@ def build_uop_plan(
         n_slots=sum(1 for step in step_of if step),
         uop_plans=tuple(uop_plans),
         divider_occ=tuple(divider_occ),
-        eff_latency=tuple(eff_latency),
+        eff_latency=flow.latency,
         load_lat=tuple(load_lat),
         is_branch_of=tuple(is_branch_of),
         special_of=tuple(special_of),
         mnemonic_of=tuple(mnemonic_of),
-        reads=tuple(reads),
-        writes=tuple(writes),
-        mem_reads_of=tuple(mem_reads_of),
-        mem_writes_of=tuple(mem_writes_of),
+        reads=flow.reads,
+        writes=flow.writes,
+        mem_reads_of=flow.mem_reads,
+        mem_writes_of=flow.mem_writes,
         dispatch_step=dispatch_step,
         retire_step=retire_step,
         occupancy_scale=occupancy_scale,

@@ -1,18 +1,17 @@
 """Dependency graph: RAW edges, critical path, loop-carried cycles."""
 
-from repro.analysis.depgraph import (
-    _merge_only_reads,
-    build_dependency_graph,
-)
+from repro.analysis.depgraph import build_dependency_graph
 from repro.isa import parse_kernel
+from repro.isa.dataflow import merge_only_reads
 from repro.machine import get_machine_model
+from repro.simulator.plan import build_uop_plan
 
 
-def graph_for(asm, arch, **kwargs):
+def graph_for(asm, arch):
     model = get_machine_model(arch)
     instrs = parse_kernel(asm, model.isa)
     resolved = [model.resolve(i) for i in instrs]
-    return build_dependency_graph(instrs, resolved, **kwargs)
+    return build_dependency_graph(instrs, resolved, model)
 
 
 class TestIntraEdges:
@@ -145,23 +144,25 @@ class TestCriticalPath:
 class TestMergeDependencies:
     def test_merge_only_read_detected(self):
         i = parse_kernel("mov z5.d, p1/m, z1.d", "aarch64")[0]
-        assert _merge_only_reads(i) == {"z5"}
+        assert merge_only_reads(i) == {"z5"}
 
     def test_true_accumulation_not_merge_only(self):
         i = parse_kernel("fadd z8.d, p0/m, z8.d, z0.d", "aarch64")[0]
-        assert _merge_only_reads(i) == set()
+        assert merge_only_reads(i) == set()
 
     def test_unpredicated_not_merge_only(self):
         i = parse_kernel("fadd z8.d, z1.d, z0.d", "aarch64")[0]
-        assert _merge_only_reads(i) == set()
+        assert merge_only_reads(i) == set()
 
     def test_x86_never_merge_only(self):
         i = parse_kernel("vaddpd %ymm0, %ymm1, %ymm2", "x86")[0]
-        assert _merge_only_reads(i) == set()
+        assert merge_only_reads(i) == set()
 
-    def test_respect_merge_dependency_flag(self):
+    def test_graph_keeps_the_merge_read_the_chip_renames(self):
+        # the static set keeps the merge read; the simulator's chip set
+        # renames it away
         asm = "mov z5.d, p1/m, z1.d\nsubs x0, x0, #1\nb.ne .L\n"
-        strict = graph_for(asm, "grace", respect_merge_dependency=True)
-        relaxed = graph_for(asm, "grace", respect_merge_dependency=False)
-        assert any(e.resource == "z5" for e in strict.carried_edges())
-        assert not any(e.resource == "z5" for e in relaxed.carried_edges())
+        assert any(e.resource == "z5" for e in graph_for(asm, "grace").carried_edges())
+        plan = build_uop_plan(parse_kernel(asm, "aarch64"), get_machine_model("grace"))
+        assert "z5" not in plan.reads[0]
+        assert plan.eff_latency[0] == 0.0

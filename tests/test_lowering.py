@@ -40,7 +40,6 @@ class TestLower:
         assert isinstance(block, LoweredBlock)
         assert len(block) == 3
         assert len(block.resolved) == len(block.instructions) == 3
-        assert len(block.zero_idioms) == 3
         assert block.isa == "x86"
         assert block.model is get_machine_model("zen4")
 
@@ -83,10 +82,6 @@ class TestNormalization:
         lone = "movl $111, %ebx\nvaddpd %ymm0, %ymm1, %ymm2\n"
         block = lower(lone, "zen4")
         assert len(block) == 2
-
-    def test_zero_idiom_annotation(self):
-        block = lower("vxorps %xmm0, %xmm0, %xmm0\naddq %rax, %rbx", "zen4")
-        assert block.zero_idioms == (True, False)
 
 
 class TestDigests:

@@ -162,7 +162,7 @@ class TestAnalysisProperties:
         resolved = [model.resolve(i) for i in instrs]
         from repro.analysis.depgraph import build_dependency_graph
 
-        g = build_dependency_graph(instrs, resolved)
+        g = build_dependency_graph(instrs, resolved, model)
         intra = [e for e in g.edges if e.kind in ("reg", "mem")]
         assert all(e.src < e.dst for e in intra)
         succ = g.intra_graph().successors

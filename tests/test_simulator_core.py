@@ -93,9 +93,15 @@ class TestRenamerEffects:
         r = run("grace", asm)
         assert r.cycles_per_iteration == pytest.approx(2.0)
 
-    def test_fmov_counts_without_merge_renaming(self):
+    def test_fmov_counts_without_move_elimination(self):
+        import dataclasses
+
+        v2 = get_machine_model("grace")
+        model = dataclasses.replace(
+            v2, move_elimination=False, entries=list(v2.entries)
+        )
         asm = "fadd d1, d0, d2\nfmov d0, d1\nsubs x0, x0, #1\nb.ne .L\n"
-        r = run("grace", asm, merge_renaming=False)
+        r = simulate(model, parse_kernel(asm, "aarch64"), 100, 30, clean_config())
         assert r.cycles_per_iteration == pytest.approx(4.0)  # 2 + 2
 
     def test_merging_mov_renamed(self):
